@@ -9,7 +9,6 @@ from .background import (
     BigBangClass,
     EndCriterion,
     classify_bigbang,
-    efolds_to_end,
     end_of_inflation,
     initial_state,
     integrate,
@@ -33,11 +32,9 @@ from .perturbations import (
     GravityMode,
     ScalarMode,
     TensorMode,
-    get_gravity_mode,
     integrate_scalar,
     integrate_tensor,
     scalar_initial_data,
-    set_gravity_mode,
     vector_mode_decay,
 )
 from .potential import (
@@ -73,4 +70,23 @@ from .variance import (
     weight_overlap,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "__version__",
+    "BackgroundSolution", "BackgroundState", "BigBangClass", "EndCriterion",
+    "classify_bigbang", "end_of_inflation", "initial_state", "integrate",
+    "G_NEWTON", "SCALES", "UnitScales",
+    "DEFAULT_CONSTANTS", "CosmoConstants", "HorizonExit",
+    "solve_exit_general", "solve_exit_reference",
+    "SlowRollReport", "compare_targets", "power_spectrum",
+    "slow_roll_functions", "spectra_report",
+    "GravityMode", "ScalarMode", "TensorMode", "integrate_scalar",
+    "integrate_tensor", "scalar_initial_data", "vector_mode_decay",
+    "DerivedConstants", "PotentialParams", "derive_constants", "potential",
+    "potential_d1", "potential_d2",
+    "CharacteristicFunction", "DensitySamples", "ToyModel", "apply_kernel",
+    "characteristic_fn", "density", "invert_to_density", "marginalize",
+    "propagate", "reduce_state", "two_level_model",
+    "ClassicalCovariance", "DecayExperiment", "WeightFunction",
+    "classical_variance_00", "covariance_matrix", "decay_quantum_variance",
+    "mu_bound", "sigma_squared", "weight_overlap",
+]

@@ -40,6 +40,10 @@ DEFAULT_ATOL = 1e-12
 # asymptotic initial data is trusted only while phi stays well below the minimum
 MAX_START_FIELD_FRACTION = 0.15
 
+# brentq tolerances shared by every crossing search on the stored background
+CROSSING_XTOL = 1e-24       # GeV^-1
+CROSSING_RTOL = 1e-15
+
 
 class IntegrationError(RuntimeError):
     """Integration failed (step-size underflow, non-finite state, bad residual)."""
@@ -180,20 +184,25 @@ class BackgroundSolution:
     def efolds_from_start(self, t):
         return self._N(self._tau_of(t))
 
-    def state(self, t: float) -> BackgroundState:
-        tau = self._tau_of(t)
-        return BackgroundState(
-            t=float(t),
-            phi=float(self.phi(t)),
-            phidot=float(self.phidot(t)),
-            H=float(self.hubble(t)),
-            N=float(self.efolds_from_start(t)),
-        )
-
     @property
     def grid_times(self) -> np.ndarray:
-        """Accepted solver steps in GeV^-1."""
+        """Storage nodes in GeV^-1."""
         return self.tau * self.scales.time_unit
+
+    def first_crossing(self, fn, t_lo: float, t_hi: float) -> float | None:
+        """First root of fn(t) in [t_lo, t_hi], or None without a sign change.
+
+        fn takes GeV^-1 and must accept arrays: it is evaluated once on the
+        storage nodes in the interval, and the first sign change is refined
+        by brentq.
+        """
+        grid = self.grid_times
+        grid = grid[(grid >= t_lo) & (grid <= t_hi)]
+        idx = np.flatnonzero(np.diff(np.sign(fn(grid))))
+        if idx.size == 0:
+            return None
+        i = idx[0]
+        return brentq(fn, grid[i], grid[i + 1], xtol=CROSSING_XTOL, rtol=CROSSING_RTOL)
 
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
@@ -355,31 +364,20 @@ def end_of_inflation(sol: BackgroundSolution,
 
     Default: first crossing phi(t) = v.  Alternative: first epsilon(t) = 1.
     """
-    scales = sol.scales
     if criterion == EndCriterion.FIELD_CROSSING:
-        target = sol.derived.v / scales.field_unit
-
-        def fn(tau):
-            return sol._f(tau) - target
+        def fn(t):
+            return sol.phi(t) - sol.derived.v
     elif criterion == EndCriterion.EPSILON_UNITY:
-        def fn(tau):
-            return float(epsilon_of_field(sol.params, sol._f(tau) * scales.field_unit)) - 1.0
+        def fn(t):
+            return epsilon_of_field(sol.params, sol.phi(t)) - 1.0
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    vals = np.array([fn(t) for t in sol.tau])
-    pos = np.where(vals >= 0)[0]
-    if len(pos) == 0 or pos[0] == 0:
+    t_I = sol.first_crossing(fn, sol.t_start, sol.t_end)
+    if t_I is None:
         raise EndOfInflationNotFound(
             f"no {criterion.value} crossing in [{sol.t_start:g}, {sol.t_end:g}]")
-    i = pos[0]
-    tau_I = brentq(fn, sol.tau[i - 1], sol.tau[i], xtol=1e-12)
-    return tau_I * scales.time_unit
-
-
-def efolds_to_end(sol: BackgroundSolution, t) -> float:
-    """Integral of H dt' from t to the end of inflation (module-level form)."""
-    return sol.efolds_to_end(t)
+    return t_I
 
 
 class BigBangClass(enum.Enum):

@@ -326,11 +326,11 @@ def cmd_mubound(cfg: RunConfig, w: Writer) -> int:
 
 
 def cmd_toy(cfg: RunConfig, w: Writer) -> int:
+    model = cfg.toy_model()
+    template = cfg.toy_template()
     results = run_battery(n_seeds=cfg.toy.seeds)
     for r in results:
         print(r.line())
-    model = cfg.toy_model()
-    template = cfg.toy_template()
     cf = characteristic_fn(model, template, auto_k_grid(model, template))
     ds = invert_to_density(cf)
     w.csv("toy_density.csv", ["theta", "p"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,10 +31,10 @@ class ScanConfig:
 
 @dataclass
 class ToyConfig:
-    dim: int = 2
     mu: float = 0.8
     seeds: int = 50
-    # row-major real symmetric matrices; None selects the built-in benchmark
+    # row-major real symmetric matrices, dimension from their length; None
+    # selects the built-in benchmark
     hamiltonian: list | None = None
     observable: list | None = None
     weight_op: list | None = None
@@ -58,7 +59,6 @@ class RunConfig:
     t_end: float = DEFAULT_T_END
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    end_criterion: str = "field"
     q_R_mpc_inv: float = DEFAULT_QR_MPC_INV
     z_L: float = DEFAULT_Z_L
     d_A_mpc: float = DEFAULT_DA_MPC
@@ -71,7 +71,6 @@ class RunConfig:
     format: str = "csv"
     cache: bool = True
     cache_dir: str | None = None
-    seed: int = 0
     workers: int = 1
     scan: ScanConfig = field(default_factory=ScanConfig)
     toy: ToyConfig = field(default_factory=ToyConfig)
@@ -92,9 +91,6 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.gravity not in ("quantum", "classical"):
             raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
-        if self.end_criterion not in ("field", "epsilon"):
-            raise ConfigError(f"end_criterion must be field or epsilon, "
-                              f"got {self.end_criterion!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         self.params()           # raises on invalid couplings
@@ -105,19 +101,27 @@ class RunConfig:
         t = self.toy
         if t.hamiltonian is None and t.observable is None:
             return two_level_model(mu=t.mu)
-        dim = t.dim
 
         def mat(rowmajor, name):
             if rowmajor is None:
                 raise ConfigError(f"toy.{name} required when any toy matrix is given")
-            arr = np.asarray(rowmajor, dtype=float).reshape(dim, dim)
-            return arr.astype(complex)
+            arr = np.asarray(rowmajor, dtype=float).ravel()
+            dim = math.isqrt(arr.size)
+            if dim == 0 or dim * dim != arr.size:
+                raise ConfigError(f"toy.{name}: {arr.size} entries do not form a square matrix")
+            return arr.reshape(dim, dim).astype(complex)
 
+        H = mat(t.hamiltonian, "hamiltonian")
+        A = mat(t.observable, "observable")
+        C = mat(t.weight_op, "weight_op")
+        if A.shape != H.shape or C.shape != H.shape:
+            raise ConfigError("toy matrices differ in dimension")
+        dim = len(H)
         return ToyModel(
             dim=dim,
-            hamiltonian=mat(t.hamiltonian, "hamiltonian"),
-            observables=(mat(t.observable, "observable"),),
-            weight_ops=(mat(t.weight_op, "weight_op"),),
+            hamiltonian=H,
+            observables=(A,),
+            weight_ops=(C,),
             mu=t.mu,
             initial_state=np.eye(dim, dtype=complex) / dim,
         )

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .background import BackgroundSolution
 from .constants import MPC_IN_INV_GEV
@@ -91,37 +91,22 @@ def log_q_over_aH(sol: BackgroundSolution, q_over_aI: float, t) -> np.ndarray:
 def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit:
     """Find t with efolds_to_end(t) = ln(H(t)/(q/a_I)) by bracketed refinement.
 
-    The bracket is located by scanning the solver's own grid, where the
-    mismatch function is smooth and monotone through the crossing.
+    The bracket is the first sign change of ln(q/(aH)) on the storage grid,
+    where the mismatch is smooth and monotone through the crossing.
     """
     if q_over_aI <= 0:
         raise ValueError("q_over_aI must be positive")
-    t_I = sol.end_of_inflation()
-    grid = sol.grid_times
-    grid = grid[(grid >= sol.t_start) & (grid < t_I)]
-
-    def F(t):
-        return float(sol.efolds_to_end(t) - math.log(sol.hubble(t) / q_over_aI))
-
-    vals = np.array([F(t) for t in grid])
-    sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
+    mismatch = partial(log_q_over_aH, sol, q_over_aI)
+    t_exit = sol.first_crossing(mismatch, sol.t_start, sol.end_of_inflation())
+    if t_exit is None:
         raise NoHorizonExit(
             f"q/a_I = {q_over_aI:.3e} GeV never satisfies the exit condition; "
             "parameters produce insufficient inflation in range")
-    i = sign_change[0]
-    t_exit = brentq(F, grid[i], grid[i + 1], xtol=1e-18, rtol=1e-15)
-    res = F(t_exit)
-    if abs(res) > 1e-6:
-        # secant polish; brentq at these tolerances normally leaves |F| ~ 1e-10
-        t2 = t_exit - res * (grid[i + 1] - grid[i]) / (F(grid[i + 1]) - F(grid[i]))
-        if abs(F(t2)) < abs(res):
-            t_exit, res = t2, F(t2)
     return HorizonExit(
         t_exit=float(t_exit),
         phi_exit=float(sol.phi(t_exit)),
         H_exit=float(sol.hubble(t_exit)),
-        residual=float(res),
+        residual=float(mismatch(t_exit)),
         efolds_to_end=float(sol.efolds_to_end(t_exit)),
         q_over_aI=float(q_over_aI),
     )
@@ -131,23 +116,3 @@ def solve_exit_reference(sol: BackgroundSolution,
                          consts: CosmoConstants = DEFAULT_CONSTANTS) -> HorizonExit:
     """Exit of the pivot mode q_R."""
     return solve_exit_general(sol, consts.q_R_over_aI)
-
-
-def solve_exit_direct(sol: BackgroundSolution, q_over_aI: float) -> float:
-    """Exit time from the defining condition q/a(t) = H(t) solved directly.
-
-    Cross-check path for the logarithmic form; returns the time only.
-    """
-    t_I = sol.end_of_inflation()
-    grid = sol.grid_times
-    grid = grid[(grid >= sol.t_start) & (grid < t_I)]
-
-    def g(t):
-        return float(log_q_over_aH(sol, q_over_aI, t))
-
-    vals = np.array([g(t) for t in grid])
-    sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        raise NoHorizonExit("no direct-form crossing in range")
-    i = sign_change[0]
-    return brentq(g, grid[i], grid[i + 1], xtol=1e-18, rtol=1e-15)

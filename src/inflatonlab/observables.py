@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants, HorizonExit
-from .perturbations import GravityMode, get_gravity_mode
+from .perturbations import GravityMode
 from .potential import PotentialParams, potential, potential_d1, potential_d2
 
 
@@ -62,12 +62,16 @@ class SlowRollReport:
     gravity: str = GravityMode.QUANTUM.value
 
     def __post_init__(self):
-        # the report's defining identities, re-asserted on every construction
-        assert self.n_s == 1 - 4 * self.epsilon - 2 * self.delta
-        assert self.n_T == -2 * self.epsilon
+        # the report's defining identities, re-checked on every construction
+        if self.n_s != 1 - 4 * self.epsilon - 2 * self.delta:
+            raise ValueError("n_s != 1 - 4 epsilon - 2 delta")
+        if self.n_T != -2 * self.epsilon:
+            raise ValueError("n_T != -2 epsilon")
         if self.gravity == GravityMode.QUANTUM.value:
-            assert self.r == 16 * self.epsilon
-            assert abs(self.NT2 / self.NS2 - 4 * self.epsilon) <= 1e-12 * 4 * self.epsilon
+            if self.r != 16 * self.epsilon:
+                raise ValueError("r != 16 epsilon")
+            if abs(self.NT2 / self.NS2 - 4 * self.epsilon) > 1e-12 * 4 * self.epsilon:
+                raise ValueError("NT2 / NS2 != 4 epsilon")
 
     def to_dict(self) -> dict:
         return {
@@ -80,14 +84,12 @@ class SlowRollReport:
 
 
 def spectra_report(params: PotentialParams, exit: HorizonExit,
-                   gravity: GravityMode | None = None) -> SlowRollReport:
+                   gravity: GravityMode = GravityMode.QUANTUM) -> SlowRollReport:
     """Populate the full report at a solved exit.
 
     In classical-gravity mode the tensor sector is switched off: the tensor
     amplitude and r are identically zero while the scalar sector is kept.
     """
-    if gravity is None:
-        gravity = get_gravity_mode()
     eps, delta = slow_roll_functions(params, exit.phi_exit)
     NS2 = params.G * exit.H_exit**2 / (4 * np.pi**2 * eps)
     if gravity is GravityMode.CLASSICAL:

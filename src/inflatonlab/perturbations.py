@@ -31,14 +31,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .background import BackgroundSolution
 from .constants import TWO_PI
-from .horizon import DEFAULT_CONSTANTS, CosmoConstants
+from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
 
 DEFAULT_X_START = 100.0   # q/(aH) at which WKB data is imposed
 DEFAULT_X_END = 0.01      # q/(aH) at which the mode is declared frozen
@@ -54,43 +54,19 @@ class GravityMode(enum.Enum):
     CLASSICAL = "classical"
 
 
-_gravity_mode = GravityMode.QUANTUM
-
-
-def set_gravity_mode(mode: GravityMode) -> None:
-    """Select the default gravity treatment for subsequent mode integrations."""
-    global _gravity_mode
-    if not isinstance(mode, GravityMode):
-        mode = GravityMode(mode)
-    _gravity_mode = mode
-
-
-def get_gravity_mode() -> GravityMode:
-    return _gravity_mode
-
-
 # --- shared helpers -----------------------------------------------------------
 
 def _window(sol: BackgroundSolution, q_over_aI: float, x_start: float, x_end: float):
     """Times at which q/(aH) crosses x_start and x_end (log-space brackets)."""
     t_I = sol.end_of_inflation()
-    grid = sol.grid_times
-    grid = grid[(grid > sol.t_start) & (grid < t_I)]
-
-    def logx(t):
-        return math.log(q_over_aI) + float(sol.efolds_to_end(t)) - math.log(float(sol.hubble(t)))
-
-    vals = np.array([logx(t) for t in grid])
 
     def crossing(level):
-        s = vals - math.log(level)
-        idx = np.where(np.diff(np.sign(s)) != 0)[0]
-        if len(idx) == 0:
+        # q/(aH) = level is the exit condition of the wavenumber q/level
+        t = sol.first_crossing(partial(log_q_over_aH, sol, q_over_aI / level), sol.t_start, t_I)
+        if t is None:
             raise ModeError(
                 f"q/(aH) never reaches {level:g} before the end of inflation")
-        i = idx[0]
-        return brentq(lambda t: logx(t) - math.log(level), grid[i], grid[i + 1],
-                      xtol=1e-20, rtol=1e-15)
+        return t
 
     t_a = crossing(x_start)
     t_b = crossing(x_end)
@@ -158,7 +134,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
                      rtol: float = 1e-10, atol: float = 1e-12,
-                     gravity: GravityMode | None = None,
+                     gravity: GravityMode = GravityMode.QUANTUM,
                      n_output: int = 800) -> ScalarMode:
     """Evolve (chi, chidot, Psi) for mode q from q/(aH)=x_start to x_end.
 
@@ -167,8 +143,6 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     at integration-error level for the whole run.  In classical-gravity mode
     Psi is identically zero and the field equation is source-free.
     """
-    if gravity is None:
-        gravity = get_gravity_mode()
     scales = sol.scales
     T0, F0, HU = scales.time_unit, scales.field_unit, scales.hubble_unit
     Rrate = scales.efold_rate
@@ -298,30 +272,18 @@ class TensorMode:
     t_end: float
 
 
-def tensor_initial_data(sol: BackgroundSolution, q: float, t0: float,
-                        consts: CosmoConstants = DEFAULT_CONSTANTS):
-    """WKB initial values (D, Ddot) with graviton normalization at time t0."""
-    q_over_aI = q / consts.a_L
-    q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t0)))
-    a0 = q / q_over_a
-    D = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * a0)
-    return D, _wkb_phase_rate(sol, t0, q_over_aI) * D
-
-
 def integrate_tensor(sol: BackgroundSolution, q: float,
                      consts: CosmoConstants = DEFAULT_CONSTANTS,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
                      rtol: float = 1e-10, atol: float = 1e-12,
-                     gravity: GravityMode | None = None,
+                     gravity: GravityMode = GravityMode.QUANTUM,
                      n_output: int = 800) -> TensorMode:
     """Evolve the tensor amplitude D_q through horizon exit.
 
     In classical-gravity mode the tensor sector carries no quantum amplitude
     and the returned mode is identically zero.
     """
-    if gravity is None:
-        gravity = get_gravity_mode()
     scales = sol.scales
     T0 = scales.time_unit
     Rrate = scales.efold_rate

@@ -297,9 +297,6 @@ def refined_propagator(model: ToyModel, xi_fn, t0: float, t1: float,
 
 # --- characteristic function and density -----------------------------------------
 
-DEFAULT_WINDOW: Template = ((1.0, (1.0,)),)
-
-
 def _template_for(model: ToyModel, template: Template | None) -> Template:
     if template is not None:
         return template

@@ -100,7 +100,7 @@ def test_efold_additivity(background):
 
 def test_efolds_to_end_contract(background):
     t_I = background.end_of_inflation()
-    assert il.efolds_to_end(background, t_I) == pytest.approx(0.0, abs=1e-10)
+    assert background.efolds_to_end(t_I) == pytest.approx(0.0, abs=1e-10)
     # monotone decreasing toward the end of inflation
     ts = np.linspace(-20e-12, t_I, 50)
     ef = background.efolds_to_end(ts)

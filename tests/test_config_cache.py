@@ -5,6 +5,7 @@ import pytest
 
 import inflatonlab as il
 from inflatonlab.cache import cache_key, load_background, save_background
+from inflatonlab.cli import main
 from inflatonlab.config import ConfigError, load_config
 
 
@@ -57,7 +58,7 @@ def test_invalid_values_rejected(tmp_path):
 def test_toy_model_from_config(tmp_path):
     p = tmp_path / "toy.json"
     p.write_text(json.dumps({"toy": {
-        "dim": 2, "mu": 0.7,
+        "mu": 0.7,
         "hamiltonian": [0, 0, 0, 0],
         "observable": [1, 0, 0, -1],
         "weight_op": [1, 0, 0, 1],
@@ -68,6 +69,26 @@ def test_toy_model_from_config(tmp_path):
     assert model.dim == 2
     assert model.mu == 0.7
     assert cfg.toy_template() == ((1.0, (1.0,)),)
+
+
+def test_toy_matrix_not_square(tmp_path):
+    # the toy dimension comes from the matrices, so their length must be a square
+    p = tmp_path / "toy.json"
+    p.write_text(json.dumps({"toy": {
+        "hamiltonian": [0, 0, 0],
+        "observable": [1, 0, 0, -1],
+        "weight_op": [1, 0, 0, 1],
+    }}))
+    with pytest.raises(ConfigError, match="square"):
+        load_config(p).toy_model()
+    assert main(["toy", "--config", str(p), "--out", str(tmp_path)]) == 2
+    p.write_text(json.dumps({"toy": {
+        "hamiltonian": [0] * 9,
+        "observable": [1, 0, 0, -1],
+        "weight_op": [1, 0, 0, 1],
+    }}))
+    with pytest.raises(ConfigError, match="differ"):
+        load_config(p).toy_model()
 
 
 def test_cache_key_sensitivity(params):

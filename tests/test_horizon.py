@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import inflatonlab as il
-from inflatonlab.horizon import NoHorizonExit, solve_exit_direct
+from inflatonlab.horizon import NoHorizonExit
+from inflatonlab.perturbations import DEFAULT_X_END, DEFAULT_X_START, _window
 
 
 def test_constants_invariants(consts):
@@ -63,8 +67,29 @@ def test_larger_q_exits_later(background, consts, exit_point):
 
 
 def test_log_form_agrees_with_direct_form(background, consts, exit_point):
-    t_direct = solve_exit_direct(background, consts.q_R_over_aI)
+    # root q/a(t) = H(t) itself, bracketed independently of the solver's grid;
+    # from -5e-12 on, e^{efolds_to_end} stays inside the float range
+    def direct(t):
+        return (consts.q_R_over_aI * math.exp(background.efolds_to_end(t))
+                - background.hubble(t))
+
+    t_direct = brentq(direct, -5e-12, background.end_of_inflation() - 0.2e-12,
+                      xtol=1e-30)
     assert abs(t_direct - exit_point.t_exit) < 1e-4 * 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(log10_ratio=st.floats(min_value=-1.0, max_value=1.0))
+def test_exit_inside_mode_window_across_band(background, consts, exit_point, log10_ratio):
+    # q/q_R log-uniform in [0.1, 10]
+    q = consts.q_R * 10.0 ** log10_ratio
+    q_over_aI = q / consts.a_L
+    ex = il.solve_exit_general(background, q_over_aI)
+    assert abs(ex.residual) < 1e-6
+    t_a, t_b = _window(background, q_over_aI, DEFAULT_X_START, DEFAULT_X_END)
+    assert t_a < ex.t_exit < t_b
+    # a larger wavenumber leaves the horizon later
+    assert np.sign(ex.t_exit - exit_point.t_exit) == np.sign(q - consts.q_R)
 
 
 def test_no_exit_raises(background):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,14 @@ def test_report_identities(params, report):
     assert report.n_T == -2 * report.epsilon
     assert report.n_s == 1 - 4 * report.epsilon - 2 * report.delta
     assert report.NT2 / report.NS2 == pytest.approx(4 * report.epsilon, rel=1e-12)
+
+
+def test_report_rejects_broken_identity(report):
+    # the identities are checked by raising, so they hold under python -O too
+    with pytest.raises(ValueError, match="n_s"):
+        dataclasses.replace(report, n_s=report.n_s + 1e-3)
+    with pytest.raises(ValueError, match="r != 16"):
+        dataclasses.replace(report, r=0.5 * report.r)
 
 
 def test_report_at_reference_anchor(params):

@@ -114,19 +114,6 @@ def test_classical_mode_tensor(background, consts):
     assert cl.wronskian_drift == 0.0
 
 
-def test_gravity_mode_switch_round_trip(background, consts):
-    il.set_gravity_mode(il.GravityMode.CLASSICAL)
-    try:
-        assert il.get_gravity_mode() is il.GravityMode.CLASSICAL
-        tn = il.integrate_tensor(background, consts.q_R, consts)
-        assert tn.D_plateau == 0
-    finally:
-        il.set_gravity_mode(il.GravityMode.QUANTUM)
-    assert il.get_gravity_mode() is il.GravityMode.QUANTUM
-    tn = il.integrate_tensor(background, consts.q_R, consts)
-    assert abs(tn.D_plateau) > 0
-
-
 def _time_at_efolds_to_end(background, n):
     ts = np.linspace(-5e-12, background.end_of_inflation(), 4000)
     ef = background.efolds_to_end(ts)
