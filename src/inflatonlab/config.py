@@ -93,6 +93,10 @@ class RunConfig:
             raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for lo, hi in (("t_start", "t_end"), ("x_end", "x_start")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if not (isinstance(a, (int, float)) and isinstance(b, (int, float)) and a < b):
+                raise ConfigError(f"{lo} must be a number below {hi}, got {a!r} and {b!r}")
         self.params()           # raises on invalid couplings
         return self
 
@@ -105,7 +109,10 @@ class RunConfig:
         def mat(rowmajor, name):
             if rowmajor is None:
                 raise ConfigError(f"toy.{name} required when any toy matrix is given")
-            arr = np.asarray(rowmajor, dtype=float).ravel()
+            try:
+                arr = np.asarray(rowmajor, dtype=float).ravel()
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"toy.{name}: entries must be numbers ({e})") from e
             dim = math.isqrt(arr.size)
             if dim == 0 or dim * dim != arr.size:
                 raise ConfigError(f"toy.{name}: {arr.size} entries do not form a square matrix")

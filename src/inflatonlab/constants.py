@@ -63,27 +63,6 @@ class UnitScales:
         if min(self.time_unit, self.field_unit, self.hubble_unit) <= 0:
             raise ValueError("unit scales must be positive")
 
-    # time
-    def to_scaled_time(self, t_gev_inv):
-        return t_gev_inv / self.time_unit
-
-    def from_scaled_time(self, tau):
-        return tau * self.time_unit
-
-    # field
-    def to_scaled_field(self, phi_gev):
-        return phi_gev / self.field_unit
-
-    def from_scaled_field(self, f):
-        return f * self.field_unit
-
-    # expansion rate
-    def to_scaled_hubble(self, h_gev):
-        return h_gev / self.hubble_unit
-
-    def from_scaled_hubble(self, h):
-        return h * self.hubble_unit
-
     @property
     def efold_rate(self) -> float:
         """e-folds per scaled time unit per scaled Hubble unit (= 100)."""

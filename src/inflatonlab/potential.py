@@ -37,15 +37,6 @@ class PotentialParams:
             if not math.isfinite(val) or val <= 0:
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PotentialParams":
-        """Build from config keys kappa_gev / lambda / G_gev_m2 (all optional)."""
-        return cls(
-            kappa=float(d.get("kappa_gev", KAPPA_DEFAULT)),
-            lam=float(d.get("lambda", LAMBDA_DEFAULT)),
-            G=float(d.get("G_gev_m2", G_NEWTON)),
-        )
-
 
 @dataclass(frozen=True)
 class DerivedConstants:

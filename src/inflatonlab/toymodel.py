@@ -190,12 +190,14 @@ def pointer_random_model(seed: int, dim: int | None = None) -> ToyModel:
 
 # --- kernel and propagation -----------------------------------------------------
 
-def _coupling_operator(model: ToyModel, xi: Sequence[float]) -> np.ndarray:
-    """Y = i sum xi_j A_j - (mu^4/2) sum xi_j^2 C_j."""
-    if len(xi) != model.n_obs:
-        raise ValueError(f"expected {model.n_obs} couplings, got {len(xi)}")
-    Y = np.zeros((model.dim, model.dim), dtype=complex)
-    for x, A, C in zip(xi, model.observables, model.weight_ops):
+def _coupling_operator(model: ToyModel, xi) -> np.ndarray:
+    """Y = i sum xi_j A_j - (mu^4/2) sum xi_j^2 C_j, for xi of shape (..., n_obs)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (model.n_obs,):
+        raise ValueError(f"expected {model.n_obs} couplings, got shape {xi.shape}")
+    Y = np.zeros(xi.shape[:-1] + (model.dim, model.dim), dtype=complex)
+    for j, (A, C) in enumerate(zip(model.observables, model.weight_ops)):
+        x = xi[..., j, None, None]
         Y += 1j * x * np.asarray(A, dtype=complex)
         Y -= 0.5 * model.mu4 * x * x * np.asarray(C, dtype=complex)
     return Y
@@ -230,25 +232,34 @@ def kernel_generator(model: ToyModel, xi: Sequence[float]) -> np.ndarray:
     return 0.5 * (_left(Y) + _right(Y))
 
 
-def _slice_factors(model: ToyModel, xi: Sequence[float], dt: float):
+def _slice_factors(model: ToyModel, xi, dt: float):
     """(E_left, E_right) with W -> E_left W E_right for one constant slice.
 
     The generator splits into commuting left- and right-multiplication parts,
     so the slice map is exactly a two-sided matrix exponential; no Trotter
-    error is incurred within a constant-coupling slice.
+    error is incurred within a constant-coupling slice.  A stack of couplings
+    xi, shape (..., n_obs), gives stacks of factors, shape (..., N, N).
     """
+    if dt <= 0:
+        raise ValueError("slice durations must be positive")
     H = np.asarray(model.hamiltonian, dtype=complex)
     Y = _coupling_operator(model, xi)
     return expm(dt * (-1j * H + 0.5 * Y)), expm(dt * (1j * H + 0.5 * Y))
 
 
-def evolve_density(model: ToyModel, schedule: Sequence[Slice], W: np.ndarray) -> np.ndarray:
-    """Apply the slice-ordered propagation directly to a density operator."""
+def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) -> np.ndarray:
+    """G[k] W for every coupling vector k of a stack, shape (..., n_obs).
+
+    Slice s of the template couples xi = k * w_s; all k-points advance
+    together through the slices.  Returns the evolved operators, shape
+    (..., N, N).
+    """
+    kvecs = np.asarray(kvecs, dtype=float)
+    if kvecs.shape[-1:] != (model.n_obs,) or any(len(w) != model.n_obs for _, w in template):
+        raise ValueError(f"expected {model.n_obs} couplings per k-point and per slice")
     W = np.asarray(W, dtype=complex)
-    for dt, xi in schedule:
-        if dt <= 0:
-            raise ValueError("slice durations must be positive")
-        El, Er = _slice_factors(model, xi, dt)
+    for dt, wrow in template:
+        El, Er = _slice_factors(model, kvecs * np.asarray(wrow, dtype=float), dt)
         W = El @ W @ Er
     if not np.all(np.isfinite(W)):
         raise FloatingPointError("non-finite entries during propagation")
@@ -261,38 +272,13 @@ def propagate(model: ToyModel, schedule: Sequence[Slice]) -> np.ndarray:
     Empty schedules give the identity.  Later slices compose on the left:
     propagate(S1 + S2) = propagate(S2) @ propagate(S1).
     """
-    n2 = model.dim**2
-    G = np.eye(n2, dtype=complex)
+    G = np.eye(model.dim**2, dtype=complex)
     for dt, xi in schedule:
-        if dt <= 0:
-            raise ValueError("slice durations must be positive")
         El, Er = _slice_factors(model, xi, dt)
         G = np.kron(El, Er.T) @ G
     if not np.all(np.isfinite(G)):
         raise FloatingPointError("non-finite entries in the propagator")
     return G
-
-
-def refined_propagator(model: ToyModel, xi_fn, t0: float, t1: float,
-                       tol: float = 1e-8, max_doublings: int = 16) -> np.ndarray:
-    """Propagator for a continuously varying coupling profile xi_fn(t).
-
-    Realizes the time-ordered exponential by midpoint-sampled constant
-    slices, doubling the slice count until the propagator changes by less
-    than tol in the max norm.
-    """
-    n = 1
-    prev = None
-    for _ in range(max_doublings):
-        edges = np.linspace(t0, t1, n + 1)
-        schedule = [(edges[i + 1] - edges[i], xi_fn(0.5 * (edges[i] + edges[i + 1])))
-                    for i in range(n)]
-        G = propagate(model, schedule)
-        if prev is not None and np.max(np.abs(G - prev)) < tol:
-            return G
-        prev = G
-        n *= 2
-    raise RuntimeError(f"slice refinement did not converge to {tol:g}")
 
 
 # --- characteristic function and density -----------------------------------------
@@ -348,14 +334,14 @@ def characteristic_fn(model: ToyModel, template: Template | None,
     if len(k_grids) != model.n_obs:
         raise ValueError("need one k-grid per observable")
     template = _template_for(model, template)
-    shape = tuple(len(g) for g in k_grids)
-    out = np.empty(shape, dtype=complex)
-    W0 = np.asarray(model.initial_state, dtype=complex)
-    for idx in np.ndindex(shape):
-        kvec = [k_grids[j][idx[j]] for j in range(len(k_grids))]
-        schedule = [(dt, [k * w for k, w in zip(kvec, wrow)]) for dt, wrow in template]
-        out[idx] = np.trace(evolve_density(model, schedule, W0))
-    return CharacteristicFunction(k_grids=tuple(k_grids), samples=out, template=template)
+    W = evolve_density(model, template, _k_mesh(k_grids), model.initial_state)
+    samples = np.trace(W, axis1=-2, axis2=-1)
+    return CharacteristicFunction(k_grids=tuple(k_grids), samples=samples, template=template)
+
+
+def _k_mesh(k_grids: Sequence[np.ndarray]) -> np.ndarray:
+    """Outer product of per-observable grids as k-vectors, shape (*lengths, n_obs)."""
+    return np.stack(np.meshgrid(*k_grids, indexing="ij"), axis=-1)
 
 
 def auto_k_grid(model: ToyModel, template: Template | None = None,
@@ -508,25 +494,27 @@ def cf_moments(model: ToyModel, template: Template | None = None,
     """
     template = _template_for(model, template)
     n = model.n_obs
-    W0 = np.asarray(model.initial_state, dtype=complex)
+    # Phi on the stencil {-h, 0, h}^n, indexed by the step signs plus one
+    stencil = _k_mesh([np.array([-h, 0.0, h])] * n)
+    samples = np.trace(evolve_density(model, template, stencil, model.initial_state),
+                       axis1=-2, axis2=-1)
 
-    def phi(kvec):
-        schedule = [(dt, [k * w for k, w in zip(kvec, wrow)]) for dt, wrow in template]
-        return complex(np.trace(evolve_density(model, schedule, W0)))
+    def phi(steps):
+        return complex(samples[tuple(steps + 1)])
 
     mean = np.empty(n)
     second = np.empty((n, n))
-    e = np.eye(n)
+    e = np.eye(n, dtype=int)
     for j in range(n):
-        mean[j] = (-1j * (phi(h * e[j]) - phi(-h * e[j])) / (2 * h)).real
-    p0 = phi(np.zeros(n))
+        mean[j] = (-1j * (phi(e[j]) - phi(-e[j])) / (2 * h)).real
+    p0 = phi(np.zeros(n, dtype=int))
     for i in range(n):
         for j in range(i, n):
             if i == j:
-                d2 = (phi(h * e[i]) - 2 * p0 + phi(-h * e[i])) / h**2
+                d2 = (phi(e[i]) - 2 * p0 + phi(-e[i])) / h**2
             else:
-                d2 = (phi(h * (e[i] + e[j])) - phi(h * (e[i] - e[j]))
-                      - phi(h * (e[j] - e[i])) + phi(-h * (e[i] + e[j]))) / (4 * h**2)
+                d2 = (phi(e[i] + e[j]) - phi(e[i] - e[j])
+                      - phi(e[j] - e[i]) + phi(-(e[i] + e[j]))) / (4 * h**2)
             second[i, j] = second[j, i] = (-d2).real
     return mean, second
 
@@ -558,10 +546,8 @@ def marginalize(ds: DensitySamples, keep: Sequence[int]) -> DensitySamples:
     keep = sorted(keep)
     drop = [ax for ax in range(ds.p.ndim) if ax not in keep]
     p = ds.p
-    cellfactor = 1.0
     for ax in sorted(drop, reverse=True):
         p = p.sum(axis=ax) * ds.dtheta[ax]
-        cellfactor *= 1.0
     return DensitySamples(
         theta_grids=tuple(ds.theta_grids[ax] for ax in keep),
         p=p,
@@ -609,17 +595,14 @@ def reduce_state(model: ToyModel, template: Template | None,
     theta_bar = np.asarray(theta_bar, dtype=float)
     if len(theta_bar) != model.n_obs:
         raise ValueError("theta_bar length mismatch")
-    shape = tuple(len(g) for g in k_grids)
-    W0 = np.asarray(model.initial_state, dtype=complex)
-    Wnum = np.zeros((model.dim, model.dim), dtype=complex)
     cell = 1.0
     for dk in (g[1] - g[0] for g in k_grids):
         cell *= dk / (2 * np.pi)
-    for idx in np.ndindex(shape):
-        kvec = np.array([k_grids[j][idx[j]] for j in range(len(k_grids))])
-        schedule = [(dt, [k * w for k, w in zip(kvec, wrow)]) for dt, wrow in template]
-        Wk = evolve_density(model, schedule, W0)
-        Wnum += np.exp(-1j * float(kvec @ theta_bar)) * Wk
+    kvecs = _k_mesh(k_grids).reshape(-1, len(k_grids))
+    Wk = evolve_density(model, template, kvecs, model.initial_state)
+    # vecdot takes one dot product per k-point and the sum adds the k-points
+    # in grid order; a matrix-vector product or tensordot rounds differently
+    Wnum = np.sum(np.exp(-1j * np.vecdot(kvecs, theta_bar))[:, None, None] * Wk, axis=0)
     Wnum *= cell
     p_past = float(np.trace(Wnum).real)
     if p_past < 1e-12:

@@ -6,9 +6,15 @@ import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
 
 import inflatonlab as il
+
+# one Hypothesis profile for the suite: reproducible examples, no timing
+# deadline (the solver calls are slow and uneven), no example database on disk
+settings.register_profile("inflatonlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("inflatonlab")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,15 @@ def test_invalid_values_rejected(tmp_path):
     p.write_text(json.dumps({"format": "xml"}))
     with pytest.raises(ConfigError, match="format"):
         load_config(p)
+    # empty integration span, inverted mode window and a non-number: rejected
+    # at load, before any solve
+    for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
+                       ({"x_start": 0.001}, "x_start"),
+                       ({"x_end": "0.01"}, "x_end")):
+        p.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=where):
+            load_config(p)
+        assert main(["modes", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
 def test_toy_model_from_config(tmp_path):
@@ -89,6 +98,15 @@ def test_toy_matrix_not_square(tmp_path):
     }}))
     with pytest.raises(ConfigError, match="differ"):
         load_config(p).toy_model()
+    # a non-numeric entry is a config error, not a conversion traceback
+    p.write_text(json.dumps({"toy": {
+        "hamiltonian": ["x", 0, 0, 0],
+        "observable": [1, 0, 0, -1],
+        "weight_op": [1, 0, 0, 1],
+    }}))
+    with pytest.raises(ConfigError, match="toy.hamiltonian"):
+        load_config(p).toy_model()
+    assert main(["toy", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
 def test_cache_key_sensitivity(params):

@@ -78,7 +78,7 @@ def test_log_form_agrees_with_direct_form(background, consts, exit_point):
     assert abs(t_direct - exit_point.t_exit) < 1e-4 * 1e-12
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(log10_ratio=st.floats(min_value=-1.0, max_value=1.0))
 def test_exit_inside_mode_window_across_band(background, consts, exit_point, log10_ratio):
     # q/q_R log-uniform in [0.1, 10]

@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import inflatonlab.toymodel as tm
 from inflatonlab import toy_battery
@@ -83,18 +83,27 @@ def test_propagator_matches_generator_exponential():
 
 def test_trace_preservation_at_zero_coupling():
     model = tm.random_model(seed=5, dim=4)
-    W1 = tm.evolve_density(model, [(1.3, [0.0])], model.initial_state)
+    W1 = tm.evolve_density(model, [(1.3, [1.0])], [0.0], model.initial_state)
     assert np.trace(W1) == pytest.approx(1.0, rel=1e-12)
     # unitary flow also preserves the spectrum
     assert np.allclose(np.linalg.eigvalsh(W1),
                        np.linalg.eigvalsh(model.initial_state), atol=1e-10)
 
 
-def test_refined_propagator_converges():
-    model = tm.random_model(seed=6, dim=2)
-    G = tm.refined_propagator(model, lambda t: [math.sin(t)], 0.0, 1.0, tol=1e-8)
-    G2 = tm.refined_propagator(model, lambda t: [math.sin(t)], 0.0, 1.0, tol=1e-10)
-    assert np.max(np.abs(G - G2)) < 1e-7
+def test_batched_evolution_matches_single_points():
+    # a stack of k-points evolved at once equals the single-point evolutions
+    model = tm.random_model(seed=8, dim=3, n_obs=2)
+    template = ((0.6, (1.0, 0.5)), (0.4, (0.3, 1.0)))
+    kvecs = np.random.default_rng(1).normal(size=(7, 2))
+    stacked = tm.evolve_density(model, template, kvecs, model.initial_state)
+    single = np.stack([tm.evolve_density(model, template, k, model.initial_state)
+                       for k in kvecs])
+    assert stacked.shape == (7, 3, 3)
+    assert np.array_equal(stacked, single)
+    with pytest.raises(ValueError):
+        tm.evolve_density(model, template, kvecs[:, :1], model.initial_state)
+    with pytest.raises(ValueError):
+        tm.evolve_density(model, ((1.0, (1.0,)),), kvecs, model.initial_state)
 
 
 def test_characteristic_fn_center_normalization():
@@ -166,7 +175,7 @@ def test_reduce_state_flat_conditioning_is_unitary_evolution():
         except ValueError:
             continue
         acc += red.W_c * red.p_past * dtheta
-    expected = tm.evolve_density(model, [(1.0, [0.0])], model.initial_state)
+    expected = tm.evolve_density(model, [(1.0, [1.0])], [0.0], model.initial_state)
     assert np.allclose(acc, expected, atol=1e-8)
 
 
@@ -190,3 +199,21 @@ def test_property_battery_smoke():
     results = toy_battery.run_battery(n_seeds=9)
     for r in results:
         assert r.passed, r.line()
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4), n_obs=st.integers(1, 2))
+def test_random_model_cf_normalized_and_hermitian(seed, dim, n_obs):
+    # Phi(0) = 1 and Phi(-k) = conj Phi(k) for any model in the random class
+    model = tm.random_model(seed=seed, dim=dim, n_obs=n_obs)
+    try:
+        grids = tm.auto_k_grid(model, max_points=64 if n_obs == 2 else 4096)
+    except tm.InsufficientDecay:
+        assume(False)
+    phi = tm.characteristic_fn(model, None, grids).samples
+    center = tuple(len(g) // 2 for g in grids)
+    assert abs(phi[center] - 1.0) < 1e-10
+    # centered even grids: entries 1..M-1 of each axis mirror onto themselves
+    inner = phi[(slice(1, None),) * n_obs]
+    mirrored = inner[(slice(None, None, -1),) * n_obs]
+    assert np.max(np.abs(inner - np.conj(mirrored))) < 1e-10
