@@ -24,7 +24,6 @@ from .horizon import (
 from .observables import (
     SlowRollReport,
     compare_targets,
-    power_spectrum,
     slow_roll_functions,
     spectra_report,
 )
@@ -34,7 +33,6 @@ from .perturbations import (
     TensorMode,
     integrate_scalar,
     integrate_tensor,
-    scalar_initial_data,
     vector_mode_decay,
 )
 from .potential import (
@@ -49,7 +47,6 @@ from .toymodel import (
     CharacteristicFunction,
     DensitySamples,
     ToyModel,
-    apply_kernel,
     characteristic_fn,
     density,
     invert_to_density,
@@ -77,13 +74,13 @@ __all__ = [
     "G_NEWTON", "SCALES", "UnitScales",
     "DEFAULT_CONSTANTS", "CosmoConstants", "HorizonExit",
     "solve_exit_general", "solve_exit_reference",
-    "SlowRollReport", "compare_targets", "power_spectrum",
-    "slow_roll_functions", "spectra_report",
+    "SlowRollReport", "compare_targets", "slow_roll_functions",
+    "spectra_report",
     "GravityMode", "ScalarMode", "TensorMode", "integrate_scalar",
-    "integrate_tensor", "scalar_initial_data", "vector_mode_decay",
+    "integrate_tensor", "vector_mode_decay",
     "DerivedConstants", "PotentialParams", "derive_constants", "potential",
     "potential_d1", "potential_d2",
-    "CharacteristicFunction", "DensitySamples", "ToyModel", "apply_kernel",
+    "CharacteristicFunction", "DensitySamples", "ToyModel",
     "characteristic_fn", "density", "invert_to_density", "marginalize",
     "propagate", "reduce_state", "two_level_model",
     "ClassicalCovariance", "DecayExperiment", "WeightFunction",

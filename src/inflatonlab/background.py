@@ -219,10 +219,6 @@ class BackgroundSolution:
         N_I = self.efolds_from_start(self.end_of_inflation())
         return N_I - self.efolds_from_start(t)
 
-    def a_over_a_end(self, t):
-        """a(t)/a(t_I), reconstructed from the e-fold accumulator."""
-        return np.exp(-self.efolds_to_end(t))
-
     # -- serialization ---------------------------------------------------------
 
     CACHE_FORMAT = 2

@@ -25,7 +25,7 @@ from .background import BackgroundSolution, integrate
 from .cache import load_background, save_background
 from .config import ConfigError, RunConfig, load_config
 from .horizon import solve_exit_general, solve_exit_reference
-from .observables import compare_targets, slow_roll_functions, spectra_report
+from .observables import compare_targets, spectra_report
 from .perturbations import GravityMode, integrate_scalar, integrate_tensor
 from .svg import line_chart
 from .toy_battery import run_battery

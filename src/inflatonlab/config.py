@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -38,7 +39,7 @@ class ToyConfig:
     hamiltonian: list | None = None
     observable: list | None = None
     weight_op: list | None = None
-    schedule: list | None = None    # [[duration, weight], ...]
+    schedule: list[tuple[float, float]] | None = None    # [[duration, weight], ...]
 
 
 @dataclass
@@ -95,8 +96,8 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         for lo, hi in (("t_start", "t_end"), ("x_end", "x_start")):
             a, b = getattr(self, lo), getattr(self, hi)
-            if not (isinstance(a, (int, float)) and isinstance(b, (int, float)) and a < b):
-                raise ConfigError(f"{lo} must be a number below {hi}, got {a!r} and {b!r}")
+            if not a < b:
+                raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
         self.params()           # raises on invalid couplings
         return self
 
@@ -136,14 +137,46 @@ class RunConfig:
     def toy_template(self):
         if self.toy.schedule is None:
             return None
-        return tuple((float(dt), (float(w),)) for dt, w in self.toy.schedule)
+        return tuple((dt, (w,)) for dt, w in self.toy.schedule)
 
 
 _GROUPS = {"scan": ScanConfig, "toy": ToyConfig, "experiment": ExperimentConfig}
 
 
+def _typed(value, ftype: str, where: str):
+    """value checked against a field annotation such as "float" or
+    "list[tuple[float, float]] | None"; ints widen to float.
+
+    The annotations arrive as strings because of the module's
+    `from __future__ import annotations`.
+    """
+    base, _, rest = ftype.partition(" | ")
+    if value is None and rest == "None":
+        return None
+    if base == "float":
+        # turns away NaN, inf and ints beyond the float range
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if base == "int":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if base.startswith("list[") and isinstance(value, list):
+        return [_typed(v, base[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
+    if base.startswith("tuple["):
+        parts = base[6:-1].split(", ")
+        if isinstance(value, list) and len(value) == len(parts):
+            return tuple(_typed(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, parts)))
+        raise ConfigError(f"{where}: expected a list of {len(parts)} entries, got {value!r}")
+    if isinstance(value, {"bool": bool, "str": str, "list": list}.get(base, ())):
+        return value
+    raise ConfigError(f"{where}: expected {ftype}, got {value!r}")
+
+
 def _apply(obj, data: dict, path: str = ""):
-    known = {f.name for f in fields(obj)}
+    types = {f.name: f.type for f in fields(obj)}
     aliases = getattr(obj, "_ALIASES", {})
     for key, value in data.items():
         name = aliases.get(key, key)
@@ -152,8 +185,8 @@ def _apply(obj, data: dict, path: str = ""):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
             _apply(getattr(obj, name), value, path=f"{where}.")
-        elif name in known:
-            setattr(obj, name, value)
+        elif name in types:
+            setattr(obj, name, _typed(value, types[name], where))
         else:
             raise ConfigError(f"unknown config key {where!r}")
     return obj

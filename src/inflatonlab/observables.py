@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .horizon import DEFAULT_CONSTANTS, CosmoConstants, HorizonExit
+from .horizon import HorizonExit
 from .perturbations import GravityMode
 from .potential import PotentialParams, potential, potential_d1, potential_d2
 
@@ -104,23 +104,6 @@ def spectra_report(params: PotentialParams, exit: HorizonExit,
         t_exit=exit.t_exit, phi_exit=exit.phi_exit, H_exit=exit.H_exit,
         gravity=gravity.value,
     )
-
-
-def power_spectrum(report: SlowRollReport, q: float, mode: str = "scalar",
-                   consts: CosmoConstants = DEFAULT_CONSTANTS) -> float:
-    """Power-law spectrum amplitude at wavenumber q (q^-3-weighted form).
-
-    scalar: [N_S]^2 q_R^-3 (q/q_R)^(n_s - 4)
-    tensor: [N_T]^2 q_R^-3 (q/q_R)^(n_T - 3)
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    qR = consts.q_R
-    if mode == "scalar":
-        return report.NS2 * qR**-3 * (q / qR) ** (report.n_s - 4)
-    if mode == "tensor":
-        return report.NT2 * qR**-3 * (q / qR) ** (report.n_T - 3)
-    raise ValueError(f"mode must be 'scalar' or 'tensor', got {mode!r}")
 
 
 @dataclass(frozen=True)

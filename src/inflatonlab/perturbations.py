@@ -1,4 +1,4 @@
-"""Newton-gauge perturbation modes on a frozen background.
+"""Newton-gauge perturbation modes on a co-evolved background.
 
 Scalar sector: the coupled system
 
@@ -21,6 +21,12 @@ The classical-gravity switch removes the metric degrees of freedom: tensor
 amplitudes are identically zero and the scalar equation loses its Psi source,
 which leaves the frozen curvature amplitude essentially unchanged.
 
+Each mode carries its own background: (phi, phidot) and the e-folds n since
+the window start t_a ride along in the mode's ODE state.  They are seeded
+once from the stored solution at t_a and advanced by the same equations the
+background solve uses, so the coefficients a mode sees solve the background
+ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-n} needs no lookup.
+
 Modes are integrated in normalized variables (initial amplitude 1) with the
 exact WKB prefactors reattached afterwards, so the stored trajectories carry
 physical normalization without ever pushing floats near their range limits.
@@ -32,6 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -56,8 +63,20 @@ class GravityMode(enum.Enum):
 
 # --- shared helpers -----------------------------------------------------------
 
-def _window(sol: BackgroundSolution, q_over_aI: float, x_start: float, x_end: float):
-    """Times at which q/(aH) crosses x_start and x_end (log-space brackets)."""
+class _Window(NamedTuple):
+    """Mode window and the scaled background seed at its start."""
+
+    t_a: float          # GeV^-1
+    t_b: float
+    seed: list          # scaled (f, g, n = 0) at t_a
+    Qt0: float          # (q/a) * time_unit at t_a
+    a0: float           # a(t_a), with a(t_I) = a_L
+
+
+def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
+            x_start: float, x_end: float) -> _Window:
+    """Times at which q/(aH) crosses x_start and x_end, and the seed at the first."""
+    q_over_aI = q / consts.a_L
     t_I = sol.end_of_inflation()
 
     def crossing(level):
@@ -72,36 +91,25 @@ def _window(sol: BackgroundSolution, q_over_aI: float, x_start: float, x_end: fl
     t_b = crossing(x_end)
     if not t_a < t_b:
         raise ModeError("degenerate mode window")
-    return t_a, t_b
+    T0 = sol.scales.time_unit
+    q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
+    seed = [float(sol._f(t_a / T0)), float(sol._g(t_a / T0)), 0.0]
+    return _Window(t_a, t_b, seed, q_over_a * T0, q / q_over_a)
 
 
-def _wkb_phase_rate(sol, t, q_over_aI):
-    """-(H + i q/a) — logarithmic time derivative of the WKB mode."""
-    H = float(sol.hubble(t))
-    q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t)))
-    return -(H + 1j * q_over_a)
+def _evolve(rhs, tau_a: float, tau_b: float, y0: list,
+            rtol: float, atol: float, n_output: int, what: str):
+    """Integrate one mode with its background across the scaled window.
 
-
-def scalar_initial_data(sol: BackgroundSolution, q: float, t0: float,
-                        consts: CosmoConstants = DEFAULT_CONSTANTS):
-    """WKB initial values (chi, chidot, psi) for a scalar mode at time t0.
-
-    Valid deep inside the horizon; the accumulated phase convention puts the
-    mode real and positive at t0 (only |R| is physical).  Rejects t0 with
-    q/(aH) < 100.
+    Returns the solver result, the sample times and the sampled state, whose
+    last three rows are the background (f, g, n).
     """
-    q_over_aI = q / consts.a_L
-    H0 = float(sol.hubble(t0))
-    q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t0)))
-    if q_over_a / H0 < DEFAULT_X_START * (1 - 1e-9):
-        raise ModeError(f"t0 has q/(aH) = {q_over_a / H0:.1f} < {DEFAULT_X_START:g}; "
-                        "not deep enough inside the horizon")
-    a0 = q / q_over_a
-    chi = 1.0 / (TWO_PI**1.5 * a0 * math.sqrt(2 * q))
-    chidot = _wkb_phase_rate(sol, t0, q_over_aI) * chi
-    phidot0 = float(sol.phidot(t0))
-    psi = 1j * 4 * math.pi * sol.params.G * phidot0 * chi / q_over_a
-    return chi, chidot, psi
+    msol = solve_ivp(rhs, (tau_a, tau_b), y0, method="DOP853",
+                     rtol=rtol, atol=atol, dense_output=True)
+    if not msol.success:
+        raise ModeError(f"{what} mode solver failed: {msol.message}")
+    taus = np.linspace(tau_a, tau_b, n_output)
+    return msol, taus, msol.sol(taus)
 
 
 # --- scalar mode ----------------------------------------------------------------
@@ -143,29 +151,17 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     at integration-error level for the whole run.  In classical-gravity mode
     Psi is identically zero and the field equation is source-free.
     """
-    scales = sol.scales
-    T0, F0, HU = scales.time_unit, scales.field_unit, scales.hubble_unit
-    Rrate = scales.efold_rate
-    params = sol.params
-    q_over_aI = q / consts.a_L
-
-    t_a, t_b = _window(sol, q_over_aI, x_start, x_end)
-    tau_a, tau_b = t_a / T0, t_b / T0
-
+    T0, F0 = sol.scales.time_unit, sol.scales.field_unit
     co = sol._coeffs
     K1, K2 = co.k1, co.k2
-    FOURPIG_F2 = 4 * math.pi * params.G * F0**2
-    lq = math.log(q_over_aI * T0)
-    N_I = float(sol.efolds_from_start(sol.end_of_inflation()))
+    FOURPIG_F2 = 4 * math.pi * sol.params.G * F0**2
 
-    def bgvals(tau):
-        f = float(sol._f(tau))
-        g = float(sol._g(tau))
-        h = float(sol._coeffs.hubble(f, g))
-        Qv = math.exp(lq + N_I - float(sol._N(tau)))   # (q/a) * T0
-        return f, g, h, Qv
-
-    f_a, g_a, h_a, Qt0 = bgvals(tau_a)
+    w = _window(sol, q, consts, x_start, x_end)
+    tau_a, tau_b = w.t_a / T0, w.t_b / T0
+    Qt0 = w.Qt0
+    g_a = w.seed[1]
+    # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled
+    _, gp_a, Np_a = co.rhs(tau_a, w.seed)
     W = FOURPIG_F2 * g_a / Qt0      # eta * F0, dimensionless
     gpsi = Qt0 / g_a                # source coefficient of the Psi equation
 
@@ -173,57 +169,51 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
         c = y[0] + 1j * y[1]
         cp = y[2] + 1j * y[3]
         P = y[4] + 1j * y[5]
-        f, g, h, Qv = bgvals(tau)
+        f, g = y[6], y[7]
+        bg = co.rhs(tau, y[6:])
+        Np = bg[2]
+        Qv = Qt0 * math.exp(-y[8])
         if gravity is GravityMode.CLASSICAL:
-            cpp = -3 * Rrate * h * cp - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
-            return [cp.real, cp.imag, cpp.real, cpp.imag, 0.0, 0.0]
-        Pp = -Rrate * h * P + gpsi * g * c
+            cpp = -3 * Np * cp - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
+            return [cp.real, cp.imag, cpp.real, cpp.imag, 0.0, 0.0, *bg]
+        Pp = -Np * P + gpsi * g * c
         Vp_s = -K1 * f + K2 * f**3
-        cpp = (-3 * Rrate * h * cp
+        cpp = (-3 * Np * cp
                - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
                - 2 * W * Vp_s * P + 4 * W * g * Pp)
-        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag]
+        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
 
     # normalized initial data: c = 1, c' = -(H + i q/a) scaled, P from the constraint
     c0 = 1.0 + 0j
-    cp0 = -(Rrate * h_a + 1j * Qt0)
+    cp0 = -(Np_a + 1j * Qt0)
     if gravity is GravityMode.CLASSICAL:
         P0 = 0j
     else:
-        fpp_a = -3 * Rrate * h_a * g_a + K1 * f_a - K2 * f_a**3
-        P0 = gpsi * (fpp_a * c0 - g_a * cp0) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
+        P0 = gpsi * (gp_a * c0 - g_a * cp0) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
 
-    y0 = [c0.real, c0.imag, cp0.real, cp0.imag, P0.real, P0.imag]
-    msol = solve_ivp(rhs, (tau_a, tau_b), y0, method="DOP853",
-                     rtol=rtol, atol=atol, dense_output=True)
-    if not msol.success:
-        raise ModeError(f"scalar mode solver failed: {msol.message}")
-
-    taus = np.linspace(tau_a, tau_b, n_output)
-    Y = msol.sol(taus)
+    y0 = [c0.real, c0.imag, cp0.real, cp0.imag, P0.real, P0.imag, *w.seed]
+    _, taus, Y = _evolve(rhs, tau_a, tau_b, y0, rtol, atol, n_output, "scalar")
     c = Y[0] + 1j * Y[1]
     cp = Y[2] + 1j * Y[3]
     P = Y[4] + 1j * Y[5]
-
-    bgv = np.array([bgvals(t) for t in taus])
-    f_t, g_t, h_t, Qv_t = bgv.T
+    g_t, n_t = Y[7], Y[8]
+    _, gp_t, Np_t = co.rhs(taus, Y[6:])
+    Qv_t = Qt0 * np.exp(-n_t)
 
     # physical normalization
-    a0 = q / (q_over_aI * math.exp(N_I - float(sol._N(tau_a))))
-    chi0 = 1.0 / (TWO_PI**1.5 * a0 * math.sqrt(2 * q))
+    chi0 = 1.0 / (TWO_PI**1.5 * w.a0 * math.sqrt(2 * q))
     eta = W / F0
     chi = chi0 * c
     chidot = chi0 * cp / T0
     psi = eta * chi0 * P
-    Rcurv = (chi0 / F0) * (-W * P + Rrate * (h_t / g_t) * c)
+    Rcurv = (chi0 / F0) * (-W * P + (Np_t / g_t) * c)
 
     # energy-constraint residual, normalized by the largest participating term
     if gravity is GravityMode.CLASSICAL:
         res_max = 0.0
     else:
-        fpp_t = -3 * Rrate * h_t * g_t + K1 * f_t - K2 * f_t**3
         term_psi = (-FOURPIG_F2 * g_t**2 + Qv_t**2) * P
-        term_field = -gpsi * (fpp_t * c - g_t * cp)
+        term_field = -gpsi * (gp_t * c - g_t * cp)
         res = np.abs(term_psi + term_field) / np.maximum(np.abs(term_psi), np.abs(term_field))
         res_max = float(res.max())
 
@@ -236,7 +226,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     gmax = np.maximum.accumulate(np.abs(g_t))
     valid = np.abs(g_t) > 1e-6 * gmax
     dR = np.gradient(Rcurv, taus)
-    rate = np.abs(dR) / (Rrate * h_t * np.abs(Rcurv))
+    rate = np.abs(dR) / (Np_t * np.abs(Rcurv))
     limit = FREEZE_RATE_LIMIT if gravity is GravityMode.QUANTUM else 10 * FREEZE_RATE_LIMIT
     frozen = bool(valid[-1] and rate[-1] < limit)
     if not frozen:
@@ -244,12 +234,11 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
                         "the end of inflation")
     R_plateau = complex(Rcurv[-1])
 
-    x_t = Qv_t / (Rrate * h_t)
     return ScalarMode(
         q=q, gravity=gravity.value,
         t=taus * T0, chi=chi, chidot=chidot, psi=psi, R=Rcurv,
-        q_over_aH=x_t, R_plateau=R_plateau, frozen=frozen,
-        constraint_residual_max=res_max, t_start=t_a, t_end=t_b,
+        q_over_aH=Qv_t / Np_t, R_plateau=R_plateau, frozen=frozen,
+        constraint_residual_max=res_max, t_start=w.t_a, t_end=w.t_b,
     )
 
 
@@ -284,71 +273,50 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     In classical-gravity mode the tensor sector carries no quantum amplitude
     and the returned mode is identically zero.
     """
-    scales = sol.scales
-    T0 = scales.time_unit
-    Rrate = scales.efold_rate
-    q_over_aI = q / consts.a_L
-    t_a, t_b = _window(sol, q_over_aI, x_start, x_end)
+    T0 = sol.scales.time_unit
+    co = sol._coeffs
+    w = _window(sol, q, consts, x_start, x_end)
+    tau_a, tau_b = w.t_a / T0, w.t_b / T0
 
     if gravity is GravityMode.CLASSICAL:
-        taus = np.linspace(t_a / T0, t_b / T0, n_output)
+        taus = np.linspace(tau_a, tau_b, n_output)
         zeros = np.zeros(n_output, dtype=complex)
-        N_I = float(sol.efolds_from_start(sol.end_of_inflation()))
-        Qv = (q_over_aI * T0) * np.exp(N_I - sol._N(taus))
-        x_t = Qv / (Rrate * sol._coeffs.hubble(sol._f(taus), sol._g(taus)))
+        x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, taus * T0))
         return TensorMode(q=q, gravity=gravity.value, t=taus * T0,
                           D=zeros, Ddot=zeros, q_over_aH=x_t,
                           D_plateau=0j, frozen=True, wronskian_drift=0.0,
-                          t_start=t_a, t_end=t_b)
+                          t_start=w.t_a, t_end=w.t_b)
 
-    tau_a, tau_b = t_a / T0, t_b / T0
-    lq = math.log(q_over_aI * T0)
-    N_I = float(sol.efolds_from_start(sol.end_of_inflation()))
-
-    def bgvals(tau):
-        f = float(sol._f(tau))
-        g = float(sol._g(tau))
-        h = float(sol._coeffs.hubble(f, g))
-        Qv = math.exp(lq + N_I - float(sol._N(tau)))
-        return h, Qv
-
-    h_a, Qt0 = bgvals(tau_a)
+    Qt0 = w.Qt0
 
     def rhs(tau, y):
         d = y[0] + 1j * y[1]
         dp = y[2] + 1j * y[3]
-        h, Qv = bgvals(tau)
-        dpp = -3 * Rrate * h * dp - Qv * Qv * d
-        return [dp.real, dp.imag, dpp.real, dpp.imag]
+        bg = co.rhs(tau, y[4:])
+        Qv = Qt0 * math.exp(-y[6])
+        dpp = -3 * bg[2] * dp - Qv * Qv * d
+        return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
 
-    dp0 = -(Rrate * h_a + 1j * Qt0)
-    msol = solve_ivp(rhs, (tau_a, tau_b), [1.0, 0.0, dp0.real, dp0.imag],
-                     method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-    if not msol.success:
-        raise ModeError(f"tensor mode solver failed: {msol.message}")
-
-    taus = np.linspace(tau_a, tau_b, n_output)
-    Y = msol.sol(taus)
+    dp0 = -(co.rhs(tau_a, w.seed)[2] + 1j * Qt0)
+    msol, taus, Y = _evolve(rhs, tau_a, tau_b, [1.0, 0.0, dp0.real, dp0.imag, *w.seed],
+                            rtol, atol, n_output, "tensor")
     d = Y[0] + 1j * Y[1]
     dp = Y[2] + 1j * Y[3]
-    bgv = np.array([bgvals(t) for t in taus])
-    h_t, Qv_t = bgv.T
+    Np_t = co.rhs(taus, Y[4:])[2]
 
-    # conserved bilinear in normalized variables: atilde^3 Im(conj(d) d'),
+    # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),
     # measured at the solver's own accepted nodes (interpolation-free)
     dn = msol.y[0] + 1j * msol.y[1]
     dpn = msol.y[2] + 1j * msol.y[3]
-    atilde3 = np.exp(3.0 * (sol._N(msol.t) - float(sol._N(tau_a))))
-    w = atilde3 * (np.conj(dn) * dpn).imag
-    drift = float(np.max(np.abs(w / w[0] - 1.0)))
+    wr = np.exp(3.0 * msol.y[6]) * (np.conj(dn) * dpn).imag
+    drift = float(np.max(np.abs(wr / wr[0] - 1.0)))
 
-    a0 = q / (q_over_aI * math.exp(N_I - float(sol._N(tau_a))))
-    amp0 = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * a0)
+    amp0 = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * w.a0)
     D = amp0 * d
     Ddot = amp0 * dp / T0
 
     dD = np.gradient(D, taus)
-    rate = np.abs(dD) / (Rrate * h_t * np.abs(D))
+    rate = np.abs(dD) / (Np_t * np.abs(D))
     frozen = bool(rate[-1] < FREEZE_RATE_LIMIT)
     if not frozen:
         raise ModeError("tensor amplitude did not reach its plateau before "
@@ -356,8 +324,8 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
 
     return TensorMode(
         q=q, gravity=gravity.value, t=taus * T0, D=D, Ddot=Ddot,
-        q_over_aH=Qv_t / (Rrate * h_t), D_plateau=complex(D[-1]),
-        frozen=frozen, wronskian_drift=drift, t_start=t_a, t_end=t_b,
+        q_over_aH=Qt0 * np.exp(-Y[6]) / Np_t, D_plateau=complex(D[-1]),
+        frozen=frozen, wronskian_drift=drift, t_start=w.t_a, t_end=w.t_b,
     )
 
 

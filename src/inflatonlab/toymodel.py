@@ -203,15 +203,6 @@ def _coupling_operator(model: ToyModel, xi) -> np.ndarray:
     return Y
 
 
-def apply_kernel(model: ToyModel, xi: Sequence[float], W: np.ndarray) -> np.ndarray:
-    """K(xi) W = (1/2){Y, W}, the symmetrized kernel action on an operator."""
-    W = np.asarray(W, dtype=complex)
-    if W.shape != (model.dim, model.dim):
-        raise ValueError("operator dimension mismatch")
-    Y = _coupling_operator(model, xi)
-    return 0.5 * (Y @ W + W @ Y)
-
-
 def _left(X: np.ndarray) -> np.ndarray:
     return np.kron(X, np.eye(X.shape[0]))
 

@@ -53,11 +53,17 @@ def test_invalid_values_rejected(tmp_path):
     p.write_text(json.dumps({"format": "xml"}))
     with pytest.raises(ConfigError, match="format"):
         load_config(p)
-    # empty integration span, inverted mode window and a non-number: rejected
-    # at load, before any solve
+    # empty integration span, inverted mode window and values of the wrong
+    # type: rejected at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
-                       ({"x_end": "0.01"}, "x_end")):
+                       ({"x_end": "0.01"}, "x_end"),
+                       ({"kappa_gev": "8e12"}, "kappa_gev"),
+                       ({"workers": "2"}, "workers"),
+                       ({"toy": {"mu": "x"}}, "toy.mu"),
+                       ({"toy": {"schedule": [[1.0]]}}, r"toy.schedule\[0\]"),
+                       ({"toy": {"seeds": 1.5}}, "toy.seeds"),
+                       ({"cache": "no"}, "cache")):
         p.write_text(json.dumps(bad))
         with pytest.raises(ConfigError, match=where):
             load_config(p)

@@ -86,8 +86,8 @@ def test_exit_inside_mode_window_across_band(background, consts, exit_point, log
     q_over_aI = q / consts.a_L
     ex = il.solve_exit_general(background, q_over_aI)
     assert abs(ex.residual) < 1e-6
-    t_a, t_b = _window(background, q_over_aI, DEFAULT_X_START, DEFAULT_X_END)
-    assert t_a < ex.t_exit < t_b
+    w = _window(background, q, consts, DEFAULT_X_START, DEFAULT_X_END)
+    assert w.t_a < ex.t_exit < w.t_b
     # a larger wavenumber leaves the horizon later
     assert np.sign(ex.t_exit - exit_point.t_exit) == np.sign(q - consts.q_R)
 

@@ -98,28 +98,6 @@ def test_classical_gravity_report(params, exit_point):
     assert rep.epsilon == quantum.epsilon
 
 
-def test_power_spectrum_pivot_normalization(report, consts):
-    qR = consts.q_R
-    assert il.power_spectrum(report, qR, "scalar") == pytest.approx(
-        report.NS2 * qR**-3, rel=1e-12)
-    assert il.power_spectrum(report, qR, "tensor") == pytest.approx(
-        report.NT2 * qR**-3, rel=1e-12)
-
-
-def test_power_spectrum_power_law(report, consts):
-    qR = consts.q_R
-    ratio = il.power_spectrum(report, 2 * qR, "scalar") / \
-        il.power_spectrum(report, qR, "scalar")
-    assert ratio == pytest.approx(2 ** (report.n_s - 4), rel=1e-12)
-    ratio_t = il.power_spectrum(report, 2 * qR, "tensor") / \
-        il.power_spectrum(report, qR, "tensor")
-    assert ratio_t == pytest.approx(2 ** (report.n_T - 3), rel=1e-12)
-    with pytest.raises(ValueError):
-        il.power_spectrum(report, -1.0, "scalar")
-    with pytest.raises(ValueError):
-        il.power_spectrum(report, consts.q_R, "vector")
-
-
 def test_compare_targets_quantum_mode_violates_r_bound(report):
     cmp = compare_targets(report)
     assert cmp.r_bound_violated          # central conclusion of the model
