@@ -7,7 +7,6 @@ from .background import (
     BackgroundSolution,
     BackgroundState,
     BigBangClass,
-    EndCriterion,
     classify_bigbang,
     end_of_inflation,
     initial_state,
@@ -69,7 +68,7 @@ from .variance import (
 
 __all__ = [
     "__version__",
-    "BackgroundSolution", "BackgroundState", "BigBangClass", "EndCriterion",
+    "BackgroundSolution", "BackgroundState", "BigBangClass",
     "classify_bigbang", "end_of_inflation", "initial_state", "integrate",
     "G_NEWTON", "SCALES", "UnitScales",
     "DEFAULT_CONSTANTS", "CosmoConstants", "HorizonExit",

@@ -10,6 +10,11 @@ variable ever enters the ODE state.  Integration starts from the asymptotic
 solution phi = v e^{alpha t}, valid while phi is far below the minimum, and
 runs through the end of inflation into the damped-oscillation phase.
 
+The solution is stored once, as the solver produced it: the state at the
+accepted DOP853 steps plus each step's 7th-degree dense-output polynomial
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).  Every query between
+steps evaluates that polynomial.
+
 Internally everything is scaled (time/1e-12 GeV^-1, field/1e19 GeV,
 H/1e14 GeV); the public accessors speak GeV.
 """
@@ -25,12 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .constants import SCALES, UnitScales
-from .potential import (
-    DerivedConstants,
-    PotentialParams,
-    derive_constants,
-    epsilon_of_field,
-)
+from .potential import DerivedConstants, PotentialParams, derive_constants
 
 DEFAULT_T_START = -25e-12   # GeV^-1
 DEFAULT_T_END = 15e-12      # GeV^-1
@@ -51,13 +51,6 @@ class IntegrationError(RuntimeError):
 
 class EndOfInflationNotFound(RuntimeError):
     """The solution never meets the end-of-inflation criterion in range."""
-
-
-class EndCriterion(str, enum.Enum):
-    """How the end of inflation t_I is detected."""
-
-    FIELD_CROSSING = "field"     # first t with phi(t) = v
-    EPSILON_UNITY = "epsilon"    # first t with epsilon(t) = 1
 
 
 @dataclass(frozen=True)
@@ -98,29 +91,15 @@ class _Coeffs:
         return [g, -3 * self.efold * h * g + self.k1 * f - self.k2 * f**3, self.efold * h]
 
 
-def _hermite(x, xn, yn, dn):
-    """Piecewise cubic Hermite evaluation on a strictly increasing grid.
-
-    Reproduces grid nodes exactly and uses the stored ODE derivatives, so the
-    interpolant is C^1 and consistent with the dynamics at every node.
-    """
-    x = np.asarray(x, dtype=float)
-    i = np.clip(np.searchsorted(xn, x, side="right") - 1, 0, len(xn) - 2)
-    h = xn[i + 1] - xn[i]
-    s = (x - xn[i]) / h
-    s2, s3 = s * s, s * s * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
-    return h00 * yn[i] + h10 * h * dn[i] + h01 * yn[i + 1] + h11 * h * dn[i + 1]
-
-
 @dataclass
 class BackgroundSolution:
-    """Integrated background with dense interpolation.
+    """Integrated background: the solver's accepted steps and dense output.
 
-    Grid arrays live in scaled units; accessor methods take/return GeV.
+    tau, f, g, N hold the state at the accepted steps (the storage nodes).
+    coef[:, :, i], of shape (7, 3), is step i's DOP853 dense-output
+    coefficient block for (f, g, N), in scipy's layout: with x the fraction
+    of the step, the state is y_i + x (F0 + (1 - x) (F1 + x (F2 + ...))).
+    Arrays live in scaled units; accessor methods take/return GeV.
     """
 
     params: PotentialParams
@@ -134,10 +113,8 @@ class BackgroundSolution:
     f: np.ndarray                     # phi / field_unit
     g: np.ndarray                     # dphi/dtau (scaled)
     N: np.ndarray                     # e-folds from start
-    fp: np.ndarray                    # df/dtau at nodes (= g)
-    gp: np.ndarray                    # dg/dtau at nodes
-    Np: np.ndarray                    # dN/dtau at nodes (= 100 h)
-    t_I: float | None = None          # end of inflation (GeV^-1), default criterion
+    coef: np.ndarray                  # (7, 3, steps) dense-output coefficients
+    t_I: float | None = None          # end of inflation (GeV^-1)
     _coeffs: _Coeffs = field(default=None, repr=False)
 
     # -- construction helpers -------------------------------------------------
@@ -147,6 +124,9 @@ class BackgroundSolution:
             self._coeffs = _Coeffs(self.params, self.scales)
         if np.any(np.diff(self.tau) <= 0):
             raise IntegrationError("time grid is not strictly increasing")
+        if self.coef.shape != (7, 3, len(self.tau) - 1):
+            raise IntegrationError(f"dense-output coefficients have shape {self.coef.shape}")
+        self._nodes = np.stack((self.f, self.g, self.N))
 
     # -- scaled-space evaluation ----------------------------------------------
 
@@ -157,32 +137,37 @@ class BackgroundSolution:
             raise ValueError(f"t outside solution range [{lo}, {hi}] (scaled)")
         return np.clip(tau, lo, hi)
 
-    def _f(self, tau):
-        return _hermite(tau, self.tau, self.f, self.fp)
+    def _state(self, tau):
+        """(f, g, N) at scaled times, shape (3,) + tau.shape.
 
-    def _g(self, tau):
-        return _hermite(tau, self.tau, self.g, self.gp)
-
-    def _N(self, tau):
-        return _hermite(tau, self.tau, self.N, self.Np)
-
-    def _h(self, tau):
-        # H from the constraint, never interpolated directly
-        return self._coeffs.hubble(self._f(tau), self._g(tau))
+        Evaluates the dense output of the step holding each time in the
+        nested form of scipy's Dop853DenseOutput; every node but the last
+        is reproduced exactly.
+        """
+        tau = np.asarray(tau, dtype=float)
+        i = np.clip(np.searchsorted(self.tau, tau, side="right") - 1, 0, len(self.tau) - 2)
+        x = (tau - self.tau[i]) / (self.tau[i + 1] - self.tau[i])
+        y = np.zeros((3,) + tau.shape)
+        for k, c in enumerate(self.coef[::-1, :, i]):
+            y += c
+            y *= x if k % 2 == 0 else 1 - x
+        return y + self._nodes[:, i]
 
     # -- public accessors (GeV in, GeV out) -----------------------------------
 
     def phi(self, t):
-        return self._f(self._tau_of(t)) * self.scales.field_unit
+        return self._state(self._tau_of(t))[0] * self.scales.field_unit
 
     def phidot(self, t):
-        return self._g(self._tau_of(t)) * self.scales.field_unit / self.scales.time_unit
+        return self._state(self._tau_of(t))[1] * self.scales.field_unit / self.scales.time_unit
 
     def hubble(self, t):
-        return self._h(self._tau_of(t)) * self.scales.hubble_unit
+        # H from the constraint, never interpolated directly
+        f, g, _ = self._state(self._tau_of(t))
+        return self._coeffs.hubble(f, g) * self.scales.hubble_unit
 
     def efolds_from_start(self, t):
-        return self._N(self._tau_of(t))
+        return self._state(self._tau_of(t))[2]
 
     @property
     def grid_times(self) -> np.ndarray:
@@ -206,13 +191,10 @@ class BackgroundSolution:
 
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
-    def end_of_inflation(self, criterion: EndCriterion = EndCriterion.FIELD_CROSSING) -> float:
-        if criterion == EndCriterion.FIELD_CROSSING and self.t_I is not None:
-            return self.t_I
-        t = end_of_inflation(self, criterion)
-        if criterion == EndCriterion.FIELD_CROSSING:
-            self.t_I = t
-        return t
+    def end_of_inflation(self) -> float:
+        if self.t_I is None:
+            self.t_I = end_of_inflation(self)
+        return self.t_I
 
     def efolds_to_end(self, t):
         """Integral of H dt' from t to the end of inflation."""
@@ -221,7 +203,7 @@ class BackgroundSolution:
 
     # -- serialization ---------------------------------------------------------
 
-    CACHE_FORMAT = 2
+    CACHE_FORMAT = 3
 
     def to_arrays(self) -> dict:
         d = {
@@ -230,7 +212,7 @@ class BackgroundSolution:
                               self.t_start, self.t_end, self.rtol, self.atol,
                               np.nan if self.t_I is None else self.t_I]),
             "tau": self.tau, "f": self.f, "g": self.g, "N": self.N,
-            "fp": self.fp, "gp": self.gp, "Np": self.Np,
+            "coef": self.coef,
         }
         return d
 
@@ -245,8 +227,7 @@ class BackgroundSolution:
             params=params, derived=derive_constants(params), scales=SCALES,
             t_start=float(meta[3]), t_end=float(meta[4]),
             rtol=float(meta[5]), atol=float(meta[6]),
-            tau=d["tau"], f=d["f"], g=d["g"], N=d["N"],
-            fp=d["fp"], gp=d["gp"], Np=d["Np"], t_I=t_I,
+            tau=d["tau"], f=d["f"], g=d["g"], N=d["N"], coef=d["coef"], t_I=t_I,
         )
 
 
@@ -278,13 +259,14 @@ def integrate(params: PotentialParams,
               t_end: float = DEFAULT_T_END,
               rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL,
-              scales: UnitScales = SCALES,
-              detect_end: bool = True) -> BackgroundSolution:
+              scales: UnitScales = SCALES) -> BackgroundSolution:
     """Integrate the self-contained (phi, phidot) system with adaptive steps.
 
     H is evaluated algebraically from the constraint at every step and the
     e-fold count is carried as a quadrature variable.  The post-inflation
     oscillation (period ~0.5e-12 GeV^-1) is resolved, not stiff-suppressed.
+    The accepted steps and their dense output are stored as they are; t_I
+    is None when phi never reaches v in range.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
@@ -304,75 +286,51 @@ def integrate(params: PotentialParams,
     if not np.all(np.isfinite(sol.y)):
         raise IntegrationError("non-finite state encountered")
 
-    # refine the storage grid below the solver's own (large, 8th-order) steps
-    # so the cubic Hermite interpolant stays near the 1e-7 level; at least six
-    # subintervals per accepted step, since the step length already tracks the
-    # local curvature (steep end-of-inflation approach, oscillation tail)
-    pieces = [np.array([sol.t[0]])]
-    for a, b in zip(sol.t[:-1], sol.t[1:]):
-        n_sub = max(math.ceil((b - a) / 0.05), 6)
-        pieces.append(np.linspace(a, b, n_sub + 1)[1:])
-    tau = np.concatenate(pieces)
-    f, g, N = sol.sol(tau)
-    derivs = np.array([co.rhs(t, (fi, gi, Ni)) for t, fi, gi, Ni in zip(tau, f, g, N)]).T
-
+    f, g, N = sol.y
     bg = BackgroundSolution(
         params=params, derived=derive_constants(params), scales=scales,
-        t_start=t_start, t_end=t_end, rtol=rtol, atol=atol,
-        tau=tau, f=f, g=g, N=N, fp=derivs[0], gp=derivs[1], Np=derivs[2],
+        t_start=t_start, t_end=t_end, rtol=rtol, atol=atol, tau=sol.t, f=f, g=g, N=N,
+        coef=np.stack([seg.F for seg in sol.sol.interpolants], axis=-1),
+        _coeffs=co,
     )
-    _check_midpoint_residual(bg, co)
-    if detect_end:
-        try:
-            bg.t_I = end_of_inflation(bg)
-        except EndOfInflationNotFound:
-            bg.t_I = None
+    _check_midpoint_residual(bg)
+    try:
+        bg.end_of_inflation()
+    except EndOfInflationNotFound:
+        pass
     return bg
 
 
-def _check_midpoint_residual(bg: BackgroundSolution, co: _Coeffs,
-                             limit: float = 1e-6) -> None:
+def _check_midpoint_residual(bg: BackgroundSolution, limit: float = 1e-6) -> None:
     """Abort if the dense output disagrees with the ODE at step midpoints.
 
-    Guards against silently accepting a corrupted solve.  The check covers
-    the inflationary phase, which feeds every downstream consumer; in the
-    damped-oscillation tail the stored cubic interpolant is curvature-limited
-    (omega^4 growth of the fourth derivative) and only display-grade.
+    Guards against silently accepting a corrupted solve or a misread
+    coefficient layout: the slope of the stored f polynomial must match the
+    stored g.  The check covers the inflationary phase, which feeds every
+    downstream consumer (horizon exit, modes, e-fold count).
     """
     vbar = bg.derived.v / bg.scales.field_unit
     inside = bg.f < vbar
     last = len(bg.tau) - 1 if np.all(inside) else int(np.argmax(~inside))
     mid = 0.5 * (bg.tau[: last - 1] + bg.tau[1:last])
     mid = mid[:: max(1, len(mid) // 200)]
-    g = bg._g(mid)
-    # d(f)/dtau must equal g; compare Hermite slope against interpolated g
+    g = bg._state(mid)[1]
+    # d(f)/dtau must equal g; compare the central-difference slope of f with g
     eps = 1e-7
-    slope = (bg._f(mid + eps) - bg._f(mid - eps)) / (2 * eps)
+    slope = (bg._state(mid + eps)[0] - bg._state(mid - eps)[0]) / (2 * eps)
     scale = np.maximum(np.abs(g), np.max(np.abs(bg.g[:last])) * 1e-3)
     worst = float(np.max(np.abs(slope - g) / scale))
     if worst > limit:
         raise IntegrationError(f"dense-output residual {worst:.2e} exceeds {limit:g}")
 
 
-def end_of_inflation(sol: BackgroundSolution,
-                     criterion: EndCriterion = EndCriterion.FIELD_CROSSING) -> float:
-    """Time of the end of inflation, by bracketed root finding on dense output.
-
-    Default: first crossing phi(t) = v.  Alternative: first epsilon(t) = 1.
-    """
-    if criterion == EndCriterion.FIELD_CROSSING:
-        def fn(t):
-            return sol.phi(t) - sol.derived.v
-    elif criterion == EndCriterion.EPSILON_UNITY:
-        def fn(t):
-            return epsilon_of_field(sol.params, sol.phi(t)) - 1.0
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
-
-    t_I = sol.first_crossing(fn, sol.t_start, sol.t_end)
+def end_of_inflation(sol: BackgroundSolution) -> float:
+    """Time of the end of inflation: the first t with phi(t) = v, by bracketed
+    root finding on the dense output."""
+    t_I = sol.first_crossing(lambda t: sol.phi(t) - sol.derived.v, sol.t_start, sol.t_end)
     if t_I is None:
         raise EndOfInflationNotFound(
-            f"no {criterion.value} crossing in [{sol.t_start:g}, {sol.t_end:g}]")
+            f"phi never reaches v in [{sol.t_start:g}, {sol.t_end:g}]")
     return t_I
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .background import BackgroundSolution
 from .potential import PotentialParams
 
@@ -15,7 +18,7 @@ CACHE_VERSION = BackgroundSolution.CACHE_FORMAT
 
 def cache_key(params: PotentialParams, t_start: float, t_end: float,
               rtol: float, atol: float) -> str:
-    blob = (f"v{CACHE_VERSION}|{params.kappa!r}|{params.lam!r}|{params.G!r}"
+    blob = (f"v{CACHE_VERSION}|{__version__}|{params.kappa!r}|{params.lam!r}|{params.G!r}"
             f"|{t_start!r}|{t_end!r}|{rtol!r}|{atol!r}")
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
@@ -25,10 +28,19 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
 
 
 def save_background(sol: BackgroundSolution, cache_dir: str | Path) -> Path:
+    """Write the solution atomically: a temp file in the same directory,
+    renamed into place, so a reader never sees a partial file."""
     path = cache_path(cache_dir, cache_key(sol.params, sol.t_start, sol.t_end,
                                            sol.rtol, sol.atol))
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **sol.to_arrays())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **sol.to_arrays())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

@@ -361,8 +361,6 @@ def _scan_row(job) -> list:
 
 def cmd_scan(cfg: RunConfig, w: Writer) -> int:
     sc = cfg.scan
-    if min(sc.kappa_min, sc.kappa_max, sc.lambda_min, sc.lambda_max) <= 0:
-        raise ConfigError("scan bounds must be positive")
     kappas = np.geomspace(sc.kappa_min, sc.kappa_max, sc.kappa_points)
     lams = np.geomspace(sc.lambda_min, sc.lambda_max, sc.lambda_points)
     cfg_dict = {

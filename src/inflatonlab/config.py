@@ -16,6 +16,9 @@ from .horizon import DEFAULT_DA_MPC, DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConst
 from .potential import PotentialParams
 
 
+RTOL_FLOOR = 100 * sys.float_info.epsilon     # solve_ivp's smallest rtol
+
+
 class ConfigError(ValueError):
     """Malformed configuration; the message carries the offending key path."""
 
@@ -98,6 +101,21 @@ class RunConfig:
             a, b = getattr(self, lo), getattr(self, hi)
             if not a < b:
                 raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
+        # x_end is a value of the ratio q/(aH)
+        for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
+                            ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0)):
+            if not getattr(self, name) > floor:
+                raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
+        sc = self.scan
+        if min(sc.kappa_min, sc.kappa_max, sc.lambda_min, sc.lambda_max) <= 0:
+            raise ConfigError("scan bounds must be positive")
+        if min(sc.kappa_points, sc.lambda_points) < 1:
+            raise ConfigError("scan needs at least one point per axis")
+        if self.toy.schedule is not None:
+            if any(dt <= 0 for dt, _ in self.toy.schedule):
+                raise ConfigError("toy.schedule durations must be positive")
+            if not any(w for _, w in self.toy.schedule):
+                raise ConfigError("toy.schedule needs a nonzero weight")
         self.params()           # raises on invalid couplings
         return self
 

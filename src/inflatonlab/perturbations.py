@@ -93,7 +93,8 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
         raise ModeError("degenerate mode window")
     T0 = sol.scales.time_unit
     q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
-    seed = [float(sol._f(t_a / T0)), float(sol._g(t_a / T0)), 0.0]
+    f, g, _ = sol._state(t_a / T0)
+    seed = [float(f), float(g), 0.0]
     return _Window(t_a, t_b, seed, q_over_a * T0, q / q_over_a)
 
 

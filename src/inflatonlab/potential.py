@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 
 
@@ -93,9 +91,3 @@ def derive_constants(params: PotentialParams) -> DerivedConstants:
     alpha = 2 * k2 / (math.sqrt(9 * hbar_inf**2 + 4 * k2) + 3 * hbar_inf)
     return DerivedConstants(v=v, hbar_inf=hbar_inf, alpha=alpha, vacuum_energy=vac)
 
-
-def epsilon_of_field(params: PotentialParams, phi):
-    """Potential-shape function (V'/V)^2 / (16 pi G); used by the observables layer."""
-    V = potential(params, phi)
-    Vp = potential_d1(params, phi)
-    return (Vp / V) ** 2 / (16 * np.pi * params.G)

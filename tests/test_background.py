@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import inflatonlab as il
-from inflatonlab.background import (
-    BigBangClass,
-    EndCriterion,
-    classify_bigbang,
-    end_of_inflation,
-)
+from inflatonlab.background import BigBangClass, classify_bigbang, end_of_inflation
+from inflatonlab.config import ScanConfig
 
 
 def test_initial_state_matches_asymptotic_form(params, derived):
@@ -121,8 +120,15 @@ def test_end_of_inflation_is_first_field_crossing(background, derived):
 
 
 def test_end_criterion_epsilon_unity(background):
-    t_eps = end_of_inflation(background, EndCriterion.EPSILON_UNITY)
+    # cross-check of the phi = v end against the slow-roll end epsilon = 1;
+    # the search stops just short of t_I, where V, epsilon's denominator,
+    # vanishes
     t_I = background.end_of_inflation()
+
+    def eps_minus_one(t):
+        return il.slow_roll_functions(background.params, background.phi(t))[0] - 1.0
+
+    t_eps = background.first_crossing(eps_minus_one, background.t_start, t_I - 0.01e-12)
     # shape functions hit unity shortly before the field reaches the minimum
     assert t_eps < t_I
     eps, _ = il.slow_roll_functions(background.params, background.phi(t_eps))
@@ -130,7 +136,8 @@ def test_end_criterion_epsilon_unity(background):
 
 
 def test_end_of_inflation_not_found(params):
-    sol = il.integrate(params, t_start=-25e-12, t_end=-10e-12, detect_end=False)
+    sol = il.integrate(params, t_start=-25e-12, t_end=-10e-12)
+    assert sol.t_I is None
     from inflatonlab.background import EndOfInflationNotFound
     with pytest.raises(EndOfInflationNotFound):
         end_of_inflation(sol)
@@ -146,11 +153,66 @@ def test_late_end_time_insensitivity(background):
 def test_start_time_robustness(params):
     # moving the start from -25 to -30 (x1e-12) changes the mid-range track
     # by far less than 0.1%: the start choice only fixes the time origin
-    sol30 = il.integrate(params, t_start=-30e-12, t_end=-10e-12, detect_end=False)
-    sol25 = il.integrate(params, t_start=-25e-12, t_end=-10e-12, detect_end=False)
+    sol30 = il.integrate(params, t_start=-30e-12, t_end=-10e-12)
+    sol25 = il.integrate(params, t_start=-25e-12, t_end=-10e-12)
     for t in (-20e-12, -15e-12, -11e-12):
         assert sol30.phi(t) == pytest.approx(sol25.phi(t), rel=1e-3)
         assert sol30.hubble(t) == pytest.approx(sol25.hubble(t), rel=1e-3)
+
+
+def test_stored_dense_output_matches_solver(background, params):
+    # pins scipy's DOP853 coefficient layout: the same solve_ivp call that
+    # integrate makes, evaluated through its own OdeSolution
+    sc = background.scales
+    ini = il.initial_state(params, background.t_start)
+    y0 = [ini.phi / sc.field_unit, ini.phidot * sc.time_unit / sc.field_unit, 0.0]
+    ref = solve_ivp(background._coeffs.rhs,
+                    (background.t_start / sc.time_unit, background.t_end / sc.time_unit),
+                    y0, method="DOP853", rtol=background.rtol, atol=background.atol,
+                    dense_output=True)
+    assert np.array_equal(ref.t, background.tau)
+    tau = np.linspace(background.tau[0], background.tau[-1], 2001)[1:-1]     # off-node
+    np.testing.assert_allclose(background._state(tau), ref.sol(tau), rtol=1e-14, atol=0)
+
+
+def test_dense_output_accuracy_before_end(background, params):
+    # an independent solve in its own variables at rtol 1e-13: phi in units
+    # of 1e19 GeV, time in 1e-12 GeV^-1, H = sqrt(8 pi G rho / 3)
+    T0, F0 = 1e-12, 1e19
+
+    def rhs(s, y):
+        phi, phidot = F0 * y[0], F0 * y[1] / T0
+        H = math.sqrt(8 * math.pi * params.G / 3
+                      * (0.5 * phidot**2 + il.potential(params, phi)))
+        phiddot = -3 * H * phidot - il.potential_d1(params, phi)
+        return [y[1], phiddot * T0**2 / F0, H * T0]
+
+    ini = il.initial_state(params, background.t_start)
+    ref = solve_ivp(rhs, (background.t_start / T0, background.t_end / T0),
+                    [ini.phi / F0, ini.phidot * T0 / F0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    # off-node times up to t_I, where the steps are shortest
+    t = np.linspace(background.t_start, background.end_of_inflation(), 2001)[1:-1]
+    phi_ref, _, N_ref = ref.sol(t / T0)
+    assert np.max(np.abs(background.phi(t) / (F0 * phi_ref) - 1)) < 5e-12
+    assert np.max(np.abs(background.efolds_from_start(t) - N_ref)) < 2e-10
+
+
+_BOX = ScanConfig()
+
+
+@settings(max_examples=6)
+@given(kappa=st.floats(_BOX.kappa_min, _BOX.kappa_max),
+       lam=st.floats(_BOX.lambda_min, _BOX.lambda_max))
+def test_background_invariants_across_scan_box(kappa, lam):
+    # integrate runs its midpoint-residual check and would raise on failure
+    sol = il.integrate(il.PotentialParams(kappa=kappa, lam=lam))
+    # N never decreases, at the nodes and between them
+    mid = 0.5 * (sol.grid_times[1:] + sol.grid_times[:-1])
+    t = np.sort(np.concatenate([sol.grid_times, mid]))
+    assert np.all(np.diff(sol.efolds_from_start(t)) >= 0)
+    assert sol.t_I is not None
+    assert sol.phi(sol.t_I) == pytest.approx(sol.derived.v, rel=1e-10)
 
 
 def test_serialization_round_trip(background):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import inflatonlab as il
+from inflatonlab import cache
 from inflatonlab.cache import cache_key, load_background, save_background
 from inflatonlab.cli import main
 from inflatonlab.config import ConfigError, load_config
@@ -53,8 +54,10 @@ def test_invalid_values_rejected(tmp_path):
     p.write_text(json.dumps({"format": "xml"}))
     with pytest.raises(ConfigError, match="format"):
         load_config(p)
-    # empty integration span, inverted mode window and values of the wrong
-    # type: rejected at load, before any solve
+    # empty integration span, inverted mode window, values of the wrong
+    # type, tolerances the solver would silently replace, a non-positive
+    # window end, slice duration or scan bound, an empty scan axis: rejected
+    # at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
                        ({"x_end": "0.01"}, "x_end"),
@@ -63,7 +66,17 @@ def test_invalid_values_rejected(tmp_path):
                        ({"toy": {"mu": "x"}}, "toy.mu"),
                        ({"toy": {"schedule": [[1.0]]}}, r"toy.schedule\[0\]"),
                        ({"toy": {"seeds": 1.5}}, "toy.seeds"),
-                       ({"cache": "no"}, "cache")):
+                       ({"cache": "no"}, "cache"),
+                       ({"rtol": 0}, "rtol"),
+                       ({"rtol": 1e-16}, "rtol"),
+                       ({"atol": -1e-12}, "atol"),
+                       ({"mode_rtol": -1e-10}, "mode_rtol"),
+                       ({"mode_atol": 0}, "mode_atol"),
+                       ({"x_end": -0.01}, "x_end"),
+                       ({"toy": {"schedule": [[0.0, 1.0]]}}, "toy.schedule"),
+                       ({"toy": {"schedule": [[1.0, 0.0]]}}, "toy.schedule"),
+                       ({"scan": {"kappa_min": -1.0}}, "scan bounds"),
+                       ({"scan": {"lambda_points": 0}}, "scan needs")):
         p.write_text(json.dumps(bad))
         with pytest.raises(ConfigError, match=where):
             load_config(p)
@@ -115,16 +128,21 @@ def test_toy_matrix_not_square(tmp_path):
     assert main(["toy", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
-def test_cache_key_sensitivity(params):
+def test_cache_key_sensitivity(params, monkeypatch):
     k1 = cache_key(params, -25e-12, 15e-12, 1e-10, 1e-12)
     k2 = cache_key(params, -25e-12, 15e-12, 1e-10, 1e-13)
     p2 = il.PotentialParams(kappa=params.kappa * (1 + 1e-12))
     k3 = cache_key(p2, -25e-12, 15e-12, 1e-10, 1e-12)
-    assert len({k1, k2, k3}) == 3
+    # another package version never reads this version's files
+    monkeypatch.setattr(cache, "__version__", il.__version__ + ".post1")
+    k4 = cache_key(params, -25e-12, 15e-12, 1e-10, 1e-12)
+    assert len({k1, k2, k3, k4}) == 4
 
 
 def test_cache_round_trip(tmp_path, background, params):
-    save_background(background, tmp_path)
+    path = save_background(background, tmp_path)
+    # the npz is renamed into place: no temp file is left behind
+    assert list(tmp_path.iterdir()) == [path]
     loaded = load_background(params, background.t_start, background.t_end,
                              background.rtol, background.atol, tmp_path)
     assert loaded is not None
@@ -145,6 +163,16 @@ def test_cached_and_fresh_downstream_identical(tmp_path, background, params, con
     r1 = il.spectra_report(params, e1)
     r2 = il.spectra_report(params, e2)
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_failed_cache_write_leaves_nothing(tmp_path, background, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_background(background, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corrupt_cache_falls_back(tmp_path, background, params):

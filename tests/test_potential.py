@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import inflatonlab as il
-from inflatonlab.potential import epsilon_of_field
 
 
 def test_potential_at_origin_is_vacuum_energy(params):
@@ -93,7 +92,7 @@ def test_alpha_rationalized_form_beats_textbook_root(params, derived):
 def test_epsilon_scaling_invariance():
     # dimensional consistency: rescaling kappa and phi jointly (so that
     # kappa^2 phi^2 and lambda phi^4 scale identically) while G absorbs the
-    # inverse-energy-squared dimension leaves epsilon invariant
+    # inverse-energy-squared dimension leaves epsilon and delta invariant
     rng = np.random.default_rng(7)
     for _ in range(8):
         kappa = 10 ** rng.uniform(10, 14)
@@ -103,9 +102,10 @@ def test_epsilon_scaling_invariance():
         s = rng.uniform(0.5, 2.0)
         p1 = il.PotentialParams(kappa=kappa, lam=lam, G=G)
         p2 = il.PotentialParams(kappa=s * kappa, lam=lam, G=G / s**2)
-        e1 = epsilon_of_field(p1, u * kappa / math.sqrt(lam))
-        e2 = epsilon_of_field(p2, u * s * kappa / math.sqrt(lam))
+        e1, d1 = il.slow_roll_functions(p1, u * kappa / math.sqrt(lam))
+        e2, d2 = il.slow_roll_functions(p2, u * s * kappa / math.sqrt(lam))
         assert e1 == pytest.approx(e2, rel=1e-10)
+        assert d1 == pytest.approx(d2, rel=1e-10)
 
 
 def test_params_validation():
