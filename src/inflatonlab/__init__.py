@@ -8,11 +8,10 @@ from .background import (
     BackgroundState,
     BigBangClass,
     classify_bigbang,
-    end_of_inflation,
     initial_state,
     integrate,
 )
-from .constants import G_NEWTON, SCALES, UnitScales
+from .constants import G_NEWTON
 from .horizon import (
     DEFAULT_CONSTANTS,
     CosmoConstants,
@@ -69,8 +68,8 @@ from .variance import (
 __all__ = [
     "__version__",
     "BackgroundSolution", "BackgroundState", "BigBangClass",
-    "classify_bigbang", "end_of_inflation", "initial_state", "integrate",
-    "G_NEWTON", "SCALES", "UnitScales",
+    "classify_bigbang", "initial_state", "integrate",
+    "G_NEWTON",
     "DEFAULT_CONSTANTS", "CosmoConstants", "HorizonExit",
     "solve_exit_general", "solve_exit_reference",
     "SlowRollReport", "compare_targets", "slow_roll_functions",

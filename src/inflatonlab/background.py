@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .constants import SCALES, UnitScales
+from .constants import EFOLD_RATE, FIELD_UNIT, G_NEWTON, HUBBLE_UNIT, TIME_UNIT
 from .potential import DerivedConstants, PotentialParams, derive_constants
 
 DEFAULT_T_START = -25e-12   # GeV^-1
@@ -70,15 +70,15 @@ class BackgroundState:
 class _Coeffs:
     """Scaled ODE coefficients for one parameter set."""
 
-    def __init__(self, params: PotentialParams, scales: UnitScales):
-        T0, F0, HU = scales.time_unit, scales.field_unit, scales.hubble_unit
+    def __init__(self, params: PotentialParams):
+        T0, F0, HU = TIME_UNIT, FIELD_UNIT, HUBBLE_UNIT
         pref = 8 * math.pi * params.G / 3
         self.kin = pref * F0**2 / (2 * T0**2 * HU**2)
         self.v4 = pref * (params.lam * F0**4 / 4) / HU**2
         self.vbar2 = params.kappa**2 / params.lam / F0**2    # (v/F0)^2
         self.k1 = params.kappa**2 * T0**2
         self.k2 = params.lam * F0**2 * T0**2
-        self.efold = scales.efold_rate  # 100
+        self.efold = EFOLD_RATE  # 100
 
     def hubble(self, f, g):
         # factored potential keeps h^2 nonnegative and cancellation-free
@@ -104,7 +104,6 @@ class BackgroundSolution:
 
     params: PotentialParams
     derived: DerivedConstants
-    scales: UnitScales
     t_start: float                    # GeV^-1
     t_end: float                      # GeV^-1
     rtol: float
@@ -121,7 +120,7 @@ class BackgroundSolution:
 
     def __post_init__(self):
         if self._coeffs is None:
-            self._coeffs = _Coeffs(self.params, self.scales)
+            self._coeffs = _Coeffs(self.params)
         if np.any(np.diff(self.tau) <= 0):
             raise IntegrationError("time grid is not strictly increasing")
         if self.coef.shape != (7, 3, len(self.tau) - 1):
@@ -131,7 +130,7 @@ class BackgroundSolution:
     # -- scaled-space evaluation ----------------------------------------------
 
     def _tau_of(self, t):
-        tau = np.asarray(t, dtype=float) / self.scales.time_unit
+        tau = np.asarray(t, dtype=float) / TIME_UNIT
         lo, hi = self.tau[0], self.tau[-1]
         if np.any(tau < lo - 1e-9) or np.any(tau > hi + 1e-9):
             raise ValueError(f"t outside solution range [{lo}, {hi}] (scaled)")
@@ -156,15 +155,15 @@ class BackgroundSolution:
     # -- public accessors (GeV in, GeV out) -----------------------------------
 
     def phi(self, t):
-        return self._state(self._tau_of(t))[0] * self.scales.field_unit
+        return self._state(self._tau_of(t))[0] * FIELD_UNIT
 
     def phidot(self, t):
-        return self._state(self._tau_of(t))[1] * self.scales.field_unit / self.scales.time_unit
+        return self._state(self._tau_of(t))[1] * FIELD_UNIT / TIME_UNIT
 
     def hubble(self, t):
         # H from the constraint, never interpolated directly
         f, g, _ = self._state(self._tau_of(t))
-        return self._coeffs.hubble(f, g) * self.scales.hubble_unit
+        return self._coeffs.hubble(f, g) * HUBBLE_UNIT
 
     def efolds_from_start(self, t):
         return self._state(self._tau_of(t))[2]
@@ -172,7 +171,7 @@ class BackgroundSolution:
     @property
     def grid_times(self) -> np.ndarray:
         """Storage nodes in GeV^-1."""
-        return self.tau * self.scales.time_unit
+        return self.tau * TIME_UNIT
 
     def first_crossing(self, fn, t_lo: float, t_hi: float) -> float | None:
         """First root of fn(t) in [t_lo, t_hi], or None without a sign change.
@@ -192,8 +191,13 @@ class BackgroundSolution:
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
     def end_of_inflation(self) -> float:
+        """Time of the end of inflation: the first t with phi(t) = v."""
         if self.t_I is None:
-            self.t_I = end_of_inflation(self)
+            self.t_I = self.first_crossing(lambda t: self.phi(t) - self.derived.v,
+                                           self.t_start, self.t_end)
+        if self.t_I is None:
+            raise EndOfInflationNotFound(
+                f"phi never reaches v in [{self.t_start:g}, {self.t_end:g}]")
         return self.t_I
 
     def efolds_to_end(self, t):
@@ -206,7 +210,7 @@ class BackgroundSolution:
     CACHE_FORMAT = 3
 
     def to_arrays(self) -> dict:
-        d = {
+        return {
             "format": np.array([self.CACHE_FORMAT]),
             "meta": np.array([self.params.kappa, self.params.lam, self.params.G,
                               self.t_start, self.t_end, self.rtol, self.atol,
@@ -214,7 +218,6 @@ class BackgroundSolution:
             "tau": self.tau, "f": self.f, "g": self.g, "N": self.N,
             "coef": self.coef,
         }
-        return d
 
     @classmethod
     def from_arrays(cls, d: dict) -> "BackgroundSolution":
@@ -224,7 +227,7 @@ class BackgroundSolution:
         params = PotentialParams(kappa=float(meta[0]), lam=float(meta[1]), G=float(meta[2]))
         t_I = None if math.isnan(float(meta[7])) else float(meta[7])
         return cls(
-            params=params, derived=derive_constants(params), scales=SCALES,
+            params=params, derived=derive_constants(params),
             t_start=float(meta[3]), t_end=float(meta[4]),
             rtol=float(meta[5]), atol=float(meta[6]),
             tau=d["tau"], f=d["f"], g=d["g"], N=d["N"], coef=d["coef"], t_I=t_I,
@@ -233,8 +236,7 @@ class BackgroundSolution:
 
 # -- operations ----------------------------------------------------------------
 
-def initial_state(params: PotentialParams, t_start: float,
-                  scales: UnitScales = SCALES) -> BackgroundState:
+def initial_state(params: PotentialParams, t_start: float) -> BackgroundState:
     """Asymptotic initial data phi = v e^{alpha t}, phidot = alpha phi.
 
     Rejects start times at which the linearized form is no longer trustworthy
@@ -258,8 +260,7 @@ def integrate(params: PotentialParams,
               t_start: float = DEFAULT_T_START,
               t_end: float = DEFAULT_T_END,
               rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL,
-              scales: UnitScales = SCALES) -> BackgroundSolution:
+              atol: float = DEFAULT_ATOL) -> BackgroundSolution:
     """Integrate the self-contained (phi, phidot) system with adaptive steps.
 
     H is evaluated algebraically from the constraint at every step and the
@@ -270,25 +271,21 @@ def integrate(params: PotentialParams,
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    ini = initial_state(params, t_start, scales)
-    co = _Coeffs(params, scales)
-    tau0 = t_start / scales.time_unit
-    tau1 = t_end / scales.time_unit
-    y0 = [ini.phi / scales.field_unit,
-          ini.phidot * scales.time_unit / scales.field_unit,
-          0.0]
+    ini = initial_state(params, t_start)
+    co = _Coeffs(params)
+    y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
 
-    sol = solve_ivp(co.rhs, (tau0, tau1), y0, method="DOP853",
+    sol = solve_ivp(co.rhs, (t_start / TIME_UNIT, t_end / TIME_UNIT), y0, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
-        raise IntegrationError(f"solver failed near t = {sol.t[-1] * scales.time_unit:g}: "
+        raise IntegrationError(f"solver failed near t = {sol.t[-1] * TIME_UNIT:g}: "
                                f"{sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise IntegrationError("non-finite state encountered")
 
     f, g, N = sol.y
     bg = BackgroundSolution(
-        params=params, derived=derive_constants(params), scales=scales,
+        params=params, derived=derive_constants(params),
         t_start=t_start, t_end=t_end, rtol=rtol, atol=atol, tau=sol.t, f=f, g=g, N=N,
         coef=np.stack([seg.F for seg in sol.sol.interpolants], axis=-1),
         _coeffs=co,
@@ -309,7 +306,7 @@ def _check_midpoint_residual(bg: BackgroundSolution, limit: float = 1e-6) -> Non
     stored g.  The check covers the inflationary phase, which feeds every
     downstream consumer (horizon exit, modes, e-fold count).
     """
-    vbar = bg.derived.v / bg.scales.field_unit
+    vbar = bg.derived.v / FIELD_UNIT
     inside = bg.f < vbar
     last = len(bg.tau) - 1 if np.all(inside) else int(np.argmax(~inside))
     mid = 0.5 * (bg.tau[: last - 1] + bg.tau[1:last])
@@ -324,16 +321,6 @@ def _check_midpoint_residual(bg: BackgroundSolution, limit: float = 1e-6) -> Non
         raise IntegrationError(f"dense-output residual {worst:.2e} exceeds {limit:g}")
 
 
-def end_of_inflation(sol: BackgroundSolution) -> float:
-    """Time of the end of inflation: the first t with phi(t) = v, by bracketed
-    root finding on the dense output."""
-    t_I = sol.first_crossing(lambda t: sol.phi(t) - sol.derived.v, sol.t_start, sol.t_end)
-    if t_I is None:
-        raise EndOfInflationNotFound(
-            f"phi never reaches v in [{sol.t_start:g}, {sol.t_end:g}]")
-    return t_I
-
-
 class BigBangClass(enum.Enum):
     BB_AT_MINUS_INFINITY = "BB at -infinity"
     NO_BB = "no BB"
@@ -346,23 +333,20 @@ class BigBangClassification:
     t_bb: float | None = None     # GeV^-1, only for the finite-time case
 
 
-def classify_bigbang(K: float, rho_bar: float, G: float = None,
-                     a_bar: float = 1.0) -> BigBangClassification:
+def classify_bigbang(K: float, rho_bar: float) -> BigBangClassification:
     """Locate the zero of the constant-density scale factor for curvature K.
 
-    The general solution a(t) = a_bar e^{Ht} + (K / 4 a_bar H^2) e^{-Ht} with
-    H = sqrt(8 pi G rho_bar / 3) has no zero for K > 0, a zero only at
-    t -> -infinity for K = 0, and a single finite zero for K < 0 at
-    t = ln(-K / (4 a_bar^2 H^2)) / (2H).
+    The general solution a(t) = e^{Ht} + (K / 4 H^2) e^{-Ht}, normalized to
+    a_bar = 1, with H = sqrt(8 pi G rho_bar / 3) has no zero for K > 0, a zero
+    only at t -> -infinity for K = 0, and a single finite zero for K < 0 at
+    t = ln(-K / (4 H^2)) / (2H).
     """
     if rho_bar <= 0:
         raise ValueError("rho_bar must be positive")
-    if G is None:
-        from .constants import G_NEWTON as G
-    H = math.sqrt(8 * math.pi * G / 3 * rho_bar)
+    H = math.sqrt(8 * math.pi * G_NEWTON / 3 * rho_bar)
     if K == 0:
         return BigBangClassification(BigBangClass.BB_AT_MINUS_INFINITY)
     if K > 0:
         return BigBangClassification(BigBangClass.NO_BB)
-    t_bb = math.log(-K / (4 * a_bar**2 * H**2)) / (2 * H)
+    t_bb = math.log(-K / (4 * H**2)) / (2 * H)
     return BigBangClassification(BigBangClass.BB_AT_FINITE_TIME, t_bb=t_bb)

@@ -6,16 +6,19 @@ Global flags: --config PATH, --out DIR, --format csv|json,
 Exit codes: 0 success, 1 contract violation, 2 invalid configuration.
 
 All floating-point output is pinned to 6 significant digits so identical
-configurations produce byte-identical files; every file write funnels
-through a single writer.
+configurations produce byte-identical files; every output file goes
+through a single writer (the background cache writes its own files).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,9 @@ from .background import BackgroundSolution, integrate
 from .cache import load_background, save_background
 from .config import ConfigError, RunConfig, load_config
 from .horizon import solve_exit_general, solve_exit_reference
-from .observables import compare_targets, spectra_report
+from .observables import DEFAULT_TARGETS, compare_targets, spectra_report
 from .perturbations import GravityMode, integrate_scalar, integrate_tensor
+from .potential import PotentialParams
 from .svg import line_chart
 from .toy_battery import run_battery
 from .toymodel import characteristic_fn, auto_k_grid, invert_to_density
@@ -92,26 +96,22 @@ class Writer:
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
-        self.written: list[Path] = []
-
-    def _path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / name
 
     def text(self, name: str, content: str) -> Path:
-        p = self._path(name)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        p = self.out_dir / name
         p.write_text(content)
-        self.written.append(p)
         print(f"wrote {p}")
         return p
 
     def csv(self, name: str, header: list[str], rows: list[list],
             footer_lines: list[str] | None = None) -> Path:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        if footer_lines:
-            lines += [f"# {line}" for line in footer_lines]
-        return self.text(name, "\n".join(lines) + "\n")
+        # csv quotes a cell only where it must, e.g. a failure message with a comma
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[_fmt(x) for x in row] for row in rows])
+        buf.writelines(f"# {line}\n" for line in footer_lines or ())
+        return self.text(name, buf.getvalue())
 
     def json(self, name: str, obj) -> Path:
         return self.text(name, json.dumps(_round_floats(obj), indent=2,
@@ -131,10 +131,6 @@ def _background(cfg: RunConfig) -> BackgroundSolution:
     if cfg.cache:
         save_background(sol, cache_dir)
     return sol
-
-
-def _gravity(cfg: RunConfig) -> GravityMode:
-    return GravityMode(cfg.gravity)
 
 
 def _table_rows(cfg: RunConfig, sol: BackgroundSolution):
@@ -195,18 +191,16 @@ def cmd_figs(cfg: RunConfig, w: Writer) -> int:
     t12 = ts / 1e-12
     w.csv("fig1_phi.csv", ["t_1e-12_gev_inv", "phi_1e19_gev"],
           [[a, b] for a, b in zip(t12, phi)])
-    line_chart(w._path("fig1_phi.svg"), [("phi(t)/1e19 GeV", t12.tolist(), phi.tolist())],
-               title="inflaton background", xlabel="t / 1e-12 GeV^-1",
-               ylabel="phi / 1e19 GeV",
-               markers=[(t12[-1], der.v / 1e19, f"limit {der.v / 1e19:.3g}")])
-    w.written.append(w._path("fig1_phi.svg"))
+    w.text("fig1_phi.svg", line_chart(
+        [("phi(t)/1e19 GeV", t12.tolist(), phi.tolist())],
+        title="inflaton background", xlabel="t / 1e-12 GeV^-1", ylabel="phi / 1e19 GeV",
+        markers=[(t12[-1], der.v / 1e19, f"limit {der.v / 1e19:.3g}")]))
     w.csv("fig2_hubble.csv", ["t_1e-12_gev_inv", "H_1e14_gev"],
           [[a, b] for a, b in zip(t12, H)])
-    line_chart(w._path("fig2_hubble.svg"), [("H(t)/1e14 GeV", t12.tolist(), H.tolist())],
-               title="expansion rate", xlabel="t / 1e-12 GeV^-1",
-               ylabel="H / 1e14 GeV",
-               markers=[(t12[0], der.hbar_inf / 1e14,
-                         f"limit {der.hbar_inf / 1e14:.3g}")])
+    w.text("fig2_hubble.svg", line_chart(
+        [("H(t)/1e14 GeV", t12.tolist(), H.tolist())],
+        title="expansion rate", xlabel="t / 1e-12 GeV^-1", ylabel="H / 1e14 GeV",
+        markers=[(t12[0], der.hbar_inf / 1e14, f"limit {der.hbar_inf / 1e14:.3g}")]))
 
     # exit construction: e-folds to the end vs the log of the horizon condition
     ts3 = np.linspace(max(cfg.t_start, -10e-12), t_I - 0.02e-12, 600)
@@ -216,14 +210,12 @@ def cmd_figs(cfg: RunConfig, w: Writer) -> int:
     w.csv("fig3_exit.csv",
           ["t_1e-12_gev_inv", "efolds_to_end", "ln_H_aI_over_qR"],
           [[a, b, c] for a, b, c in zip(t312, ef, ln_term)])
-    line_chart(w._path("fig3_exit.svg"),
-               [("efolds to end", t312.tolist(), ef.tolist()),
-                ("ln(H a_I/q_R)", t312.tolist(), ln_term.tolist())],
-               title="horizon-exit construction", xlabel="t / 1e-12 GeV^-1",
-               ylabel="e-folds",
-               markers=[(exit_.t_exit / 1e-12, exit_.efolds_to_end,
-                         f"exit {exit_.t_exit / 1e-12:.3g}")])
-    w.written += [w._path("fig2_hubble.svg"), w._path("fig3_exit.svg")]
+    w.text("fig3_exit.svg", line_chart(
+        [("efolds to end", t312.tolist(), ef.tolist()),
+         ("ln(H a_I/q_R)", t312.tolist(), ln_term.tolist())],
+        title="horizon-exit construction", xlabel="t / 1e-12 GeV^-1", ylabel="e-folds",
+        markers=[(exit_.t_exit / 1e-12, exit_.efolds_to_end,
+                  f"exit {exit_.t_exit / 1e-12:.3g}")]))
     return 0
 
 
@@ -231,7 +223,7 @@ def cmd_observables(cfg: RunConfig, w: Writer) -> int:
     sol = _background(cfg)
     consts = cfg.cosmo_constants()
     exit_ = solve_exit_reference(sol, consts)
-    report = spectra_report(cfg.params(), exit_, gravity=_gravity(cfg))
+    report = spectra_report(cfg.params(), exit_, gravity=GravityMode(cfg.gravity))
     comparison = compare_targets(report)
     payload = {
         "report": report.to_dict(),
@@ -253,7 +245,7 @@ def cmd_observables(cfg: RunConfig, w: Writer) -> int:
 def cmd_modes(cfg: RunConfig, w: Writer) -> int:
     sol = _background(cfg)
     consts = cfg.cosmo_constants()
-    gravity = _gravity(cfg)
+    gravity = GravityMode(cfg.gravity)
     exit_ = solve_exit_reference(sol, consts)
     report = spectra_report(cfg.params(), exit_, gravity=gravity)
     q = consts.q_R
@@ -286,18 +278,15 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
         "tensor_wronskian_drift": tn.wronskian_drift,
         "scalar_constraint_residual_max": sc.constraint_residual_max,
         "r": report.r,
-        "r_bound": 0.032,
-        "r_bound_satisfied": bool(report.r < 0.032),
+        "r_bound": DEFAULT_TARGETS.r_bound,
+        "r_bound_satisfied": bool(report.r < DEFAULT_TARGETS.r_bound),
     }
     w.json("modes_summary.json", summary)
     return 0
 
 
 def cmd_mubound(cfg: RunConfig, w: Writer) -> int:
-    exp = preset_air_mip()
-    if cfg.experiment.dEdx_gev2 != exp.dEdx:
-        exp = type(exp)(gamma_q=exp.gamma_q, t_bar=exp.t_bar, rho_0=exp.rho_0,
-                        dEdx=cfg.experiment.dEdx_gev2, b=exp.b)
+    exp = replace(preset_air_mip(), dEdx=cfg.experiment.dEdx_gev2)
     s2 = sigma_squared(1.0, exp)
     bound_main = mu_bound(exp, cfg.experiment.sigma2_max)
     bound_alt = mu_bound(exp, cfg.experiment.sigma2_max_alt)
@@ -346,17 +335,15 @@ def cmd_toy(cfg: RunConfig, w: Writer) -> int:
 
 def _scan_row(job) -> list:
     kappa, lam, cfg_dict = job
-    from .config import RunConfig as RC
-    cfg = RC(**cfg_dict)
+    cfg = RunConfig(**cfg_dict)
     try:
-        from .potential import PotentialParams
         params = PotentialParams(kappa=kappa, lam=lam, G=cfg.G_gev_m2)
         sol = integrate(params, cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
         exit_ = solve_exit_general(sol, cfg.cosmo_constants().q_R_over_aI)
         report = spectra_report(params, exit_, gravity=GravityMode(cfg.gravity))
         return [kappa, lam, report.n_s, report.NS2, report.r, exit_.t_exit, "ok"]
     except Exception as e:   # failures are recorded per row, never fatal
-        return [kappa, lam, None, None, None, None, type(e).__name__]
+        return [kappa, lam, None, None, None, None, f"{type(e).__name__}: {e}"]
 
 
 def cmd_scan(cfg: RunConfig, w: Writer) -> int:

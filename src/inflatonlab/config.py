@@ -103,7 +103,8 @@ class RunConfig:
                 raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
         # x_end is a value of the ratio q/(aH)
         for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
-                            ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0)):
+                            ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0),
+                            ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0)):
             if not getattr(self, name) > floor:
                 raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
         sc = self.scan
@@ -116,13 +117,23 @@ class RunConfig:
                 raise ConfigError("toy.schedule durations must be positive")
             if not any(w for _, w in self.toy.schedule):
                 raise ConfigError("toy.schedule needs a nonzero weight")
-        self.params()           # raises on invalid couplings
+        ex = self.experiment
+        # sigma^2 divides by dE/dx squared, which must stay a normal float
+        if not (min(ex.dEdx_gev2, ex.sigma2_max, ex.sigma2_max_alt) > 0
+                and sys.float_info.min < ex.dEdx_gev2 * ex.dEdx_gev2 < math.inf):
+            raise ConfigError("experiment values must be positive, dEdx_gev2^2 a normal float")
+        try:
+            self.toy_model()
+        except ConfigError:
+            raise
+        except ValueError as e:     # the model's own contract: self-adjoint, PSD, mu >= 0
+            raise ConfigError(f"toy: {e}") from e
         return self
 
     def toy_model(self):
         from .toymodel import ToyModel, two_level_model
         t = self.toy
-        if t.hamiltonian is None and t.observable is None:
+        if t.hamiltonian is None and t.observable is None and t.weight_op is None:
             return two_level_model(mu=t.mu)
 
         def mat(rowmajor, name):
@@ -130,8 +141,10 @@ class RunConfig:
                 raise ConfigError(f"toy.{name} required when any toy matrix is given")
             try:
                 arr = np.asarray(rowmajor, dtype=float).ravel()
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError("an entry is not finite")
             except (TypeError, ValueError) as e:
-                raise ConfigError(f"toy.{name}: entries must be numbers ({e})") from e
+                raise ConfigError(f"toy.{name}: entries must be finite numbers ({e})") from e
             dim = math.isqrt(arr.size)
             if dim == 0 or dim * dim != arr.size:
                 raise ConfigError(f"toy.{name}: {arr.size} entries do not form a square matrix")

@@ -9,7 +9,6 @@ agrees on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # --- gravity ---------------------------------------------------------------
 
@@ -51,24 +50,10 @@ def kev_per_cm_to_gev2(value_kev_per_cm: float) -> float:
 # Raw GeV magnitudes in the inflationary epoch span ~66 decades; the solvers
 # work in these units so that times, fields and rates are O(1)-O(1e3).
 
-@dataclass(frozen=True)
-class UnitScales:
-    """Scalings between raw GeV quantities and the solver's internal units."""
-
-    time_unit: float = 1e-12    # GeV^-1
-    field_unit: float = 1e19    # GeV
-    hubble_unit: float = 1e14   # GeV
-
-    def __post_init__(self):
-        if min(self.time_unit, self.field_unit, self.hubble_unit) <= 0:
-            raise ValueError("unit scales must be positive")
-
-    @property
-    def efold_rate(self) -> float:
-        """e-folds per scaled time unit per scaled Hubble unit (= 100)."""
-        return self.time_unit * self.hubble_unit
-
-
-SCALES = UnitScales()
+TIME_UNIT = 1e-12           # GeV^-1
+FIELD_UNIT = 1e19           # GeV
+HUBBLE_UNIT = 1e14          # GeV
+EFOLD_RATE = TIME_UNIT * HUBBLE_UNIT
+"""e-folds per scaled time unit per scaled Hubble unit (= 100)."""
 
 TWO_PI = 2.0 * math.pi

@@ -35,8 +35,10 @@ def slow_roll_functions(params: PotentialParams, phi: float) -> tuple[float, flo
     V = potential(params, phi)
     v2 = params.kappa**2 / params.lam
     floor = 1e-13 * 0.25 * params.lam * np.asarray(phi * phi + v2) ** 2
-    if np.any(np.asarray(V) <= floor):
-        raise SlowRollDomainError(f"V(phi) vanishes at phi = {phi:g}")
+    outside = np.asarray(V) <= floor
+    if np.any(outside):
+        at = np.asarray(phi, dtype=float)[outside][0]
+        raise SlowRollDomainError(f"V(phi) vanishes at phi = {at:g}")
     Vp = potential_d1(params, phi)
     Vpp = potential_d2(params, phi)
     pref = 1.0 / (16 * np.pi * params.G)
@@ -145,9 +147,9 @@ class TargetComparison:
         }
 
 
-def compare_targets(report: SlowRollReport,
-                    targets: ObservationalTargets = DEFAULT_TARGETS) -> TargetComparison:
-    """Per-observable z-scores plus the tensor-ratio bound verdict."""
+def compare_targets(report: SlowRollReport) -> TargetComparison:
+    """Per-observable z-scores against DEFAULT_TARGETS plus the tensor-ratio bound verdict."""
+    targets = DEFAULT_TARGETS
     recs = []
     for name, value, target, sigma in (
         ("n_s", report.n_s, targets.n_s, targets.n_s_sigma),

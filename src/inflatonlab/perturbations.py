@@ -44,12 +44,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .background import BackgroundSolution
-from .constants import TWO_PI
+from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
 
 DEFAULT_X_START = 100.0   # q/(aH) at which WKB data is imposed
 DEFAULT_X_END = 0.01      # q/(aH) at which the mode is declared frozen
 FREEZE_RATE_LIMIT = 1e-3  # |dR/dt| < limit * H |R| defines the plateau
+N_OUTPUT = 800            # samples stored per mode trajectory
 
 
 class ModeError(RuntimeError):
@@ -91,15 +92,14 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
     t_b = crossing(x_end)
     if not t_a < t_b:
         raise ModeError("degenerate mode window")
-    T0 = sol.scales.time_unit
     q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
-    f, g, _ = sol._state(t_a / T0)
+    f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
-    return _Window(t_a, t_b, seed, q_over_a * T0, q / q_over_a)
+    return _Window(t_a, t_b, seed, q_over_a * TIME_UNIT, q / q_over_a)
 
 
 def _evolve(rhs, tau_a: float, tau_b: float, y0: list,
-            rtol: float, atol: float, n_output: int, what: str):
+            rtol: float, atol: float, what: str):
     """Integrate one mode with its background across the scaled window.
 
     Returns the solver result, the sample times and the sampled state, whose
@@ -109,7 +109,7 @@ def _evolve(rhs, tau_a: float, tau_b: float, y0: list,
                      rtol=rtol, atol=atol, dense_output=True)
     if not msol.success:
         raise ModeError(f"{what} mode solver failed: {msol.message}")
-    taus = np.linspace(tau_a, tau_b, n_output)
+    taus = np.linspace(tau_a, tau_b, N_OUTPUT)
     return msol, taus, msol.sol(taus)
 
 
@@ -143,8 +143,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
                      rtol: float = 1e-10, atol: float = 1e-12,
-                     gravity: GravityMode = GravityMode.QUANTUM,
-                     n_output: int = 800) -> ScalarMode:
+                     gravity: GravityMode = GravityMode.QUANTUM) -> ScalarMode:
     """Evolve (chi, chidot, Psi) for mode q from q/(aH)=x_start to x_end.
 
     Psi(t0) is fixed from the energy constraint evaluated on the WKB field
@@ -152,7 +151,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     at integration-error level for the whole run.  In classical-gravity mode
     Psi is identically zero and the field equation is source-free.
     """
-    T0, F0 = sol.scales.time_unit, sol.scales.field_unit
+    T0, F0 = TIME_UNIT, FIELD_UNIT
     co = sol._coeffs
     K1, K2 = co.k1, co.k2
     FOURPIG_F2 = 4 * math.pi * sol.params.G * F0**2
@@ -193,7 +192,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
         P0 = gpsi * (gp_a * c0 - g_a * cp0) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
 
     y0 = [c0.real, c0.imag, cp0.real, cp0.imag, P0.real, P0.imag, *w.seed]
-    _, taus, Y = _evolve(rhs, tau_a, tau_b, y0, rtol, atol, n_output, "scalar")
+    _, taus, Y = _evolve(rhs, tau_a, tau_b, y0, rtol, atol, "scalar")
     c = Y[0] + 1j * Y[1]
     cp = Y[2] + 1j * Y[3]
     P = Y[4] + 1j * Y[5]
@@ -267,21 +266,20 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
                      rtol: float = 1e-10, atol: float = 1e-12,
-                     gravity: GravityMode = GravityMode.QUANTUM,
-                     n_output: int = 800) -> TensorMode:
+                     gravity: GravityMode = GravityMode.QUANTUM) -> TensorMode:
     """Evolve the tensor amplitude D_q through horizon exit.
 
     In classical-gravity mode the tensor sector carries no quantum amplitude
     and the returned mode is identically zero.
     """
-    T0 = sol.scales.time_unit
+    T0 = TIME_UNIT
     co = sol._coeffs
     w = _window(sol, q, consts, x_start, x_end)
     tau_a, tau_b = w.t_a / T0, w.t_b / T0
 
     if gravity is GravityMode.CLASSICAL:
-        taus = np.linspace(tau_a, tau_b, n_output)
-        zeros = np.zeros(n_output, dtype=complex)
+        taus = np.linspace(tau_a, tau_b, N_OUTPUT)
+        zeros = np.zeros(N_OUTPUT, dtype=complex)
         x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, taus * T0))
         return TensorMode(q=q, gravity=gravity.value, t=taus * T0,
                           D=zeros, Ddot=zeros, q_over_aH=x_t,
@@ -300,7 +298,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
 
     dp0 = -(co.rhs(tau_a, w.seed)[2] + 1j * Qt0)
     msol, taus, Y = _evolve(rhs, tau_a, tau_b, [1.0, 0.0, dp0.real, dp0.imag, *w.seed],
-                            rtol, atol, n_output, "tensor")
+                            rtol, atol, "tensor")
     d = Y[0] + 1j * Y[1]
     dp = Y[2] + 1j * Y[3]
     Np_t = co.rhs(taus, Y[4:])[2]

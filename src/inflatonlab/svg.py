@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+WIDTH, HEIGHT = 640, 420        # pixels
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick values spanning [lo, hi]."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min((m for m in (1, 2, 5, 10) if m * mag >= raw), default=10) * mag
     first = math.ceil(lo / step) * step
@@ -23,14 +24,14 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return out or [lo]
 
 
-def line_chart(path: str | Path, series: list[tuple[str, list, list]],
+def line_chart(series: list[tuple[str, list, list]],
                title: str = "", xlabel: str = "", ylabel: str = "",
-               markers: list[tuple[float, float, str]] | None = None,
-               width: int = 640, height: int = 420) -> None:
-    """Write a line chart to an SVG file.
+               markers: list[tuple[float, float, str]] | None = None) -> str:
+    """A line chart as SVG text.
 
     series: list of (label, xs, ys); markers: optional (x, y, text) points.
     """
+    width, height = WIDTH, HEIGHT
     pad_l, pad_r, pad_t, pad_b = 66, 16, 30, 46
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
@@ -95,4 +96,4 @@ def line_chart(path: str | Path, series: list[tuple[str, list, list]],
                      f'transform="rotate(-90 16 {(pad_t + height - pad_b) / 2})">'
                      f'{ylabel}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    return "\n".join(parts)

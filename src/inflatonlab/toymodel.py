@@ -30,13 +30,16 @@ theory but enters the toy only through mu^4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 HERMITICITY_TOL = 1e-12
+K_TAIL = 1e-10          # |Phi| bound at the k-grid edges: grid design and inversion check
+MIN_K_POINTS = 64       # smallest k-grid per observable
+CF_MOMENT_STEP = 1e-3   # central-difference step in k for the moments of Phi
 Slice = tuple[float, Sequence[float]]          # (duration, xi per observable)
 Template = Sequence[tuple[float, Sequence[float]]]   # (duration, weight row)
 
@@ -45,9 +48,9 @@ class InsufficientDecay(RuntimeError):
     """|Phi| has not decayed below threshold at the k-grid edge (mu too small)."""
 
 
-def _check_hermitian(M: np.ndarray, name: str, tol: float = HERMITICITY_TOL):
-    if np.max(np.abs(M - M.conj().T)) > tol * max(1.0, np.max(np.abs(M))):
-        raise ValueError(f"{name} is not self-adjoint within {tol:g}")
+def _check_hermitian(M: np.ndarray, name: str):
+    if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
+        raise ValueError(f"{name} is not self-adjoint within {HERMITICITY_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,7 @@ class ToyModel:
         return len(self.observables)
 
 
-def two_level_model(c1: float = 1.0, c2: float = 1.0, mu: float = 0.8,
-                    hamiltonian: np.ndarray | None = None) -> ToyModel:
+def two_level_model(c1: float = 1.0, c2: float = 1.0, mu: float = 0.8) -> ToyModel:
     """Two-level benchmark: A = diag(+1,-1), diagonal weight op, mixed state.
 
     With zero Hamiltonian and a single unit-length slice this model has the
@@ -104,10 +106,9 @@ def two_level_model(c1: float = 1.0, c2: float = 1.0, mu: float = 0.8,
 
     and density p = N(+1, mu^4 c1)/2 + N(-1, mu^4 c2)/2.
     """
-    H = np.zeros((2, 2), dtype=complex) if hamiltonian is None else hamiltonian
     return ToyModel(
         dim=2,
-        hamiltonian=H,
+        hamiltonian=np.zeros((2, 2), dtype=complex),
         observables=(np.diag([1.0, -1.0]).astype(complex),),
         weight_ops=(np.diag([c1, c2]).astype(complex),),
         mu=mu,
@@ -116,7 +117,6 @@ def two_level_model(c1: float = 1.0, c2: float = 1.0, mu: float = 0.8,
 
 
 def random_model(seed: int, dim: int | None = None, n_obs: int = 1,
-                 mu4_range: tuple[float, float] = (0.3, 1.0),
                  random_psd_weights: bool = False) -> ToyModel:
     """Randomized model in the positivity-safe class used by the test battery.
 
@@ -133,9 +133,9 @@ def random_model(seed: int, dim: int | None = None, n_obs: int = 1,
     if dim is None:
         dim = int(rng.integers(2, 5))
 
-    def herm(scale=1.0):
+    def herm():
         X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return scale * (X + X.conj().T) / 2
+        return (X + X.conj().T) / 2
 
     H = herm()
     obs, wops = [], []
@@ -151,7 +151,7 @@ def random_model(seed: int, dim: int | None = None, n_obs: int = 1,
     X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     W = X @ X.conj().T
     W /= np.trace(W).real
-    mu = float(rng.uniform(*mu4_range)) ** 0.25
+    mu = float(rng.uniform(0.3, 1.0)) ** 0.25
 
     cap = min(mu**4 * np.linalg.eigvalsh(C).min() for C in wops)
     rot = max(np.linalg.norm(H @ A - A @ H, 2) for A in obs)
@@ -161,7 +161,7 @@ def random_model(seed: int, dim: int | None = None, n_obs: int = 1,
                     weight_ops=tuple(wops), mu=mu, initial_state=W)
 
 
-def pointer_random_model(seed: int, dim: int | None = None) -> ToyModel:
+def pointer_random_model(seed: int) -> ToyModel:
     """Random model in the pointer sector: [H, A] = [W, A] = [C, A] = 0.
 
     Sharp-outcome conditioning produces an exactly positive reduced state
@@ -173,8 +173,7 @@ def pointer_random_model(seed: int, dim: int | None = None) -> ToyModel:
     reduction property test documents rather than hides.
     """
     rng = np.random.default_rng(seed)
-    if dim is None:
-        dim = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 5))
     X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     V = np.linalg.qr(X)[0]                          # random common eigenbasis
     a = np.sort(rng.uniform(-1.5, 1.5, size=dim))
@@ -201,26 +200,6 @@ def _coupling_operator(model: ToyModel, xi) -> np.ndarray:
         Y += 1j * x * np.asarray(A, dtype=complex)
         Y -= 0.5 * model.mu4 * x * x * np.asarray(C, dtype=complex)
     return Y
-
-
-def _left(X: np.ndarray) -> np.ndarray:
-    return np.kron(X, np.eye(X.shape[0]))
-
-
-def _right(X: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(X.shape[0]), X.T)
-
-
-def liouvillian(model: ToyModel) -> np.ndarray:
-    """Hamiltonian flow L_H W = -i [H, W] as an N^2 x N^2 matrix (row-major vec)."""
-    H = np.asarray(model.hamiltonian, dtype=complex)
-    return -1j * (_left(H) - _right(H))
-
-
-def kernel_generator(model: ToyModel, xi: Sequence[float]) -> np.ndarray:
-    """K(xi) as an N^2 x N^2 matrix."""
-    Y = _coupling_operator(model, xi)
-    return 0.5 * (_left(Y) + _right(Y))
 
 
 def _slice_factors(model: ToyModel, xi, dt: float):
@@ -336,9 +315,8 @@ def _k_mesh(k_grids: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def auto_k_grid(model: ToyModel, template: Template | None = None,
-                tail: float = 1e-10, min_points: int = 64,
                 max_points: int = 4096) -> list[np.ndarray]:
-    """Per-observable centered k-grids sized so |Phi| < tail at the edges.
+    """Per-observable centered k-grids sized so |Phi| < K_TAIL at the edges.
 
     Extent from the guaranteed Gaussian damping exp(-mu^4 k^2 sum_s dt w^2
     lam_min(C)/2); spacing from the spectral supportary of the smeared
@@ -358,11 +336,11 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
             raise InsufficientDecay(f"observable {j} has no Gaussian damping")
         # design for a tenth of the target tail: the power-of-two grid rounding
         # leaves the positive edge one dk short of the nominal extent
-        k_max = math.sqrt(2 * math.log(10.0 / tail) / (model.mu4 * wsum * lam_min))
+        k_max = math.sqrt(2 * math.log(10.0 / K_TAIL) / (model.mu4 * wsum * lam_min))
         a_max = float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(A, dtype=complex)))))
         theta_max = wabs * a_max + 8 * math.sqrt(model.mu4 * wsum * lam_max) + 1.0
         dk = math.pi / theta_max
-        M = max(min_points, 2 ** math.ceil(math.log2(2 * k_max / dk)))
+        M = max(MIN_K_POINTS, 2 ** math.ceil(math.log2(2 * k_max / dk)))
         if M > max_points:
             raise InsufficientDecay(
                 f"observable {j} would need {M} k-points (> {max_points}); mu too small")
@@ -446,17 +424,17 @@ def _invert_axis(arr: np.ndarray, dk: float, axis: int) -> tuple[np.ndarray, np.
     return out, theta
 
 
-def invert_to_density(cf: CharacteristicFunction, tail: float = 1e-10) -> DensitySamples:
+def invert_to_density(cf: CharacteristicFunction) -> DensitySamples:
     """Discrete Fourier inversion of Phi on conjugate centered theta-grids.
 
-    Requires |Phi| to have decayed below `tail` at every grid edge, which the
+    Requires |Phi| to have decayed below K_TAIL at every grid edge, which the
     mu^4-Gaussian damping guarantees for a wide enough grid; otherwise the
     periodized density would alias.
     """
     decay = cf.edge_decay()
-    if decay > tail:
+    if decay > K_TAIL:
         raise InsufficientDecay(
-            f"|Phi| = {decay:.2e} at the k-grid edge exceeds {tail:g}; "
+            f"|Phi| = {decay:.2e} at the k-grid edge exceeds {K_TAIL:g}; "
             "mu too small for this grid")
     arr = cf.samples.astype(complex)
     thetas = []
@@ -469,22 +447,19 @@ def invert_to_density(cf: CharacteristicFunction, tail: float = 1e-10) -> Densit
                           imag_residual=imag_res)
 
 
-def density(model: ToyModel, template: Template | None = None,
-            k_grids=None) -> DensitySamples:
+def density(model: ToyModel) -> DensitySamples:
     """Convenience pipeline: auto grid -> characteristic function -> density."""
-    if k_grids is None:
-        k_grids = auto_k_grid(model, template)
-    return invert_to_density(characteristic_fn(model, template, k_grids))
+    return invert_to_density(characteristic_fn(model, None, auto_k_grid(model)))
 
 
-def cf_moments(model: ToyModel, template: Template | None = None,
-               h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+def cf_moments(model: ToyModel) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments from central differences of Phi at k = 0.
 
     mean_j = -i dPhi/dk_j,  second_ij = - d2 Phi / dk_i dk_j.
     """
-    template = _template_for(model, template)
+    template = _template_for(model, None)
     n = model.n_obs
+    h = CF_MOMENT_STEP
     # Phi on the stencil {-h, 0, h}^n, indexed by the step signs plus one
     stencil = _k_mesh([np.array([-h, 0.0, h])] * n)
     samples = np.trace(evolve_density(model, template, stencil, model.initial_state),
@@ -508,28 +483,6 @@ def cf_moments(model: ToyModel, template: Template | None = None,
                       - phi(e[j] - e[i]) + phi(-(e[i] + e[j]))) / (4 * h**2)
             second[i, j] = second[j, i] = (-d2).real
     return mean, second
-
-
-def smeared_observable_mean(model: ToyModel, template: Template | None = None) -> np.ndarray:
-    """Quantum expectation of each time-smeared observable under the flow.
-
-    <theta_j> target: integral over the window of w_j(t) Tr(A_j W(t)) dt with
-    W(t) the purely Hamiltonian evolution of the initial state.
-    """
-    template = _template_for(model, template)
-    H = np.asarray(model.hamiltonian, dtype=complex)
-    out = np.zeros(model.n_obs)
-    W = np.asarray(model.initial_state, dtype=complex)
-    n_sub = 64
-    for dt, wrow in template:
-        dts = dt / n_sub
-        U = expm(-1j * H * dts)
-        for _ in range(n_sub):
-            Wmid = expm(-1j * H * dts / 2) @ W @ expm(1j * H * dts / 2)
-            for j, A in enumerate(model.observables):
-                out[j] += wrow[j] * np.trace(A @ Wmid).real * dts
-            W = U @ W @ U.conj().T
-    return out
 
 
 def marginalize(ds: DensitySamples, keep: Sequence[int]) -> DensitySamples:

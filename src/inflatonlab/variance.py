@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import GRAM_PER_CM3_IN_GEV4, kev_per_cm_to_gev2
 
@@ -60,14 +59,6 @@ class WeightFunction:
         mu, nu = self.component
         if not (0 <= mu <= 3 and 0 <= nu <= 3):
             raise ValueError("component indices must be in 0..3")
-
-    def evaluate(self, t, x):
-        """w(t, x) with x a 3-vector; used by the quadrature oracles."""
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum((x - np.asarray(self.x_w)) ** 2, axis=-1)
-        norm = self.lambda_t * self.lambda_s**3 / math.pi**2
-        return norm * np.exp(-self.lambda_t**2 * (t - self.t_w) ** 2
-                             - self.lambda_s**2 * r2)
 
 
 def _gauss_1d_overlap(l1, c1, l2, c2):
@@ -107,11 +98,6 @@ def _metric_factor(ci: tuple[int, int], cj: tuple[int, int]) -> float:
     return _METRIC_SIGN[mu] * _METRIC_SIGN[nu]
 
 
-def _a_power(component: tuple[int, int]) -> int:
-    """Power of a(t) multiplying a^-3 gbar gbar for the given component."""
-    return -3 + 2 * sum(1 for idx in component if idx != 0)
-
-
 @dataclass(frozen=True)
 class ClassicalCovariance:
     matrix: np.ndarray
@@ -124,13 +110,10 @@ class ClassicalCovariance:
         return bool(np.all(self.eigenvalues >= floor))
 
 
-def covariance_matrix(mu: float, weights: Sequence[WeightFunction],
-                      a_profile: Callable[[float], float] | None = None) -> ClassicalCovariance:
+def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> ClassicalCovariance:
     """Pairwise-overlap covariance matrix with metric factors; PSD-checked.
 
-    a_profile = None means the flat convention a(t) = 1.  With a profile, the
-    time integral is done by adaptive quadrature against the closed-form
-    spatial overlap (the windows factorize).
+    Uses the flat convention a(t) = 1, so every entry is a closed-form overlap.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight function")
@@ -142,25 +125,7 @@ def covariance_matrix(mu: float, weights: Sequence[WeightFunction],
             sign = _metric_factor(wi.component, wj.component)
             if sign == 0.0:
                 continue
-            if a_profile is None:
-                val = sign * weight_overlap(wi, wj)
-            else:
-                p = _a_power(wi.component)
-                spatial = 1.0
-                for k in range(3):
-                    spatial *= _gauss_1d_overlap(wi.lambda_s, wi.x_w[k],
-                                                 wj.lambda_s, wj.x_w[k])
-                norm = (wi.lambda_t * wi.lambda_s**3 / math.pi**2) * \
-                       (wj.lambda_t * wj.lambda_s**3 / math.pi**2)
-                lo = min(wi.t_w, wj.t_w) - 8 / min(wi.lambda_t, wj.lambda_t)
-                hi = max(wi.t_w, wj.t_w) + 8 / min(wi.lambda_t, wj.lambda_t)
-                tint, _ = quad(
-                    lambda t: a_profile(t) ** p
-                    * math.exp(-wi.lambda_t**2 * (t - wi.t_w) ** 2
-                               - wj.lambda_t**2 * (t - wj.t_w) ** 2),
-                    lo, hi, epsabs=0, epsrel=1e-10)
-                val = sign * norm * spatial * tint
-            M[i, j] = M[j, i] = 0.5 * mu**4 * val
+            M[i, j] = M[j, i] = 0.5 * mu**4 * sign * weight_overlap(wi, wj)
     eig = np.linalg.eigvalsh(M)
     cov = ClassicalCovariance(matrix=M, eigenvalues=eig, mu=mu)
     if not cov.is_psd:
@@ -219,17 +184,10 @@ def preset_air_mip() -> DecayExperiment:
     )
 
 
-def decay_mean_density(exp: DecayExperiment) -> float:
-    """<rho_f> = delta_rho e^{-Gamma tbar} + rho_0."""
-    return exp.delta_rho * math.exp(-exp.gamma_q * exp.t_bar) + exp.rho_0
-
-
-def decay_quantum_variance(exp: DecayExperiment, delta_rho: float | None = None) -> float:
+def decay_quantum_variance(exp: DecayExperiment) -> float:
     """Quantum variance (delta_rho)^2 (e^{-Gamma tbar} - e^{-2 Gamma tbar})."""
-    if delta_rho is None:
-        delta_rho = exp.delta_rho
     x = exp.gamma_q * exp.t_bar
-    return delta_rho**2 * (math.exp(-x) - math.exp(-2 * x))
+    return exp.delta_rho**2 * (math.exp(-x) - math.exp(-2 * x))
 
 
 @dataclass(frozen=True)

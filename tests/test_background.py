@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import inflatonlab as il
-from inflatonlab.background import BigBangClass, classify_bigbang, end_of_inflation
+from inflatonlab.background import BigBangClass, EndOfInflationNotFound, classify_bigbang
 from inflatonlab.config import ScanConfig
+from inflatonlab.constants import FIELD_UNIT, G_NEWTON, TIME_UNIT
 
 
 def test_initial_state_matches_asymptotic_form(params, derived):
@@ -80,7 +81,7 @@ def test_hubble_rate_identity_vs_finite_differences(background, params):
 
 def test_interpolation_reproduces_grid_nodes(background):
     t = background.grid_times[100:2000:97]
-    f_direct = background.f[100:2000:97] * background.scales.field_unit
+    f_direct = background.f[100:2000:97] * FIELD_UNIT
     assert np.allclose(background.phi(t), f_direct, rtol=1e-14)
 
 
@@ -138,9 +139,8 @@ def test_end_criterion_epsilon_unity(background):
 def test_end_of_inflation_not_found(params):
     sol = il.integrate(params, t_start=-25e-12, t_end=-10e-12)
     assert sol.t_I is None
-    from inflatonlab.background import EndOfInflationNotFound
     with pytest.raises(EndOfInflationNotFound):
-        end_of_inflation(sol)
+        sol.end_of_inflation()
 
 
 def test_late_end_time_insensitivity(background):
@@ -163,11 +163,10 @@ def test_start_time_robustness(params):
 def test_stored_dense_output_matches_solver(background, params):
     # pins scipy's DOP853 coefficient layout: the same solve_ivp call that
     # integrate makes, evaluated through its own OdeSolution
-    sc = background.scales
     ini = il.initial_state(params, background.t_start)
-    y0 = [ini.phi / sc.field_unit, ini.phidot * sc.time_unit / sc.field_unit, 0.0]
+    y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
     ref = solve_ivp(background._coeffs.rhs,
-                    (background.t_start / sc.time_unit, background.t_end / sc.time_unit),
+                    (background.t_start / TIME_UNIT, background.t_end / TIME_UNIT),
                     y0, method="DOP853", rtol=background.rtol, atol=background.atol,
                     dense_output=True)
     assert np.array_equal(ref.t, background.tau)
@@ -235,11 +234,10 @@ def test_classify_bigbang_positive_curvature():
 
 
 def test_classify_bigbang_negative_curvature():
-    # closed form t = ln(-K/(4 abar^2 H^2))/(2H), checked against a numeric
+    # closed form t = ln(-K/(4 H^2))/(2H), checked against a numeric
     # root of the two-branch scale factor
-    G = 1.0
-    rho = 3 / (8 * math.pi)        # makes H = 1
-    res = classify_bigbang(-1.0, rho, G=G, a_bar=1.0)
+    rho = 3 / (8 * math.pi * G_NEWTON)        # makes H = 1 GeV
+    res = classify_bigbang(-1.0, rho)
     assert res.kind is BigBangClass.BB_AT_FINITE_TIME
     H = 1.0
     assert res.t_bb == pytest.approx(math.log(1.0 / (4 * H**2)) / (2 * H), rel=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -139,6 +140,13 @@ def test_scan_rows_and_consistency(outdir, tmp_path):
     obs = json.loads((outdir / "observables.json").read_text())["report"]
     assert float(first["n_s"]) == pytest.approx(obs["n_s"], rel=1e-5)
     assert float(first["r"]) == pytest.approx(obs["r"], rel=1e-4)
+    # a failing point records its exception type and message in one cell
+    cfg.write_text(json.dumps({"t_end": -20e-12,
+                               "scan": {"kappa_points": 1, "lambda_points": 1}}))
+    assert run(["scan", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 0
+    rows = list(csv.reader((tmp_path / "scan.csv").read_text().splitlines()))
+    assert [len(r) for r in rows] == [7, 7]
+    assert rows[1][-1] == "EndOfInflationNotFound: phi never reaches v in [-2.5e-11, -2e-11]"
 
 
 def test_deterministic_output(tmp_path):

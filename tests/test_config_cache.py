@@ -1,13 +1,18 @@
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inflatonlab as il
 from inflatonlab import cache
 from inflatonlab.cache import cache_key, load_background, save_background
 from inflatonlab.cli import main
-from inflatonlab.config import ConfigError, load_config
+from inflatonlab.config import _GROUPS, ConfigError, RunConfig, load_config
 
 
 def test_defaults_validate():
@@ -56,7 +61,8 @@ def test_invalid_values_rejected(tmp_path):
         load_config(p)
     # empty integration span, inverted mode window, values of the wrong
     # type, tolerances the solver would silently replace, a non-positive
-    # window end, slice duration or scan bound, an empty scan axis: rejected
+    # window end, slice duration, scan bound, coupling or experiment value,
+    # an empty scan axis, a toy model that breaks its own contract: rejected
     # at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
@@ -76,7 +82,21 @@ def test_invalid_values_rejected(tmp_path):
                        ({"toy": {"schedule": [[0.0, 1.0]]}}, "toy.schedule"),
                        ({"toy": {"schedule": [[1.0, 0.0]]}}, "toy.schedule"),
                        ({"scan": {"kappa_min": -1.0}}, "scan bounds"),
-                       ({"scan": {"lambda_points": 0}}, "scan needs")):
+                       ({"scan": {"lambda_points": 0}}, "scan needs"),
+                       ({"kappa_gev": -1}, "kappa_gev"),
+                       ({"lambda": 0}, "lam"),
+                       ({"G_gev_m2": 0}, "G_gev_m2"),
+                       ({"experiment": {"dEdx_gev2": 0}}, "experiment"),
+                       ({"experiment": {"sigma2_max": -1e-3}}, "experiment"),
+                       ({"experiment": {"dEdx_gev2": 1e200}}, "dEdx_gev2"),
+                       ({"toy": {"mu": -0.5}}, "mu must be nonnegative"),
+                       ({"toy": {"hamiltonian": [0, 1, 0, 0], "observable": [1, 0, 0, -1],
+                                 "weight_op": [1, 0, 0, 1]}}, "hamiltonian is not self-adjoint"),
+                       ({"toy": {"hamiltonian": [0, 0, 0, 0], "observable": [1, 0, 0, -1],
+                                 "weight_op": [1, 0, 0, -1]}}, "not positive semidefinite"),
+                       ({"toy": {"hamiltonian": [0, None, None, 0], "observable": [1, 0, 0, -1],
+                                 "weight_op": [1, 0, 0, 1]}}, "toy.hamiltonian"),
+                       ({"toy": {"weight_op": [1, 0, 0, 1]}}, "toy.hamiltonian required")):
         p.write_text(json.dumps(bad))
         with pytest.raises(ConfigError, match=where):
             load_config(p)
@@ -180,3 +200,47 @@ def test_corrupt_cache_falls_back(tmp_path, background, params):
     path.write_bytes(b"garbage")
     assert load_background(params, background.t_start, background.t_end,
                            background.rtol, background.atol, tmp_path) is None
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+# values of each field annotation's own type; toy matrices have 1, 4 or 9 entries
+_OF_TYPE = {
+    "float": st.floats(), "int": st.integers(), "bool": st.booleans(),
+    "str": st.sampled_from(["csv", "json", "quantum", "classical"]) | st.text(max_size=8),
+    "list": st.lists(st.floats(), max_size=9),
+    "list[tuple[float, float]]": st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                                          max_size=3),
+}
+
+
+def _config_object(cls):
+    """JSON objects for a config class: mostly its own keys with values of
+    their own type, mixed with arbitrary JSON values and unknown keys."""
+    types = {f.name: f.type for f in fields(cls)}
+    types.update({alias: types[name] for alias, name in getattr(cls, "_ALIASES", {}).items()})
+
+    def entry(key):
+        if key in _GROUPS:
+            value = _config_object(_GROUPS[key])
+        else:
+            value = _OF_TYPE[types[key].partition(" | ")[0]]
+        return st.tuples(st.just(key), value | _JSON)
+
+    known = st.sampled_from(sorted(types)).flatmap(entry)
+    return st.lists(known | st.tuples(st.text(max_size=8), _JSON), max_size=4).map(dict)
+
+
+@settings(max_examples=150)
+@given(data=_config_object(RunConfig))
+def test_any_json_config_loads_or_exits_2(data):
+    # every check runs at load: a config is either valid for the run or a
+    # config error with exit 2, never a contract violation or a traceback
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.json"
+        path.write_text(json.dumps(data))
+        assert main(["mubound", "--config", str(path), "--out", d]) in (0, 2)

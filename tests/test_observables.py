@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ def test_shape_functions_flat_top(params):
 def test_shape_functions_domain_error(params, derived):
     with pytest.raises(SlowRollDomainError):
         il.slow_roll_functions(params, derived.v)   # V(v) = 0
+    # an array reaching the minimum raises the same error, naming the value
+    with pytest.raises(SlowRollDomainError, match=re.escape(f"{derived.v:g}")):
+        il.slow_roll_functions(params, np.array([0.5 * derived.v, derived.v]))
 
 
 def test_shape_functions_match_finite_difference_oracle(params, derived):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import inflatonlab as il
+from inflatonlab.constants import EFOLD_RATE, HUBBLE_UNIT, TIME_UNIT
 
 
 def test_potential_at_origin_is_vacuum_energy(params):
@@ -118,4 +119,4 @@ def test_params_validation():
 
 
 def test_unit_scales_round_trip():
-    assert il.UnitScales().efold_rate == 100.0
+    assert EFOLD_RATE == TIME_UNIT * HUBBLE_UNIT == 100.0

@@ -9,7 +9,6 @@ from inflatonlab.variance import (
     PREFACTOR_COMPOSED,
     PREFACTOR_LITERAL,
     PSDViolation,
-    decay_mean_density,
     preset_air_mip,
 )
 from inflatonlab.constants import kev_per_cm_to_gev2
@@ -131,19 +130,6 @@ def test_covariance_mixed_time_space_component_fails_psd():
         il.covariance_matrix(0.5, [w])
 
 
-def test_covariance_with_scale_factor_profile():
-    # constant a reproduces the flat result scaled by a^-3 for 00-selectors
-    w1 = il.WeightFunction(lambda_t=1.2)
-    w2 = il.WeightFunction(lambda_t=0.9, t_w=0.4)
-    flat = il.covariance_matrix(0.5, [w1, w2])
-    scaled = il.covariance_matrix(0.5, [w1, w2], a_profile=lambda t: 2.0)
-    assert np.allclose(scaled.matrix, flat.matrix / 8.0, rtol=1e-8)
-    # during inflation (a exponentially small long ago, normalized to 1 at
-    # the observation epoch) the same windows carry a vastly larger a^-3
-    # weight; the classical variance at fixed mu was negligible then only
-    # because mu itself is bounded by today's experiments
-
-
 def test_decay_experiment_validation():
     with pytest.raises(ValueError):
         il.DecayExperiment(gamma_q=0.0, t_bar=1.0, rho_0=1.0, dEdx=1.0, b=1.0)
@@ -153,8 +139,6 @@ def test_decay_mean_and_variance():
     exp = preset_air_mip()
     x = exp.gamma_q * exp.t_bar
     assert x == pytest.approx(1.0, rel=1e-12)      # t_bar = lifetime
-    assert decay_mean_density(exp) == pytest.approx(
-        exp.delta_rho * math.exp(-1) + exp.rho_0, rel=1e-12)
     # (e^-1 - e^-2) = 0.23254 at the lifetime; the order-1e-1 window
     factor = math.exp(-1) - math.exp(-2)
     assert factor == pytest.approx(0.2325442, rel=1e-6)
