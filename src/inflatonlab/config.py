@@ -14,6 +14,7 @@ from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_STA
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_DA_MPC, DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .potential import PotentialParams
+from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
 
 
 RTOL_FLOOR = 100 * sys.float_info.epsilon     # solve_ivp's smallest rtol
@@ -112,6 +113,8 @@ class RunConfig:
             raise ConfigError("scan bounds must be positive")
         if min(sc.kappa_points, sc.lambda_points) < 1:
             raise ConfigError("scan needs at least one point per axis")
+        if self.toy.seeds < 1:
+            raise ConfigError("toy.seeds must be >= 1")
         if self.toy.schedule is not None:
             if any(dt <= 0 for dt, _ in self.toy.schedule):
                 raise ConfigError("toy.schedule durations must be positive")
@@ -122,16 +125,19 @@ class RunConfig:
         if not (min(ex.dEdx_gev2, ex.sigma2_max, ex.sigma2_max_alt) > 0
                 and sys.float_info.min < ex.dEdx_gev2 * ex.dEdx_gev2 < math.inf):
             raise ConfigError("experiment values must be positive, dEdx_gev2^2 a normal float")
+        # the model's own contract (self-adjoint, PSD, mu in range), then the
+        # k-grid the toy command inverts on: a mu or schedule too weak to damp
+        # Phi within its point budget fails here, before any battery work, and
+        # so does a weight or duration whose grid design overflows
         try:
-            self.toy_model()
+            auto_k_grid(self.toy_model(), self.toy_template())
         except ConfigError:
             raise
-        except ValueError as e:     # the model's own contract: self-adjoint, PSD, mu >= 0
+        except (ValueError, ArithmeticError, InsufficientDecay) as e:
             raise ConfigError(f"toy: {e}") from e
         return self
 
     def toy_model(self):
-        from .toymodel import ToyModel, two_level_model
         t = self.toy
         if t.hamiltonian is None and t.observable is None and t.weight_op is None:
             return two_level_model(mu=t.mu)

@@ -40,11 +40,6 @@ GRAM_PER_CM3_IN_GEV4 = GRAM_GEV / CM_IN_INV_GEV**3
 KEV_GEV = 1e-6
 
 
-def kev_per_cm_to_gev2(value_kev_per_cm: float) -> float:
-    """Convert a stopping power from keV/cm to GeV^2."""
-    return value_kev_per_cm * KEV_GEV / CM_IN_INV_GEV
-
-
 # --- internal scalings -------------------------------------------------------
 #
 # Raw GeV magnitudes in the inflationary epoch span ~66 decades; the solvers

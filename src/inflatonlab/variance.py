@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import GRAM_PER_CM3_IN_GEV4, kev_per_cm_to_gev2
+from .constants import GRAM_PER_CM3_IN_GEV4
 
 _E = math.e
 PREFACTOR_COMPOSED = _E**2 / (_E - 1) / 8        # from composing the variance chain
@@ -169,8 +169,8 @@ def preset_air_mip() -> DecayExperiment:
     """Minimum-ionizing unit charge in air (rho_0 = 0.0012 g/cm^3).
 
     The stopping power is the rounded 5e-20 GeV^2 working value; the exact
-    keV/cm conversion (2.76 keV/cm = 5.45e-20 GeV^2) is available via
-    constants.kev_per_cm_to_gev2.  The rate is a muon-scale 3e-19 GeV, and
+    keV/cm conversion multiplies by KEV_GEV / CM_IN_INV_GEV from constants
+    (2.76 keV/cm = 5.45e-20 GeV^2).  The rate is a muon-scale 3e-19 GeV, and
     b is a micron-scale wake radius; neither enters sigma^2, which depends
     only on dE/dx once t_bar = 1/gamma_q and 1/lambda = b are imposed.
     """

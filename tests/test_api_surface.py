@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package has a caller in
 the package, a demo or the benchmark.  Tests do not count, and neither does
-the package's ``__init__``: re-exporting a name does not call it."""
+the package's ``__init__`` or an import: re-exporting or importing a name
+does not call it."""
 
 import ast
 from pathlib import Path
@@ -17,8 +18,6 @@ def test_every_public_name_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
     defined = [(path.name, node.name) for path in MODULES
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))

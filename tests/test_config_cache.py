@@ -62,8 +62,9 @@ def test_invalid_values_rejected(tmp_path):
     # empty integration span, inverted mode window, values of the wrong
     # type, tolerances the solver would silently replace, a non-positive
     # window end, slice duration, scan bound, coupling or experiment value,
-    # an empty scan axis, a toy model that breaks its own contract: rejected
-    # at load, before any solve
+    # an empty scan axis, a toy model that breaks its own contract, a toy
+    # sweep over no seeds, a toy mu or schedule whose k-grid cannot damp Phi
+    # within its point budget: rejected at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
                        ({"x_end": "0.01"}, "x_end"),
@@ -72,6 +73,9 @@ def test_invalid_values_rejected(tmp_path):
                        ({"toy": {"mu": "x"}}, "toy.mu"),
                        ({"toy": {"schedule": [[1.0]]}}, r"toy.schedule\[0\]"),
                        ({"toy": {"seeds": 1.5}}, "toy.seeds"),
+                       ({"toy": {"seeds": 0}}, "toy.seeds"),
+                       ({"toy": {"mu": 0}}, "no k-space damping"),
+                       ({"toy": {"schedule": [[1e-6, 1.0]]}}, "would need 8192 k-points"),
                        ({"cache": "no"}, "cache"),
                        ({"rtol": 0}, "rtol"),
                        ({"rtol": 1e-16}, "rtol"),

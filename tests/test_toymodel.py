@@ -115,6 +115,93 @@ def test_propagator_matches_generator_exponential():
     assert np.allclose(G_fast, expm(dt * M), atol=1e-12)
 
 
+def _norm1(X):
+    return np.abs(X).sum(axis=-2).max(axis=-1)
+
+
+def _toy_generators(model, xi, dt, h_scale=1.0):
+    """The slice generators dt (-+ i h_scale H + Y/2), stacked, shape (2, N, N)."""
+    iH = 1j * h_scale * np.asarray(model.hamiltonian)
+    Y = tm._coupling_operator(model, xi)
+    return dt * np.stack([-iH + 0.5 * Y, iH + 0.5 * Y])
+
+
+def _expm_error(A):
+    """Largest 1-norm relative error of the stacked exponential against scipy's."""
+    from scipy.linalg import expm
+    ref = np.stack([expm(a) for a in A.reshape((-1,) + A.shape[-2:])])
+    got = tm._expm(A).reshape(ref.shape)
+    return float(np.max(_norm1(got - ref) / _norm1(ref)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4), n_obs=st.integers(1, 2),
+       xi=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
+       dt=st.floats(0.01, 2.0))
+def test_expm_matches_scipy_on_toy_generators(seed, dim, n_obs, xi, dt):
+    model = tm.random_model(seed=seed, dim=dim, n_obs=n_obs)
+    assert _expm_error(_toy_generators(model, xi[:n_obs], dt)) <= 1e-13
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4),
+       xi=st.floats(-3.0, 3.0), log_norm=st.floats(1.0, 3.0))
+def test_expm_matches_scipy_at_large_norm(seed, dim, xi, log_norm):
+    # a Hamiltonian rescaled to 1-norm 10..1000, so each matrix is squared up
+    # to eight times; the exponential's relative condition number is at least
+    # its generator's norm, so past norm 100 two backward-stable methods
+    # agree to about 1e-15 ||A||_1 rather than to a fixed 1e-13
+    model = tm.random_model(seed=seed, dim=dim)
+    scale = 10.0**log_norm / _norm1(np.asarray(model.hamiltonian))
+    A = _toy_generators(model, [xi], 1.0, h_scale=scale)
+    assert _expm_error(A) <= 1e-13 * max(1.0, float(np.max(_norm1(A))) / 100)
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(1, 4), re=st.floats(-30.0, 5.0), im=st.floats(-50.0, 50.0))
+def test_expm_zero_and_diagonal(dim, re, im):
+    # the zero generator gives the identity exactly; a diagonal one the
+    # entrywise exponential of its diagonal
+    assert np.array_equal(tm._expm(np.zeros((dim, dim))), np.eye(dim))
+    d = (re + 1j * im) * np.linspace(1.0, 0.5, dim)
+    got = tm._expm(np.diag(d))
+    assert np.max(np.abs(got - np.diag(np.exp(d)))) <= 1e-13 * np.max(np.abs(np.exp(d)))
+    assert _expm_error(np.diag(d)) <= 1e-13
+
+
+@settings(max_examples=10)
+@given(dim=st.integers(2, 4), a=st.integers(0, 3), b=st.integers(1, 3))
+def test_expm_keeps_the_input_shape(dim, a, b):
+    model = tm.random_model(seed=dim, dim=dim)
+    xi = np.linspace(-2.0, 2.0, a * b).reshape(a, b, 1)
+    A = _toy_generators(model, xi, 0.7)
+    assert tm._expm(A).shape == A.shape == (2, a, b, dim, dim)
+    single = _toy_generators(model, [0.5], 0.7)[0]
+    assert tm._expm(single).shape == single.shape == (dim, dim)
+
+
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4))
+def test_expm_stack_is_bitwise_the_single_matrices(seed, dim):
+    # a stack one block and three matrices long: the blocking and the
+    # neighbours in the stack leave every result bit unchanged
+    model = tm.random_model(seed=seed, dim=dim, n_obs=2)
+    xi = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(tm.EXPM_BLOCK + 3, 2))
+    A = _toy_generators(model, xi, 0.9)[0]
+    stacked = tm._expm(A)
+    assert np.array_equal(stacked, np.stack([tm._expm(a) for a in A]))
+
+
+@settings(max_examples=20)
+@given(dim=st.integers(1, 4), where=st.integers(0, 63),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf]))
+def test_expm_rejects_non_finite_generators(dim, where, bad):
+    A = np.zeros((3, dim, dim), dtype=complex)
+    A.reshape(-1)[where % A.size] = bad
+    with pytest.raises(FloatingPointError):
+        tm._expm(A)
+
+
 def test_trace_preservation_at_zero_coupling():
     model = tm.random_model(seed=5, dim=4)
     W1 = tm.evolve_density(model, [(1.3, [1.0])], [0.0], model.initial_state)

@@ -11,7 +11,7 @@ from inflatonlab.variance import (
     PSDViolation,
     preset_air_mip,
 )
-from inflatonlab.constants import kev_per_cm_to_gev2
+from inflatonlab.constants import CM_IN_INV_GEV, KEV_GEV
 
 
 def quad_overlap(w1, w2):
@@ -208,4 +208,4 @@ def test_mu_bound_round_trip_and_scaling():
 
 def test_kev_per_cm_conversion():
     # 2.76 keV/cm lands on 5.45e-20 GeV^2, consistent with the rounded 5e-20
-    assert kev_per_cm_to_gev2(2.76) == pytest.approx(5.446e-20, rel=1e-3)
+    assert 2.76 * KEV_GEV / CM_IN_INV_GEV == pytest.approx(5.446e-20, rel=1e-3)
