@@ -1,0 +1,268 @@
+"""The explicit Runge-Kutta method DOP853 with its dense output.
+
+Dormand & Prince's 8th-order method with the 5th/3rd-order error estimate
+and the 7th-degree continuous extension (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4-II.6), written out as scipy's solve_ivp(method="DOP853")
+runs it: the same tableau, initial-step rule, error norm, step-size control
+and minimum-step test.  Only forward integration and scalar tolerances are
+supported, which is all the package uses.
+
+The right-hand side takes and returns plain Python floats, and every stage
+sum is one sum(map(mul, ...)) over a component's stage values, which on the
+3-component background costs less than one numpy product per stage.  The
+three extra dense-output stages are computed with each accepted step; the
+dense-output blocks of all steps are formed at the end, as arrays.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from array import array
+from operator import mul
+from typing import NamedTuple
+
+import numpy as np
+
+RTOL_FLOOR = 100 * sys.float_info.epsilon    # rtol must exceed it: double precision gives no more
+
+SAFETY = 0.9           # step-size control, as in scipy
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1 / 8   # the error estimate is of order 7
+
+# the tableau of scipy.integrate._ivp.dop853_coefficients, bit for bit:
+# C[s] and A[s] (the first s coefficients of row s) for the 16 stages, of
+# which 0-11 make the step, 12 is the derivative at its end and 13-15 serve
+# the dense output only
+C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+     0.7777777777777778)
+A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+B = A[12]       # the 8th-order weights
+# error weights over stages 0-12
+E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+      1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+      -0.022355307863886294, 0.0)
+E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+      0.02265179219836082, 0.0)
+# rows 3-6 of the dense-output block, over all 16 stages
+D = np.array([
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+])
+N_STAGES = len(C)
+_STEP_STAGES = tuple(zip(A[1:12], C[1:12]))
+_DENSE_STAGES = tuple(zip(A[13:], C[13:]))
+
+
+class StepFailure(ArithmeticError):
+    """The integration cannot continue; t is the time it stopped at."""
+
+    def __init__(self, message: str, t: float):
+        super().__init__(message)
+        self.t = t
+
+
+class Steps(NamedTuple):
+    """Accepted steps with their dense output.
+
+    y[:, i] is the state at t[i]; F[:, :, i] is step i's dense-output block:
+    with x the fraction of the step, the state is
+    y[:, i] + x (F0 + (1 - x) (F1 + x (F2 + ...))).
+    """
+
+    t: np.ndarray      # (m + 1,)
+    y: np.ndarray      # (n, m + 1)
+    F: np.ndarray      # (7, n, m)
+
+
+def _rms(values, n: int) -> float:
+    return math.sqrt(sum(v * v for v in values)) / n ** 0.5
+
+
+def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
+                  rtol: float, atol: float) -> float:
+    """Hairer, Norsett & Wanner's starting step, sec. II.4."""
+    n = len(y0)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms((v / s for v, s in zip(y0, scale)), n)
+    d1 = _rms((v / s for v, s in zip(f0, scale)), n)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
+    d2 = _rms(((b - a) / s for a, b, s in zip(f0, f1, scale)), n) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, span)
+
+
+def _stages(fun, t: float, y: list, K: list, h: float, rows) -> None:
+    """Evaluate the stages of rows, appending each to its component's column of K."""
+    for a, c in rows:
+        stage = fun(t + c * h, [v + sum(map(mul, a, col)) * h for v, col in zip(y, K)])
+        for col, k in zip(K, stage):
+            col.append(k)
+
+
+def _step(fun, t: float, y: list, f: list, h: float):
+    """One step of size h from y, with f = fun(t, y).
+
+    Returns y_new, f_new and K, where K[i] holds component i's 13 stage
+    values; the last of them is f_new[i].
+    """
+    K = [[v] for v in f]
+    _stages(fun, t, y, K, h, _STEP_STAGES)
+    y_new = [v + h * sum(map(mul, B, col)) for v, col in zip(y, K)]
+    f_new = fun(t + h, y_new)
+    for col, k in zip(K, f_new):
+        col.append(k)
+    return y_new, f_new, K
+
+
+def _error_norm(y: list, y_new: list, K: list, h: float, rtol: float, atol: float) -> float:
+    """The step's error relative to the tolerances: DOP853's 5th-order
+    estimate, damped by its 3rd-order one."""
+    e5 = e3 = 0.0
+    for v, v_new, col in zip(y, y_new, K):
+        scale = atol + max(abs(v), abs(v_new)) * rtol
+        r5 = sum(map(mul, E5, col)) / scale
+        r3 = sum(map(mul, E3, col)) / scale
+        e5 += r5 * r5
+        e3 += r3 * r3
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    return h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """The dense-output blocks F (7, n, m) of m steps from their 16 stages (m, n, 16)."""
+    h = np.diff(t_nodes)
+    dy = np.diff(y_nodes, axis=1)
+    f_old, f_new = stages[:, :, 0].T, stages[:, :, 12].T
+    F = np.empty((7,) + dy.shape)
+    F[0] = dy
+    F[1] = h * f_old - dy
+    F[2] = 2 * dy - h * (f_new + f_old)
+    F[3:] = h * np.einsum("ds,mns->dnm", D, stages)
+    return F
+
+
+def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
+    """Integrate y' = fun(t, y) from t0 to t1 > t0.
+
+    fun takes a time and a list of floats and returns a list of floats.
+    Raises ValueError for a tolerance the error test cannot resolve, and
+    StepFailure when a stage is not finite or the step size falls below ten
+    float spacings.
+    """
+    if not rtol > RTOL_FLOOR:
+        raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
+    if not atol >= 0:
+        raise ValueError(f"atol must be nonnegative, got {atol!r}")
+    n = len(y0)
+    t = float(t0)
+    y = [float(v) for v in y0]
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
+    ts, ys, ks = array("d", [t]), array("d", y), array("d")
+
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure("the step size fell below ten float spacings", t)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            y_new, f_new, K = _step(fun, t, y, f, h)
+            error = _error_norm(y, y_new, K, h, rtol, atol)
+            if error < 1:
+                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
+                                                           SAFETY * error ** ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            if math.isnan(error):
+                raise StepFailure("a right-hand side value is not finite", t)
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            rejected = True
+        _stages(fun, t, y, K, h, _DENSE_STAGES)
+        for col in K:
+            ks.extend(col)
+        ts.append(t_new)
+        ys.extend(y_new)
+        t, y, f = t_new, y_new, f_new
+
+    t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T
+    F = _dense_output(t_nodes, y_nodes, np.array(ks).reshape(-1, n, N_STAGES))
+    finite = np.isfinite(F).all(axis=(0, 1))
+    if not finite.all():
+        raise StepFailure("a dense-output stage is not finite", t_nodes[np.argmin(finite)])
+    return Steps(t_nodes, y_nodes, F)
+
+
+def evaluate(t_nodes: np.ndarray, y_nodes: np.ndarray, F: np.ndarray, t) -> np.ndarray:
+    """The dense output at times t, shape (n,) + t.shape.
+
+    Each time is evaluated on the step that holds it, in the nested form of
+    scipy's Dop853DenseOutput; every node but the last is reproduced exactly.
+    """
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, len(t_nodes) - 2)
+    x = (t - t_nodes[i]) / (t_nodes[i + 1] - t_nodes[i])
+    y = np.zeros((len(y_nodes),) + t.shape)
+    for k, c in enumerate(F[::-1, :, i]):
+        y += c
+        y *= x if k % 2 == 0 else 1 - x
+    return y + y_nodes[:, i]

@@ -11,9 +11,11 @@ solution phi = v e^{alpha t}, valid while phi is far below the minimum, and
 runs through the end of inflation into the damped-oscillation phase.
 
 The solution is stored once, as the solver produced it: the state at the
-accepted DOP853 steps plus each step's 7th-degree dense-output polynomial
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).  Every query between
-steps evaluates that polynomial.
+accepted steps of the package's DOP853 stepper (_dop853, the method of
+scipy's solve_ivp written out over plain floats) plus each step's
+7th-degree dense-output polynomial (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.6).  Every query between steps evaluates that polynomial, and
+crossings are refined by Brent's method on it.
 
 Internally everything is scaled (time/1e-12 GeV^-1, field/1e19 GeV,
 H/1e14 GeV); the public accessors speak GeV.
@@ -26,9 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from . import _dop853
 from .constants import EFOLD_RATE, FIELD_UNIT, G_NEWTON, HUBBLE_UNIT, TIME_UNIT
 from .potential import DerivedConstants, PotentialParams, derive_constants
 
@@ -40,9 +41,10 @@ DEFAULT_ATOL = 1e-12
 # asymptotic initial data is trusted only while phi stays well below the minimum
 MAX_START_FIELD_FRACTION = 0.15
 
-# brentq tolerances shared by every crossing search on the stored background
+# Brent tolerances shared by every crossing search on the stored background
 CROSSING_XTOL = 1e-24       # GeV^-1
 CROSSING_RTOL = 1e-15
+BRENT_MAXITER = 100
 
 
 class IntegrationError(RuntimeError):
@@ -81,14 +83,70 @@ class _Coeffs:
         self.efold = EFOLD_RATE  # 100
 
     def hubble(self, f, g):
+        """Scaled H at arrays of (f, g)."""
         # factored potential keeps h^2 nonnegative and cancellation-free
-        h2 = self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2
-        return np.sqrt(h2)
+        return np.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
 
     def rhs(self, tau, y):
+        """Scaled (f', g', N') at one state: plain floats in and out, for the stepper."""
         f, g = y[0], y[1]
-        h = self.hubble(f, g)
+        h = math.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
         return [g, -3 * self.efold * h * g + self.k1 * f - self.k2 * f**3, self.efold * h]
+
+
+def _brentq(fn, xpre: float, xcur: float) -> float:
+    """Root of fn between xpre and xcur, where fn has opposite signs.
+
+    A port of the zeroin iteration in scipy's brentq.c (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4): inverse quadratic
+    interpolation or the secant step where it is short enough, bisection
+    otherwise, until the bracket is below CROSSING_XTOL + CROSSING_RTOL |x|.
+    """
+    def value(x):
+        v = float(fn(x))
+        if math.isnan(v):
+            raise ValueError(f"the crossing function is NaN at t = {x!r}")
+        return v
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("the crossing function has the same sign at both ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (CROSSING_XTOL + CROSSING_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 @dataclass
@@ -97,8 +155,9 @@ class BackgroundSolution:
 
     tau, f, g, N hold the state at the accepted steps (the storage nodes).
     coef[:, :, i], of shape (7, 3), is step i's DOP853 dense-output
-    coefficient block for (f, g, N), in scipy's layout: with x the fraction
-    of the step, the state is y_i + x (F0 + (1 - x) (F1 + x (F2 + ...))).
+    coefficient block for (f, g, N), in the layout of _dop853.Steps.F
+    (scipy's): with x the fraction of the step, the state is
+    y_i + x (F0 + (1 - x) (F1 + x (F2 + ...))).
     Arrays live in scaled units; accessor methods take/return GeV.
     """
 
@@ -137,20 +196,10 @@ class BackgroundSolution:
         return np.clip(tau, lo, hi)
 
     def _state(self, tau):
-        """(f, g, N) at scaled times, shape (3,) + tau.shape.
-
-        Evaluates the dense output of the step holding each time in the
-        nested form of scipy's Dop853DenseOutput; every node but the last
-        is reproduced exactly.
-        """
-        tau = np.asarray(tau, dtype=float)
-        i = np.clip(np.searchsorted(self.tau, tau, side="right") - 1, 0, len(self.tau) - 2)
-        x = (tau - self.tau[i]) / (self.tau[i + 1] - self.tau[i])
-        y = np.zeros((3,) + tau.shape)
-        for k, c in enumerate(self.coef[::-1, :, i]):
-            y += c
-            y *= x if k % 2 == 0 else 1 - x
-        return y + self._nodes[:, i]
+        """(f, g, N) at scaled times, shape (3,) + tau.shape, from the dense
+        output of the step holding each time; every node but the last is
+        reproduced exactly."""
+        return _dop853.evaluate(self.tau, self._nodes, self.coef, tau)
 
     # -- public accessors (GeV in, GeV out) -----------------------------------
 
@@ -178,7 +227,7 @@ class BackgroundSolution:
 
         fn takes GeV^-1 and must accept arrays: it is evaluated once on the
         storage nodes in the interval, and the first sign change is refined
-        by brentq.
+        by Brent's method (_brentq).
         """
         grid = self.grid_times
         grid = grid[(grid >= t_lo) & (grid <= t_hi)]
@@ -186,7 +235,7 @@ class BackgroundSolution:
         if idx.size == 0:
             return None
         i = idx[0]
-        return brentq(fn, grid[i], grid[i + 1], xtol=CROSSING_XTOL, rtol=CROSSING_RTOL)
+        return _brentq(fn, float(grid[i]), float(grid[i + 1]))
 
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
@@ -207,7 +256,7 @@ class BackgroundSolution:
 
     # -- serialization ---------------------------------------------------------
 
-    CACHE_FORMAT = 3
+    CACHE_FORMAT = 4
 
     def to_arrays(self) -> dict:
         return {
@@ -275,20 +324,16 @@ def integrate(params: PotentialParams,
     co = _Coeffs(params)
     y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
 
-    sol = solve_ivp(co.rhs, (t_start / TIME_UNIT, t_end / TIME_UNIT), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"solver failed near t = {sol.t[-1] * TIME_UNIT:g}: "
-                               f"{sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise IntegrationError("non-finite state encountered")
+    try:
+        steps = _dop853.solve(co.rhs, t_start / TIME_UNIT, t_end / TIME_UNIT, y0, rtol, atol)
+    except _dop853.StepFailure as exc:
+        raise IntegrationError(f"solver failed near t = {exc.t * TIME_UNIT:g}: {exc}") from None
 
-    f, g, N = sol.y
+    f, g, N = steps.y
     bg = BackgroundSolution(
         params=params, derived=derive_constants(params),
-        t_start=t_start, t_end=t_end, rtol=rtol, atol=atol, tau=sol.t, f=f, g=g, N=N,
-        coef=np.stack([seg.F for seg in sol.sol.interpolants], axis=-1),
-        _coeffs=co,
+        t_start=t_start, t_end=t_end, rtol=rtol, atol=atol, tau=steps.t, f=f, g=g, N=N,
+        coef=steps.F, _coeffs=co,
     )
     _check_midpoint_residual(bg)
     try:

@@ -10,14 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ._dop853 import RTOL_FLOOR
 from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_DA_MPC, DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
-
-
-RTOL_FLOOR = 100 * sys.float_info.epsilon     # solve_ivp's smallest rtol
 
 
 class ConfigError(ValueError):

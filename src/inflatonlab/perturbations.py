@@ -26,6 +26,9 @@ the window start t_a ride along in the mode's ODE state.  They are seeded
 once from the stored solution at t_a and advanced by the same equations the
 background solve uses, so the coefficients a mode sees solve the background
 ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-n} needs no lookup.
+Modes and background go through the same DOP853 stepper (_dop853), whose
+right-hand sides take and return plain floats; the stored trajectory is
+sampled from the mode's own dense output.
 
 Modes are integrated in normalized variables (initial amplitude 1) with the
 exact WKB prefactors reattached afterwards, so the stored trajectories carry
@@ -41,8 +44,8 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .background import BackgroundSolution
 from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
@@ -102,15 +105,22 @@ def _evolve(rhs, tau_a: float, tau_b: float, y0: list,
             rtol: float, atol: float, what: str):
     """Integrate one mode with its background across the scaled window.
 
-    Returns the solver result, the sample times and the sampled state, whose
-    last three rows are the background (f, g, n).
+    Returns the accepted steps, the sample times and the state sampled from
+    the steps' dense output, whose last three rows are the background
+    (f, g, n).
     """
-    msol = solve_ivp(rhs, (tau_a, tau_b), y0, method="DOP853",
-                     rtol=rtol, atol=atol, dense_output=True)
-    if not msol.success:
-        raise ModeError(f"{what} mode solver failed: {msol.message}")
+    try:
+        steps = _dop853.solve(rhs, tau_a, tau_b, y0, rtol, atol)
+    except _dop853.StepFailure as exc:
+        raise ModeError(f"{what} mode solver failed near t = {exc.t * TIME_UNIT:g}: "
+                        f"{exc}") from None
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
-    return msol, taus, msol.sol(taus)
+    return steps, taus, _dop853.evaluate(steps.t, steps.y, steps.F, taus)
+
+
+def _rates(co, Y: np.ndarray) -> np.ndarray:
+    """Background rates (f', g', n') at sampled states, rows like Y's (f, g, n)."""
+    return np.array([co.rhs(None, y) for y in Y.T.tolist()]).T
 
 
 # --- scalar mode ----------------------------------------------------------------
@@ -197,7 +207,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     cp = Y[2] + 1j * Y[3]
     P = Y[4] + 1j * Y[5]
     g_t, n_t = Y[7], Y[8]
-    _, gp_t, Np_t = co.rhs(taus, Y[6:])
+    _, gp_t, Np_t = _rates(co, Y[6:])
     Qv_t = Qt0 * np.exp(-n_t)
 
     # physical normalization
@@ -297,17 +307,17 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
         return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
 
     dp0 = -(co.rhs(tau_a, w.seed)[2] + 1j * Qt0)
-    msol, taus, Y = _evolve(rhs, tau_a, tau_b, [1.0, 0.0, dp0.real, dp0.imag, *w.seed],
-                            rtol, atol, "tensor")
+    steps, taus, Y = _evolve(rhs, tau_a, tau_b, [1.0, 0.0, dp0.real, dp0.imag, *w.seed],
+                             rtol, atol, "tensor")
     d = Y[0] + 1j * Y[1]
     dp = Y[2] + 1j * Y[3]
-    Np_t = co.rhs(taus, Y[4:])[2]
+    Np_t = _rates(co, Y[4:])[2]
 
     # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),
     # measured at the solver's own accepted nodes (interpolation-free)
-    dn = msol.y[0] + 1j * msol.y[1]
-    dpn = msol.y[2] + 1j * msol.y[3]
-    wr = np.exp(3.0 * msol.y[6]) * (np.conj(dn) * dpn).imag
+    dn = steps.y[0] + 1j * steps.y[1]
+    dpn = steps.y[2] + 1j * steps.y[3]
+    wr = np.exp(3.0 * steps.y[6]) * (np.conj(dn) * dpn).imag
     drift = float(np.max(np.abs(wr / wr[0] - 1.0)))
 
     amp0 = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * w.a0)

@@ -376,6 +376,12 @@ def _k_mesh(k_grids: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(np.meshgrid(*k_grids, indexing="ij"), axis=-1)
 
 
+def _finite(j: int, name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise InsufficientDecay(f"observable {j}: {name} overflows the float range")
+    return value
+
+
 def auto_k_grid(model: ToyModel, template: Template | None = None,
                 max_points: int = 4096) -> list[np.ndarray]:
     """Per-observable centered k-grids sized so |Phi| < K_TAIL at the edges.
@@ -390,19 +396,26 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
                                 "choose a positive mu for grid-based inversion")
     grids = []
     for j, (A, C) in enumerate(zip(model.observables, model.weight_ops)):
-        wsum = sum(dt * wrow[j] ** 2 for dt, wrow in template)
+        try:
+            wsum = sum(dt * wrow[j] ** 2 for dt, wrow in template)
+        except OverflowError:       # a float power raises where a product gives inf
+            wsum = math.inf
+        wsum = _finite(j, "the weight sum dt w^2", wsum)
         wabs = sum(dt * abs(wrow[j]) for dt, wrow in template)
         lam = np.linalg.eigvalsh(np.asarray(C, dtype=complex))
         lam_min, lam_max = float(lam[0]), float(lam[-1])
-        if lam_min * wsum <= 0:
+        damping = model.mu4 * wsum * lam_min
+        if not damping > 0:
             raise InsufficientDecay(f"observable {j} has no Gaussian damping")
         # design for a tenth of the target tail: the power-of-two grid rounding
         # leaves the positive edge one dk short of the nominal extent
-        k_max = math.sqrt(2 * math.log(10.0 / K_TAIL) / (model.mu4 * wsum * lam_min))
+        k_max = _finite(j, "k_max", math.sqrt(2 * math.log(10.0 / K_TAIL) / damping))
         a_max = float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(A, dtype=complex)))))
-        theta_max = wabs * a_max + 8 * math.sqrt(model.mu4 * wsum * lam_max) + 1.0
+        theta_max = _finite(j, "theta_max",
+                            wabs * a_max + 8 * math.sqrt(model.mu4 * wsum * lam_max) + 1.0)
         dk = math.pi / theta_max
-        M = max(MIN_K_POINTS, 2 ** math.ceil(math.log2(2 * k_max / dk)))
+        points = _finite(j, "the point count", 2 * k_max / dk)
+        M = max(MIN_K_POINTS, 2 ** math.ceil(math.log2(points)))
         if M > max_points:
             raise InsufficientDecay(
                 f"observable {j} would need {M} k-points (> {max_points}); mu too small")

@@ -64,7 +64,8 @@ def test_invalid_values_rejected(tmp_path):
     # window end, slice duration, scan bound, coupling or experiment value,
     # an empty scan axis, a toy model that breaks its own contract, a toy
     # sweep over no seeds, a toy mu or schedule whose k-grid cannot damp Phi
-    # within its point budget: rejected at load, before any solve
+    # within its point budget or overflows the float range: rejected at load,
+    # before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
                        ({"x_end": "0.01"}, "x_end"),
@@ -76,6 +77,8 @@ def test_invalid_values_rejected(tmp_path):
                        ({"toy": {"seeds": 0}}, "toy.seeds"),
                        ({"toy": {"mu": 0}}, "no k-space damping"),
                        ({"toy": {"schedule": [[1e-6, 1.0]]}}, "would need 8192 k-points"),
+                       ({"toy": {"schedule": [[1.0, 1e200]]}}, "observable 0: the weight sum"),
+                       ({"toy": {"schedule": [[1e-308, 1.0]]}}, "observable 0: k_max"),
                        ({"cache": "no"}, "cache"),
                        ({"rtol": 0}, "rtol"),
                        ({"rtol": 1e-16}, "rtol"),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inflatonlab as il
+from inflatonlab.config import ScanConfig
 from inflatonlab.constants import TWO_PI
 from inflatonlab.perturbations import DEFAULT_X_END, DEFAULT_X_START, tensor_wronskian
 
@@ -99,6 +102,31 @@ def params_free_tensor_amp(report, consts):
 def test_tensor_to_scalar_ratio_consistency(scalar_mode, tensor_mode, report):
     ratio = 4 * abs(tensor_mode.D_plateau) ** 2 / abs(scalar_mode.R_plateau) ** 2
     assert ratio == pytest.approx(16 * report.epsilon, rel=0.25)
+
+
+_BOX = ScanConfig()
+TILT_TOL = 1e-3     # mode tilts against slow roll, as in the benchmark's kband_modes
+
+
+@settings(max_examples=3)
+@given(kappa=st.floats(_BOX.kappa_min, _BOX.kappa_max),
+       lam=st.floats(_BOX.lambda_min, _BOX.lambda_max))
+def test_mode_tilts_match_slow_roll_across_scan_box(kappa, lam, consts):
+    # n_s and n_T fitted from the R and D plateaus 0.3 decades either side of q_R
+    # against the slow-roll report at the pivot exit (ModeCode's check,
+    # Mortonson, Peiris & Easther, arXiv:1007.4205)
+    params = il.PotentialParams(kappa=kappa, lam=lam)
+    sol = il.integrate(params)
+    report = il.spectra_report(params, il.solve_exit_reference(sol, consts))
+    lq, lr, ld = np.array([
+        (math.log(q), math.log(abs(il.integrate_scalar(sol, q, consts).R_plateau) ** 2),
+         math.log(abs(il.integrate_tensor(sol, q, consts).D_plateau) ** 2))
+        for q in consts.q_R * 10.0 ** np.array([-0.3, 0.3])]).T
+    # |R|^2 ~ q^(n_s - 4) and |D|^2 ~ q^(n_T - 3)
+    n_s = (lr[1] - lr[0]) / (lq[1] - lq[0]) + 4
+    n_T = (ld[1] - ld[0]) / (lq[1] - lq[0]) + 3
+    assert abs(n_s - report.n_s) < TILT_TOL
+    assert abs(n_T - report.n_T) < TILT_TOL
 
 
 def test_mode_start_threshold_insensitivity(background, consts, scalar_mode):

@@ -1,0 +1,210 @@
+"""The in-house DOP853 stepper and Brent root finder, with scipy as the
+oracle: scipy is a test dependency only, and the package never imports it."""
+
+import gc
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import weakref
+from operator import mul
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+from scipy.integrate._ivp.rk import DOP853
+from scipy.optimize import brentq
+
+import inflatonlab as il
+from inflatonlab import _dop853
+from inflatonlab.background import (CROSSING_RTOL, CROSSING_XTOL, IntegrationError, _brentq,
+                                    _Coeffs)
+from inflatonlab.constants import TIME_UNIT
+from inflatonlab.perturbations import ModeError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    assert np.array_equal(_dop853.C, scipy_tableau.C)
+    for s in range(scipy_tableau.N_STAGES_EXTENDED):
+        assert np.array_equal(_dop853.A[s], scipy_tableau.A[s, :s])
+        assert not np.any(scipy_tableau.A[s, s:])
+    for ours, theirs in ((_dop853.B, scipy_tableau.B), (_dop853.E3, scipy_tableau.E3),
+                         (_dop853.E5, scipy_tableau.E5), (_dop853.D, scipy_tableau.D)):
+        assert np.array_equal(ours, theirs)
+
+
+def _smooth_rhs(n, seed):
+    """A nonlinear right-hand side of n components without cancellation in its
+    values, so two summation orders of the same stages agree to rounding."""
+    A = (np.random.default_rng(seed).normal(size=(n, n)) / n).tolist()
+
+    def fun(t, y):
+        return [math.sin(t + y[i]) + sum(map(mul, row, y)) for i, row in enumerate(A)]
+    return fun
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from([3, 7, 9]), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(-5, 5), log_h=st.floats(-3, -0.5))
+def test_one_step_matches_scipy(n, seed, t, log_h):
+    # one step from the same (t, y, f, h) as scipy's DOP853 class: the new
+    # state and the dense-output block agree to 1e-14 of the terms each
+    # entry sums (entries of F are differences and may vanish)
+    fun = _smooth_rhs(n, seed)
+    y = np.random.default_rng(seed + 1).normal(size=n).tolist()
+    h = (t + 10**log_h) - t
+    y_new, _, K = _dop853._step(fun, t, y, fun(t, y), h)
+    _dop853._stages(fun, t, y, K, h, _dop853._DENSE_STAGES)
+    F = _dop853._dense_output(np.array([t, t + h]), np.array([y, y_new]).T, np.array([K]))[..., 0]
+
+    ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
+    ref.step()
+    assert ref.h_previous == h            # accepted at the first attempt
+    K_ref = ref.K_extended
+    state_scale = np.abs(y) + np.abs(ref.y) + h * np.abs(K_ref).max(axis=0)
+    assert np.all(np.abs(np.array(y_new) - ref.y) <= 1e-14 * state_scale)
+    F_ref = ref.dense_output().F
+    assert np.all(np.abs(F[:3] - F_ref[:3]) <= 1e-14 * state_scale)
+    assert np.all(np.abs(F[3:] - F_ref[3:]) <= 1e-14 * h * (np.abs(_dop853.D) @ np.abs(K_ref)))
+
+
+def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, consts,
+                                                        monkeypatch):
+    # every solve the package makes, replayed through solve_ivp: the
+    # background (f, g, N), the tensor mode with its background and the
+    # scalar mode with its background
+    calls = []
+    solve = _dop853.solve
+
+    def recorded(fun, t0, t1, y0, rtol, atol):
+        steps = solve(fun, t0, t1, y0, rtol, atol)
+        calls.append((fun, t0, t1, y0, rtol, atol, steps))
+        return steps
+
+    monkeypatch.setattr(_dop853, "solve", recorded)
+    il.integrate(params, t_end=-10e-12)
+    il.integrate_tensor(background, consts.q_R, consts)
+    il.integrate_scalar(background, consts.q_R, consts)
+    assert [len(c[3]) for c in calls] == [3, 7, 9]
+    for fun, t0, t1, y0, rtol, atol, steps in calls:
+        ref = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=True)
+        t = np.linspace(t0, t1, 401)[1:-1]
+        got, want = _dop853.evaluate(steps.t, steps.y, steps.F, t), ref.sol(t)
+        # every state ends in the background (f, g, n): f and n are held to the
+        # bounds of test_dense_output_accuracy_before_end, the mode components
+        # to that relative bound of their largest magnitude
+        assert np.max(np.abs(got[-3] / want[-3] - 1)) < 5e-12
+        assert np.max(np.abs(got[-1] - want[-1])) < 2e-10
+        err = np.max(np.abs(got[:-3] - want[:-3]), axis=1)
+        assert np.all(err < 5e-12 * np.max(np.abs(want[:-3]), axis=1))
+
+
+def _time_in(message):
+    return float(re.search(r"near t = (\S+):", message).group(1))
+
+
+def test_nan_right_hand_side_raises_with_its_time(params, monkeypatch):
+    rhs = _Coeffs.rhs
+    monkeypatch.setattr(_Coeffs, "rhs", lambda self, tau, y:
+                        [math.nan] * 3 if tau > -10.0 else rhs(self, tau, y))
+    with pytest.raises(IntegrationError) as info:
+        il.integrate(params)
+    # the failing step starts within one step (below 0.01 scaled) of the NaNs
+    assert -10.01e-12 < _time_in(str(info.value)) < -10e-12
+
+
+def test_nan_from_the_start_raises_without_looping():
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        if len(calls) > 100:
+            raise RuntimeError("the stepper keeps calling a NaN right-hand side")
+        return [math.nan] * len(y)
+
+    with pytest.raises(_dop853.StepFailure) as info:
+        _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0, 3.0], 1e-10, 1e-12)
+    assert info.value.t == 0.0
+
+
+def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_point,
+                                                       monkeypatch):
+    rhs = _Coeffs.rhs
+    tau_nan = exit_point.t_exit / TIME_UNIT
+    monkeypatch.setattr(_Coeffs, "rhs", lambda self, tau, y:
+                        [math.nan] * 3 if tau > tau_nan else rhs(self, tau, y))
+    for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
+        with pytest.raises(ModeError, match="mode solver failed") as info:
+            integrate_mode(background, consts.q_R, consts)
+        assert exit_point.t_exit - 0.01e-12 < _time_in(str(info.value)) < exit_point.t_exit
+
+
+def test_rtol_at_the_floor_is_rejected(params, background, consts):
+    for rtol in (_dop853.RTOL_FLOOR, 1e-16, 0.0, math.nan):
+        with pytest.raises(ValueError, match="rtol"):
+            _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], rtol, 1e-12)
+    with pytest.raises(ValueError, match="rtol"):
+        il.integrate(params, rtol=_dop853.RTOL_FLOOR)
+    with pytest.raises(ValueError, match="rtol"):
+        il.integrate_scalar(background, consts.q_R, consts, rtol=1e-16)
+    with pytest.raises(ValueError, match="atol"):
+        _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], 1e-10, -1.0)
+
+
+_CROSSING_FAMILIES = (
+    lambda x, c: x * (1 + c * x * x),
+    lambda x, c: math.tanh(c * x) + 0.1 * x**3,
+    lambda x, c: math.expm1(c * x),
+    lambda x, c: math.atan(x) * (1 + 0.5 * math.sin(c * x)),
+)
+
+
+@settings(max_examples=300)
+@given(family=st.integers(0, len(_CROSSING_FAMILIES) - 1), root=st.floats(-3, 3),
+       c=st.floats(0.1, 5), left=st.floats(0.01, 4), right=st.floats(0.01, 4),
+       unit=st.sampled_from([1e-12, 1.0, 1e3]))
+def test_brent_port_returns_scipys_root_bit_for_bit(family, root, c, left, right, unit):
+    # every family has the sign of x - root, so the bracket holds one root
+    def fn(t):
+        return _CROSSING_FAMILIES[family](t / unit - root, c)
+
+    a, b = (root - left) * unit, (root + right) * unit
+    assert _brentq(fn, a, b) == brentq(fn, a, b, xtol=CROSSING_XTOL, rtol=CROSSING_RTOL)
+
+
+def test_brent_port_rejects_nan_and_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda t: math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="same sign"):
+        _brentq(lambda t: t + 1.0, 0.0, 1.0)
+
+
+def test_import_loads_numpy_and_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = "import json, sys, inflatonlab; print(json.dumps(sorted(sys.modules)))"
+    modules = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                        capture_output=True, text=True, check=True).stdout)
+    assert "numpy" in modules
+    assert not [m for m in modules if m.startswith("scipy")]
+
+
+def test_background_is_freed_by_reference_counting(params):
+    # no reference cycle keeps a solution alive until the cycle collector runs
+    gc.disable()
+    try:
+        sol = il.integrate(params)
+        ref = weakref.ref(sol)
+        del sol
+        assert ref() is None
+    finally:
+        gc.enable()
