@@ -318,7 +318,7 @@ def integrate(params: PotentialParams,
     The accepted steps and their dense output are stored as they are; t_I
     is None when phi never reaches v in range.
     """
-    if t_end <= t_start:
+    if not t_start < t_end:         # also false when either end is NaN
         raise ValueError("t_end must exceed t_start")
     ini = initial_state(params, t_start)
     co = _Coeffs(params)

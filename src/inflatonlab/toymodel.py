@@ -30,6 +30,22 @@ stack in blocks of EXPM_BLOCK matrices.  The scaling is Higham's 1-norm
 rule; the refinement of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl.
 31(3):970, 2009), which can save squarings, is not used.
 
+Most of a k-grid need not be exponentiated at all.  The generators of both
+factors of a slice map have the Hermitian part -(mu^4/4) sum_j xi_j^2 C_j,
+so each factor has spectral norm at most exp(-(mu^4/4) dt sum_j xi_j^2
+lam_min(C_j)) (a logarithmic-norm bound).  With ||E_l W E_r||_1 <=
+||E_l||_2 ||W||_1 ||E_r||_2 and |Tr X| <= ||X||_1,
+
+    |Phi(k)| <= ||G[k] W||_1
+             <= ||W||_1 exp(-(mu^4/2) sum_s dt_s sum_j k_j^2 w_sj^2 lam_min(C_j)),
+
+the same Gaussian damping auto_k_grid sizes the grid by.  characteristic_fn
+and reduce_state evaluate only the k-points where this bound reaches
+SKIP_TOL and take the others as exactly zero.  characteristic_fn always
+evaluates the first two and the last index of every axis -- the grid faces
+and the k -> -k mirrors of the upper faces -- so the edge-decay self-check
+and the Hermitian symmetry Phi(-k) = conj Phi(k) compare measured values.
+
 Everything is dimensionless; mu plays the role of a mass in the field
 theory but enters the toy only through mu^4.
 """
@@ -48,6 +64,7 @@ K_TAIL = 1e-10          # |Phi| bound at the k-grid edges: grid design and inver
 MIN_K_POINTS = 64       # smallest k-grid per observable
 CF_MOMENT_STEP = 1e-3   # central-difference step in k for the moments of Phi
 EXPM_BLOCK = 1024       # matrices per block of the stacked exponential: bounds its temporaries
+SKIP_TOL = 1e-12        # k-points whose proven |Phi| bound is below this are not evaluated
 Slice = tuple[float, Sequence[float]]          # (duration, xi per observable)
 Template = Sequence[tuple[float, Sequence[float]]]   # (duration, weight row)
 
@@ -359,6 +376,11 @@ def characteristic_fn(model: ToyModel, template: Template | None,
     The template assigns each slice a duration and a weight row w_s; slice s
     couples xi_j = k_j * w_sj, so the template is the discrete analog of the
     weight profile that smears each observable in time.
+
+    Samples whose proven decay bound (module docstring) is below SKIP_TOL
+    are exactly zero; the true |Phi| there is smaller still.  Indices 0, 1
+    and -1 of every axis, the grid faces and their k -> -k mirrors, are
+    always evaluated.
     """
     if isinstance(k_grids, np.ndarray) and k_grids.ndim == 1:
         k_grids = [k_grids]
@@ -366,14 +388,51 @@ def characteristic_fn(model: ToyModel, template: Template | None,
     if len(k_grids) != model.n_obs:
         raise ValueError("need one k-grid per observable")
     template = _template_for(model, template)
-    W = evolve_density(model, template, _k_mesh(k_grids), model.initial_state)
-    samples = np.trace(W, axis1=-2, axis2=-1)
+    kvecs = _k_mesh(k_grids)
+    faces = np.zeros(kvecs.shape[:-1], dtype=bool)
+    for ax in range(faces.ndim):
+        edge = np.moveaxis(faces, ax, 0)
+        edge[:2] = edge[-1] = True
+    mask, W = _evolve_significant(model, template, kvecs, faces)
+    samples = np.zeros(kvecs.shape[:-1], dtype=complex)
+    samples[mask] = np.trace(W, axis1=-2, axis2=-1)
     return CharacteristicFunction(k_grids=tuple(k_grids), samples=samples, template=template)
 
 
 def _k_mesh(k_grids: Sequence[np.ndarray]) -> np.ndarray:
     """Outer product of per-observable grids as k-vectors, shape (*lengths, n_obs)."""
     return np.stack(np.meshgrid(*k_grids, indexing="ij"), axis=-1)
+
+
+def _smearing(model: ToyModel, template: Template) -> list[tuple[float, np.ndarray]]:
+    """Per observable j: (sum_s dt_s w_sj^2, eigenvalues of C_j), the Gaussian damping."""
+    out = []
+    for j, C in enumerate(model.weight_ops):
+        try:
+            wsum = sum(dt * wrow[j] ** 2 for dt, wrow in template)
+        except OverflowError:       # a float power raises where a product gives inf
+            wsum = math.inf
+        out.append((wsum, np.linalg.eigvalsh(np.asarray(C, dtype=complex))))
+    return out
+
+
+def _decay_bound(model: ToyModel, template: Template, kvecs: np.ndarray) -> np.ndarray:
+    """The module docstring's bound on ||G[k] W||_1 / ||W||_1, shape kvecs.shape[:-1]."""
+    rate = np.array([0.5 * model.mu4 * wsum * lam[0] for wsum, lam in _smearing(model, template)])
+    return np.exp(-np.sum(np.square(kvecs) * rate, axis=-1))
+
+
+def _evolve_significant(model: ToyModel, template: Template, kvecs: np.ndarray,
+                        always=False) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, G[k] W) for the k-points of a stack that the decay bound cannot rule out.
+
+    The mask, shape kvecs.shape[:-1], marks the points whose _decay_bound
+    reaches SKIP_TOL, and those marked in `always`; they are evolved as one
+    stack and returned in C order, shape (count, N, N).
+    """
+    # a NaN bound (k = 0 against an overflowed weight sum) rules nothing out
+    mask = always | ~(_decay_bound(model, template, kvecs) < SKIP_TOL)
+    return mask, evolve_density(model, template, kvecs[mask], model.initial_state)
 
 
 def _finite(j: int, name: str, value: float) -> float:
@@ -387,7 +446,7 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
     """Per-observable centered k-grids sized so |Phi| < K_TAIL at the edges.
 
     Extent from the guaranteed Gaussian damping exp(-mu^4 k^2 sum_s dt w^2
-    lam_min(C)/2); spacing from the spectral supportary of the smeared
+    lam_min(C)/2); spacing from the spectral support of the smeared
     observable plus Gaussian tails (conjugate sampling relation).
     """
     template = _template_for(model, template)
@@ -395,14 +454,9 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
         raise InsufficientDecay("mu = 0 gives no k-space damping; "
                                 "choose a positive mu for grid-based inversion")
     grids = []
-    for j, (A, C) in enumerate(zip(model.observables, model.weight_ops)):
-        try:
-            wsum = sum(dt * wrow[j] ** 2 for dt, wrow in template)
-        except OverflowError:       # a float power raises where a product gives inf
-            wsum = math.inf
+    for j, (A, (wsum, lam)) in enumerate(zip(model.observables, _smearing(model, template))):
         wsum = _finite(j, "the weight sum dt w^2", wsum)
         wabs = sum(dt * abs(wrow[j]) for dt, wrow in template)
-        lam = np.linalg.eigvalsh(np.asarray(C, dtype=complex))
         lam_min, lam_max = float(lam[0]), float(lam[-1])
         damping = model.mu4 * wsum * lam_min
         if not damping > 0:
@@ -417,8 +471,8 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
         points = _finite(j, "the point count", 2 * k_max / dk)
         M = max(MIN_K_POINTS, 2 ** math.ceil(math.log2(points)))
         if M > max_points:
-            raise InsufficientDecay(
-                f"observable {j} would need {M} k-points (> {max_points}); mu too small")
+            raise InsufficientDecay(f"observable {j} would need 2^{M.bit_length() - 1} "
+                                    f"k-points (> {max_points}); mu too small")
         grids.append((np.arange(M) - M // 2) * dk)
     return grids
 
@@ -599,7 +653,9 @@ def reduce_state(model: ToyModel, template: Template | None,
         W_c   = W_num / Tr W_num,
 
     where Tr W_num is the past density at theta_bar.  Conditioning on an
-    outcome whose density underflows raises.
+    outcome whose density underflows raises.  The sum leaves out the
+    k-points whose proven bound ||G[k] W||_1 (module docstring) is below
+    SKIP_TOL.
 
     W_c is always hermitian and trace one, and the Bayes identity
     (conditional future density times past density equals the joint) holds
@@ -618,7 +674,8 @@ def reduce_state(model: ToyModel, template: Template | None,
     for dk in (g[1] - g[0] for g in k_grids):
         cell *= dk / (2 * np.pi)
     kvecs = _k_mesh(k_grids).reshape(-1, len(k_grids))
-    Wk = evolve_density(model, template, kvecs, model.initial_state)
+    mask, Wk = _evolve_significant(model, template, kvecs)
+    kvecs = kvecs[mask]
     # vecdot takes one dot product per k-point and the sum adds the k-points
     # in grid order; a matrix-vector product or tensordot rounds differently
     Wnum = np.sum(np.exp(-1j * np.vecdot(kvecs, theta_bar))[:, None, None] * Wk, axis=0)

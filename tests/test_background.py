@@ -36,6 +36,10 @@ def test_initial_state_rejects_late_start(params):
 def test_integrate_rejects_bad_span(params):
     with pytest.raises(ValueError):
         il.integrate(params, t_start=-25e-12, t_end=-30e-12)
+    # NaN compares false both ways, so it must not slip past the span check
+    for span in ({"t_end": math.nan}, {"t_start": math.nan}):
+        with pytest.raises(ValueError, match="t_end must exceed t_start"):
+            il.integrate(il.PotentialParams(), **span)
 
 
 def test_golden_midrange_row(background):

@@ -51,7 +51,7 @@ def test_malformed_json_rejected(tmp_path):
         load_config(p)
 
 
-def test_invalid_values_rejected(tmp_path):
+def test_invalid_values_rejected(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"gravity": "semiclassical"}))
     with pytest.raises(ConfigError, match="gravity"):
@@ -76,7 +76,7 @@ def test_invalid_values_rejected(tmp_path):
                        ({"toy": {"seeds": 1.5}}, "toy.seeds"),
                        ({"toy": {"seeds": 0}}, "toy.seeds"),
                        ({"toy": {"mu": 0}}, "no k-space damping"),
-                       ({"toy": {"schedule": [[1e-6, 1.0]]}}, "would need 8192 k-points"),
+                       ({"toy": {"schedule": [[1e-6, 1.0]]}}, r"would need 2\^13 k-points"),
                        ({"toy": {"schedule": [[1.0, 1e200]]}}, "observable 0: the weight sum"),
                        ({"toy": {"schedule": [[1e-308, 1.0]]}}, "observable 0: k_max"),
                        ({"cache": "no"}, "cache"),
@@ -108,6 +108,14 @@ def test_invalid_values_rejected(tmp_path):
         with pytest.raises(ConfigError, match=where):
             load_config(p)
         assert main(["modes", "--config", str(p), "--out", str(tmp_path)]) == 2
+    # a mu so small that the grid would need 2^469 k-points: the count is
+    # printed as a power of two, not as a 142-digit integer
+    p.write_text(json.dumps({"toy": {"mu": 1e-70}}))
+    capsys.readouterr()
+    assert main(["mubound", "--config", str(p), "--out", str(tmp_path)]) == 2
+    message = capsys.readouterr().err.strip()
+    assert "observable 0 would need 2^469 k-points" in message
+    assert len(message) < 200
 
 
 def test_toy_model_from_config(tmp_path):

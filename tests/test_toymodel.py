@@ -338,3 +338,96 @@ def test_random_model_cf_normalized_and_hermitian(seed, dim, n_obs):
     inner = phi[(slice(1, None),) * n_obs]
     mirrored = inner[(slice(None, None, -1),) * n_obs]
     assert np.max(np.abs(inner - np.conj(mirrored))) < 1e-10
+
+
+def _full_phi(model, template, grids):
+    """Phi on the whole grid, every k-point evolved: the oracle of the skip."""
+    W = tm.evolve_density(model, template, tm._k_mesh(grids), model.initial_state)
+    return np.trace(W, axis1=-2, axis2=-1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(["random", "psd", "pointer"]),
+       dim=st.integers(2, 4), n_obs=st.integers(1, 2),
+       slices=st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-1.5, 1.5),
+                                 st.floats(-1.5, 1.5)), min_size=1, max_size=3))
+def test_decay_bound_holds_on_the_full_grid(seed, kind, dim, n_obs, slices):
+    # |Phi(k)| <= exp(-(mu^4/2) sum_j k_j^2 sum_s dt_s w_sj^2 lam_min(C_j)) at
+    # every point, for any model class and any multi-slice template; the
+    # Hamiltonian of every model here is non-zero
+    if kind == "pointer":
+        model = tm.pointer_random_model(seed)
+    else:
+        model = tm.random_model(seed, dim=dim, n_obs=n_obs, random_psd_weights=kind == "psd")
+    template = tuple((dt, w[:model.n_obs]) for dt, *w in slices)
+    grids = [np.linspace(-12.0, 12.0, 33)] * model.n_obs
+    phi = _full_phi(model, template, grids)
+    bound = tm._decay_bound(model, template, tm._k_mesh(grids))
+    assert np.all(np.abs(phi) <= bound + 4 * np.finfo(float).eps)
+
+
+def _skip_cases():
+    """(model, template, grids): the battery's marginalization models, 1-observable
+    random and pointer models, and a two-slice template with a Hamiltonian."""
+    for s in range(6):
+        model = tm.random_model(seed=3000 + s, dim=2, n_obs=2)
+        yield model, None, tm.auto_k_grid(model, max_points=256)
+    for s in range(4):
+        model = tm.random_model(seed=s, dim=2 + s % 3, random_psd_weights=s % 2 == 1)
+        yield model, None, tm.auto_k_grid(model)
+        model = tm.pointer_random_model(seed=5000 + s)
+        yield model, None, tm.auto_k_grid(model)
+    model = tm.random_model(seed=4321, dim=3, n_obs=2)
+    template = ((0.5, (1.0, 0.2)), (0.7, (-0.4, 1.0)))
+    yield model, template, tm.auto_k_grid(model, template, max_points=256)
+
+
+def test_skipped_k_points_match_the_full_grid():
+    # evaluated samples are bitwise the full evaluation's; skipped ones are 0
+    # where the full |Phi| is at most SKIP_TOL; the faces and their k -> -k
+    # mirrors are evaluated, so the edge-decay self-check is unchanged
+    skipped = total = 0
+    for model, template, grids in _skip_cases():
+        cf = tm.characteristic_fn(model, template, grids)
+        full = _full_phi(model, cf.template, grids)
+        evaluated = cf.samples != 0
+        assert np.array_equal(cf.samples[evaluated], full[evaluated])
+        assert np.all(np.abs(full[~evaluated]) <= tm.SKIP_TOL)
+        for ax in range(full.ndim):
+            for edge in (0, 1, -1):
+                assert np.all(np.take(evaluated, edge, axis=ax))
+        oracle = tm.CharacteristicFunction(cf.k_grids, full, cf.template)
+        assert cf.edge_decay() == oracle.edge_decay()
+        skipped += np.count_nonzero(~evaluated)
+        total += full.size
+    assert skipped > total / 3       # the skip is not vacuous on these grids
+
+
+def test_reduce_state_skip_matches_the_full_numerator():
+    # the conditioned state from the skipped sum agrees with the one from
+    # every k-point to 1e-10, and so do its trace and hermiticity defects
+    cases = [(tm.pointer_random_model(seed=5000 + s), None, 0.3) for s in range(6)]
+    cases += [(tm.random_model(seed=s, dim=2 + s % 2), None, 0.3) for s in range(4)]
+    cases += [(tm.two_level_model(c1=1.0, c2=1.0, mu=0.7), None, 0.95),
+              (tm.random_model(seed=4321, dim=2), ((0.5, (1.0,)), (0.4, (-0.6,))), -0.2)]
+    for model, template, theta in cases:
+        template = template or ((1.0, (1.0,)),)
+        grids = tm.auto_k_grid(model, template)
+        red = tm.reduce_state(model, template, [theta], k_grids=grids)
+        kvecs = tm._k_mesh(grids).reshape(-1, 1)
+        Wk = tm.evolve_density(model, template, kvecs, model.initial_state)
+        Wnum = np.sum(np.exp(-1j * kvecs[:, 0] * theta)[:, None, None] * Wk, axis=0)
+        Wc = Wnum / np.trace(Wnum)
+        assert np.max(np.abs(red.W_c - Wc)) < 1e-10
+        assert abs(red.trace_defect - abs(np.trace(Wc) - 1.0)) < 1e-10
+        assert abs(red.hermiticity_defect - np.max(np.abs(Wc - Wc.conj().T))) < 1e-10
+
+
+def test_skip_keeps_k_zero_when_the_weight_sum_overflows():
+    # dt w^2 overflows, so the bound is NaN at k = 0 (0 * inf): that point is
+    # still evaluated, and every other one is bounded by exp(-inf) = 0
+    model = tm.two_level_model()
+    k = (np.arange(64) - 32) * 0.1
+    with np.errstate(invalid="ignore"):
+        red = tm.reduce_state(model, ((1.0, (1e200,)),), [0.0], k_grids=[k])
+    assert np.allclose(red.W_c, model.initial_state, rtol=0, atol=1e-15)
