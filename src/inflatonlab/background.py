@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _dop853
 from .constants import EFOLD_RATE, FIELD_UNIT, G_NEWTON, HUBBLE_UNIT, TIME_UNIT
-from .potential import DerivedConstants, PotentialParams, derive_constants
+from .potential import DerivedConstants, PotentialParams, derive_constants, potential
 
 DEFAULT_T_START = -25e-12   # GeV^-1
 DEFAULT_T_END = 15e-12      # GeV^-1
@@ -299,9 +299,7 @@ def initial_state(params: PotentialParams, t_start: float) -> BackgroundState:
             f"{MAX_START_FIELD_FRACTION}; start earlier"
         )
     phidot = der.alpha * phi
-    H = math.sqrt(8 * math.pi * params.G / 3
-                  * (0.5 * phidot**2 + params.kappa**4 / (4 * params.lam)
-                     - 0.5 * params.kappa**2 * phi**2 + 0.25 * params.lam * phi**4))
+    H = math.sqrt(8 * math.pi * params.G / 3 * (0.5 * phidot**2 + potential(params, phi)))
     return BackgroundState(t=t_start, phi=phi, phidot=phidot, H=H, N=0.0)
 
 

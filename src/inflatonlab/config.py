@@ -14,6 +14,7 @@ from ._dop853 import RTOL_FLOOR
 from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_DA_MPC, DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
+from .perturbations import DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END, DEFAULT_X_START
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
 
@@ -66,10 +67,10 @@ class RunConfig:
     z_L: float = DEFAULT_Z_L
     d_A_mpc: float = DEFAULT_DA_MPC
     gravity: str = "quantum"
-    x_start: float = 100.0
-    x_end: float = 0.01
-    mode_rtol: float = 1e-10
-    mode_atol: float = 1e-12
+    x_start: float = DEFAULT_X_START
+    x_end: float = DEFAULT_X_END
+    mode_rtol: float = DEFAULT_MODE_RTOL
+    mode_atol: float = DEFAULT_MODE_ATOL
     out_dir: str = "out"
     format: str = "csv"
     cache: bool = True
@@ -100,12 +101,17 @@ class RunConfig:
             a, b = getattr(self, lo), getattr(self, hi)
             if not a < b:
                 raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
-        # x_end is a value of the ratio q/(aH)
+        # x_end is a value of the ratio q/(aH); z_L > -1 keeps a_L = 1/(1 + z_L) positive
         for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
                             ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0),
-                            ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0)):
+                            ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0),
+                            ("q_R_mpc_inv", 0.0), ("d_A_mpc", 0.0), ("z_L", -1.0)):
             if not getattr(self, name) > floor:
                 raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
+        try:
+            self.cosmo_constants()
+        except ValueError as e:
+            raise ConfigError(f"cosmology: {e}") from e
         sc = self.scan
         if min(sc.kappa_min, sc.kappa_max, sc.lambda_min, sc.lambda_max) <= 0:
             raise ConfigError("scan bounds must be positive")

@@ -14,7 +14,7 @@ of inflation is identified with the last-scattering value a_L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -49,6 +49,8 @@ class CosmoConstants:
     q_R_over_aI: float
 
     def __post_init__(self):
+        if not all(0 < v < math.inf for v in astuple(self)):
+            raise ValueError("constants must be positive and finite")
         if abs(self.r_L - self.d_A / self.a_L) > 1e-3 * self.r_L:
             raise ValueError("r_L inconsistent with d_A / a_L")
         if abs(self.q_R_over_aI - self.q_R / self.a_L) > 1e-2 * self.q_R_over_aI:

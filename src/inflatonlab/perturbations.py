@@ -17,9 +17,9 @@ Tensor sector: Ddd + 3 H Dd + (q^2/a^2) D = 0 with the graviton WKB
 normalization; the bilinear a^3 (D Dd* - D* Dd) is exactly conserved and is
 tracked as an integration-quality gauge.
 
-The classical-gravity switch removes the metric degrees of freedom: tensor
-amplitudes are identically zero and the scalar equation loses its Psi source,
-which leaves the frozen curvature amplitude essentially unchanged.
+Classical gravity is zero metric coupling: Psi's couplings vanish, so Psi
+stays zero and the field equation loses its source, which leaves the frozen
+curvature amplitude essentially unchanged; tensor amplitudes are zero.
 
 Each mode carries its own background: (phi, phidot) and the e-folds n since
 the window start t_a ride along in the mode's ODE state.  They are seeded
@@ -52,6 +52,8 @@ from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
 
 DEFAULT_X_START = 100.0   # q/(aH) at which WKB data is imposed
 DEFAULT_X_END = 0.01      # q/(aH) at which the mode is declared frozen
+DEFAULT_MODE_RTOL = 1e-10
+DEFAULT_MODE_ATOL = 1e-12
 FREEZE_RATE_LIMIT = 1e-3  # |dR/dt| < limit * H |R| defines the plateau
 N_OUTPUT = 800            # samples stored per mode trajectory
 
@@ -68,18 +70,20 @@ class GravityMode(enum.Enum):
 # --- shared helpers -----------------------------------------------------------
 
 class _Window(NamedTuple):
-    """Mode window and the scaled background seed at its start."""
+    """Mode window, the scaled background seed at its start and the WKB start."""
 
     t_a: float          # GeV^-1
     t_b: float
     seed: list          # scaled (f, g, n = 0) at t_a
+    rates: list         # scaled background rates (f', g', n') at t_a
     Qt0: float          # (q/a) * time_unit at t_a
     a0: float           # a(t_a), with a(t_I) = a_L
+    wkb: complex        # c'/c = -(H + i q/a) at t_a, scaled; read by both modes
 
 
 def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
             x_start: float, x_end: float) -> _Window:
-    """Times at which q/(aH) crosses x_start and x_end, and the seed at the first."""
+    """Times at which q/(aH) crosses x_start and x_end, and the data at the first."""
     q_over_aI = q / consts.a_L
     t_I = sol.end_of_inflation()
 
@@ -98,29 +102,55 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
     q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
     f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
-    return _Window(t_a, t_b, seed, q_over_a * TIME_UNIT, q / q_over_a)
+    # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled
+    rates = sol._coeffs.rhs(t_a / TIME_UNIT, seed)
+    Qt0 = q_over_a * TIME_UNIT
+    return _Window(t_a, t_b, seed, rates, Qt0, q / q_over_a, -(rates[2] + 1j * Qt0))
 
 
-def _evolve(rhs, tau_a: float, tau_b: float, y0: list,
-            rtol: float, atol: float, what: str):
+class _Run(NamedTuple):
+    """One mode solved across its window and sampled at N_OUTPUT times."""
+
+    taus: np.ndarray    # scaled sample times
+    z: np.ndarray       # complex mode variables, one row each
+    bg: np.ndarray      # carried background rows (f, g, n)
+    rates: np.ndarray   # background rate rows (f', g', n')
+    x: np.ndarray       # q/(aH)
+    z_nodes: np.ndarray  # z and n at the solver's accepted steps
+    n_nodes: np.ndarray
+
+
+def _evolve(co, rhs, w: _Window, z0: list, rtol: float, atol: float, what: str) -> _Run:
     """Integrate one mode with its background across the scaled window.
 
-    Returns the accepted steps, the sample times and the state sampled from
-    the steps' dense output, whose last three rows are the background
-    (f, g, n).
+    The mode variables z0 start complex and travel as (real, imaginary)
+    float pairs ahead of the background (f, g, n); rhs works on that state.
     """
+    tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
+    y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
     try:
         steps = _dop853.solve(rhs, tau_a, tau_b, y0, rtol, atol)
     except _dop853.StepFailure as exc:
         raise ModeError(f"{what} mode solver failed near t = {exc.t * TIME_UNIT:g}: "
                         f"{exc}") from None
+    m = 2 * len(z0)
+
+    def split(Y):
+        return Y[0:m:2] + 1j * Y[1:m:2], Y[m:]
+
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
-    return steps, taus, _dop853.evaluate(steps.t, steps.y, steps.F, taus)
+    z, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
+    z_nodes, bg_nodes = split(steps.y)
+    rates = np.array([co.rhs(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
+    return _Run(taus, z, bg, rates, w.Qt0 * np.exp(-bg[2]) / rates[2], z_nodes, bg_nodes[2])
 
 
-def _rates(co, Y: np.ndarray) -> np.ndarray:
-    """Background rates (f', g', n') at sampled states, rows like Y's (f, g, n)."""
-    return np.array([co.rhs(None, y) for y in Y.T.tolist()]).T
+def _check_frozen(amplitude: np.ndarray, run: _Run, limit: float, what: str) -> None:
+    """Raise ModeError unless |d amplitude/dt| < limit * H |amplitude| at the
+    window's end; a limit of 0 fails every amplitude."""
+    rate = abs(np.gradient(amplitude, run.taus)[-1]) / (run.rates[2][-1] * abs(amplitude[-1]))
+    if not rate < limit:
+        raise ModeError(f"{what} did not reach its plateau before the end of inflation")
 
 
 # --- scalar mode ----------------------------------------------------------------
@@ -142,7 +172,6 @@ class ScalarMode:
     R: np.ndarray
     q_over_aH: np.ndarray
     R_plateau: complex
-    frozen: bool
     constraint_residual_max: float
     t_start: float
     t_end: float
@@ -152,14 +181,14 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
                      consts: CosmoConstants = DEFAULT_CONSTANTS,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
-                     rtol: float = 1e-10, atol: float = 1e-12,
+                     rtol: float = DEFAULT_MODE_RTOL, atol: float = DEFAULT_MODE_ATOL,
                      gravity: GravityMode = GravityMode.QUANTUM) -> ScalarMode:
     """Evolve (chi, chidot, Psi) for mode q from q/(aH)=x_start to x_end.
 
     Psi(t0) is fixed from the energy constraint evaluated on the WKB field
     data, so the constraint holds exactly at the start and its residual stays
     at integration-error level for the whole run.  In classical-gravity mode
-    Psi is identically zero and the field equation is source-free.
+    Psi's couplings are zero: Psi stays zero and the field equation is source-free.
     """
     T0, F0 = TIME_UNIT, FIELD_UNIT
     co = sol._coeffs
@@ -167,13 +196,11 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     FOURPIG_F2 = 4 * math.pi * sol.params.G * F0**2
 
     w = _window(sol, q, consts, x_start, x_end)
-    tau_a, tau_b = w.t_a / T0, w.t_b / T0
     Qt0 = w.Qt0
     g_a = w.seed[1]
-    # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled
-    _, gp_a, Np_a = co.rhs(tau_a, w.seed)
-    W = FOURPIG_F2 * g_a / Qt0      # eta * F0, dimensionless
-    gpsi = Qt0 / g_a                # source coefficient of the Psi equation
+    quantum = gravity is GravityMode.QUANTUM
+    W = FOURPIG_F2 * g_a / Qt0 if quantum else 0.0    # eta * F0, dimensionless
+    gpsi = Qt0 / g_a if quantum else 0.0             # source coefficient of the Psi equation
 
     def rhs(tau, y):
         c = y[0] + 1j * y[1]
@@ -183,9 +210,6 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
         bg = co.rhs(tau, y[6:])
         Np = bg[2]
         Qv = Qt0 * math.exp(-y[8])
-        if gravity is GravityMode.CLASSICAL:
-            cpp = -3 * Np * cp - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
-            return [cp.real, cp.imag, cpp.real, cpp.imag, 0.0, 0.0, *bg]
         Pp = -Np * P + gpsi * g * c
         Vp_s = -K1 * f + K2 * f**3
         cpp = (-3 * Np * cp
@@ -193,61 +217,43 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
                - 2 * W * Vp_s * P + 4 * W * g * Pp)
         return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
 
-    # normalized initial data: c = 1, c' = -(H + i q/a) scaled, P from the constraint
-    c0 = 1.0 + 0j
-    cp0 = -(Np_a + 1j * Qt0)
-    if gravity is GravityMode.CLASSICAL:
-        P0 = 0j
-    else:
-        P0 = gpsi * (gp_a * c0 - g_a * cp0) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
-
-    y0 = [c0.real, c0.imag, cp0.real, cp0.imag, P0.real, P0.imag, *w.seed]
-    _, taus, Y = _evolve(rhs, tau_a, tau_b, y0, rtol, atol, "scalar")
-    c = Y[0] + 1j * Y[1]
-    cp = Y[2] + 1j * Y[3]
-    P = Y[4] + 1j * Y[5]
-    g_t, n_t = Y[7], Y[8]
-    _, gp_t, Np_t = _rates(co, Y[6:])
-    Qv_t = Qt0 * np.exp(-n_t)
+    # normalized initial data: c = 1, c' = WKB start, P from the constraint
+    P0 = gpsi * (w.rates[1] - g_a * w.wkb) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
+    run = _evolve(co, rhs, w, [1.0 + 0j, w.wkb, P0], rtol, atol, "scalar")
+    c, cp, P = run.z
+    g_t = run.bg[1]
+    _, gp_t, Np_t = run.rates
 
     # physical normalization
     chi0 = 1.0 / (TWO_PI**1.5 * w.a0 * math.sqrt(2 * q))
-    eta = W / F0
     chi = chi0 * c
     chidot = chi0 * cp / T0
-    psi = eta * chi0 * P
+    psi = (W / F0) * chi0 * P
     Rcurv = (chi0 / F0) * (-W * P + (Np_t / g_t) * c)
 
-    # energy-constraint residual, normalized by the largest participating term
-    if gravity is GravityMode.CLASSICAL:
-        res_max = 0.0
-    else:
-        term_psi = (-FOURPIG_F2 * g_t**2 + Qv_t**2) * P
+    # energy-constraint residual, normalized by the largest participating term;
+    # both terms vanish identically under classical gravity
+    res_max = 0.0
+    if quantum:
+        term_psi = (-FOURPIG_F2 * g_t**2 + (Qt0 * np.exp(-run.bg[2]))**2) * P
         term_field = -gpsi * (gp_t * c - g_t * cp)
         res = np.abs(term_psi + term_field) / np.maximum(np.abs(term_psi), np.abs(term_field))
         res_max = float(res.max())
 
-    # plateau detection on the curvature amplitude; the extraction window is
-    # restricted to |phidot| above 1e-6 of its running maximum (removable
-    # singularity of chi/phidot near the oscillation phase, never reached here).
-    # Without the metric degree of freedom the super-horizon combination
-    # H chi/phidot keeps an adiabatic drift of order epsilon*H, so the
-    # classical branch gets a freeze allowance scaled to that drift.
-    gmax = np.maximum.accumulate(np.abs(g_t))
-    valid = np.abs(g_t) > 1e-6 * gmax
-    dR = np.gradient(Rcurv, taus)
-    rate = np.abs(dR) / (Np_t * np.abs(Rcurv))
-    limit = FREEZE_RATE_LIMIT if gravity is GravityMode.QUANTUM else 10 * FREEZE_RATE_LIMIT
-    frozen = bool(valid[-1] and rate[-1] < limit)
-    if not frozen:
-        raise ModeError("curvature amplitude did not reach its plateau before "
-                        "the end of inflation")
-    R_plateau = complex(Rcurv[-1])
+    # the plateau test is trusted only while |phidot| stays above 1e-6 of its
+    # maximum (removable singularity of chi/phidot near the oscillation
+    # phase, never reached here).  Without the metric degree of freedom the
+    # super-horizon combination H chi/phidot keeps an adiabatic drift of
+    # order epsilon*H, so the classical branch gets a freeze allowance scaled
+    # to that drift.
+    limit = FREEZE_RATE_LIMIT if quantum else 10 * FREEZE_RATE_LIMIT
+    trusted = abs(g_t[-1]) > 1e-6 * np.abs(g_t).max()
+    _check_frozen(Rcurv, run, limit if trusted else 0.0, "curvature amplitude")
 
     return ScalarMode(
         q=q, gravity=gravity.value,
-        t=taus * T0, chi=chi, chidot=chidot, psi=psi, R=Rcurv,
-        q_over_aH=Qv_t / Np_t, R_plateau=R_plateau, frozen=frozen,
+        t=run.taus * T0, chi=chi, chidot=chidot, psi=psi, R=Rcurv,
+        q_over_aH=run.x, R_plateau=complex(Rcurv[-1]),
         constraint_residual_max=res_max, t_start=w.t_a, t_end=w.t_b,
     )
 
@@ -265,7 +271,6 @@ class TensorMode:
     Ddot: np.ndarray
     q_over_aH: np.ndarray
     D_plateau: complex
-    frozen: bool
     wronskian_drift: float
     t_start: float
     t_end: float
@@ -275,7 +280,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
                      consts: CosmoConstants = DEFAULT_CONSTANTS,
                      x_start: float = DEFAULT_X_START,
                      x_end: float = DEFAULT_X_END,
-                     rtol: float = 1e-10, atol: float = 1e-12,
+                     rtol: float = DEFAULT_MODE_RTOL, atol: float = DEFAULT_MODE_ATOL,
                      gravity: GravityMode = GravityMode.QUANTUM) -> TensorMode:
     """Evolve the tensor amplitude D_q through horizon exit.
 
@@ -285,15 +290,14 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     T0 = TIME_UNIT
     co = sol._coeffs
     w = _window(sol, q, consts, x_start, x_end)
-    tau_a, tau_b = w.t_a / T0, w.t_b / T0
 
     if gravity is GravityMode.CLASSICAL:
-        taus = np.linspace(tau_a, tau_b, N_OUTPUT)
+        t = np.linspace(w.t_a / T0, w.t_b / T0, N_OUTPUT) * T0
         zeros = np.zeros(N_OUTPUT, dtype=complex)
-        x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, taus * T0))
-        return TensorMode(q=q, gravity=gravity.value, t=taus * T0,
+        x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, t))
+        return TensorMode(q=q, gravity=gravity.value, t=t,
                           D=zeros, Ddot=zeros, q_over_aH=x_t,
-                          D_plateau=0j, frozen=True, wronskian_drift=0.0,
+                          D_plateau=0j, wronskian_drift=0.0,
                           t_start=w.t_a, t_end=w.t_b)
 
     Qt0 = w.Qt0
@@ -306,35 +310,24 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
         dpp = -3 * bg[2] * dp - Qv * Qv * d
         return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
 
-    dp0 = -(co.rhs(tau_a, w.seed)[2] + 1j * Qt0)
-    steps, taus, Y = _evolve(rhs, tau_a, tau_b, [1.0, 0.0, dp0.real, dp0.imag, *w.seed],
-                             rtol, atol, "tensor")
-    d = Y[0] + 1j * Y[1]
-    dp = Y[2] + 1j * Y[3]
-    Np_t = _rates(co, Y[4:])[2]
+    run = _evolve(co, rhs, w, [1.0 + 0j, w.wkb], rtol, atol, "tensor")
+    d, dp = run.z
 
     # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),
     # measured at the solver's own accepted nodes (interpolation-free)
-    dn = steps.y[0] + 1j * steps.y[1]
-    dpn = steps.y[2] + 1j * steps.y[3]
-    wr = np.exp(3.0 * steps.y[6]) * (np.conj(dn) * dpn).imag
+    dn, dpn = run.z_nodes
+    wr = np.exp(3.0 * run.n_nodes) * (np.conj(dn) * dpn).imag
     drift = float(np.max(np.abs(wr / wr[0] - 1.0)))
 
     amp0 = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * w.a0)
     D = amp0 * d
     Ddot = amp0 * dp / T0
-
-    dD = np.gradient(D, taus)
-    rate = np.abs(dD) / (Np_t * np.abs(D))
-    frozen = bool(rate[-1] < FREEZE_RATE_LIMIT)
-    if not frozen:
-        raise ModeError("tensor amplitude did not reach its plateau before "
-                        "the end of inflation")
+    _check_frozen(D, run, FREEZE_RATE_LIMIT, "tensor amplitude")
 
     return TensorMode(
-        q=q, gravity=gravity.value, t=taus * T0, D=D, Ddot=Ddot,
-        q_over_aH=Qt0 * np.exp(-Y[6]) / Np_t, D_plateau=complex(D[-1]),
-        frozen=frozen, wronskian_drift=drift, t_start=w.t_a, t_end=w.t_b,
+        q=q, gravity=gravity.value, t=run.taus * T0, D=D, Ddot=Ddot,
+        q_over_aH=run.x, D_plateau=complex(D[-1]),
+        wronskian_drift=drift, t_start=w.t_a, t_end=w.t_b,
     )
 
 

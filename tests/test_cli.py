@@ -140,6 +140,11 @@ def test_scan_rows_and_consistency(outdir, tmp_path):
     obs = json.loads((outdir / "observables.json").read_text())["report"]
     assert float(first["n_s"]) == pytest.approx(obs["n_s"], rel=1e-5)
     assert float(first["r"]) == pytest.approx(obs["r"], rel=1e-4)
+    # the process pool writes the same bytes as the serial loop
+    pooled = json.loads(cfg.read_text()) | {"workers": 2}
+    cfg.write_text(json.dumps(pooled))
+    assert run(["scan", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 0
+    assert (tmp_path / "scan.csv").read_bytes() == (outdir / "scan.csv").read_bytes()
     # a failing point records its exception type and message in one cell
     cfg.write_text(json.dumps({"t_end": -20e-12,
                                "scan": {"kappa_points": 1, "lambda_points": 1}}))

@@ -64,8 +64,8 @@ def test_invalid_values_rejected(tmp_path, capsys):
     # window end, slice duration, scan bound, coupling or experiment value,
     # an empty scan axis, a toy model that breaks its own contract, a toy
     # sweep over no seeds, a toy mu or schedule whose k-grid cannot damp Phi
-    # within its point budget or overflows the float range: rejected at load,
-    # before any solve
+    # within its point budget or overflows the float range, a cosmology whose
+    # constants are not positive and finite: rejected at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
                        ({"x_end": "0.01"}, "x_end"),
@@ -86,6 +86,13 @@ def test_invalid_values_rejected(tmp_path, capsys):
                        ({"mode_rtol": -1e-10}, "mode_rtol"),
                        ({"mode_atol": 0}, "mode_atol"),
                        ({"x_end": -0.01}, "x_end"),
+                       ({"d_A_mpc": -1}, "d_A_mpc"),
+                       ({"z_L": -3}, "z_L"),
+                       ({"z_L": -1}, "z_L"),
+                       ({"q_R_mpc_inv": -0.05}, "q_R_mpc_inv"),
+                       ({"q_R_mpc_inv": 0}, "q_R_mpc_inv"),
+                       ({"q_R_mpc_inv": 1e-300}, "cosmology"),
+                       ({"d_A_mpc": 1e300}, "cosmology"),
                        ({"toy": {"schedule": [[0.0, 1.0]]}}, "toy.schedule"),
                        ({"toy": {"schedule": [[1.0, 0.0]]}}, "toy.schedule"),
                        ({"scan": {"kappa_min": -1.0}}, "scan bounds"),

@@ -68,7 +68,6 @@ def test_scalar_plateau_flatness(scalar_mode):
     x = scalar_mode.q_over_aH
     dev = np.abs(np.abs(scalar_mode.R) - R0) / R0
     sub = x < 0.04
-    assert scalar_mode.frozen
     assert dev[sub].max() < 1e-3
     settle = x < 0.3
     assert np.all(dev[settle] <= 0.75 * x[settle] ** 2 + 1e-6)
