@@ -49,7 +49,6 @@ from .toymodel import (
     density,
     invert_to_density,
     marginalize,
-    propagate,
     reduce_state,
     two_level_model,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "potential_d1", "potential_d2",
     "CharacteristicFunction", "DensitySamples", "ToyModel",
     "characteristic_fn", "density", "invert_to_density", "marginalize",
-    "propagate", "reduce_state", "two_level_model",
+    "reduce_state", "two_level_model",
     "ClassicalCovariance", "DecayExperiment", "WeightFunction",
     "classical_variance_00", "covariance_matrix", "decay_quantum_variance",
     "mu_bound", "sigma_squared", "weight_overlap",

@@ -138,6 +138,8 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
     d1 = _rms((v / s for v, s in zip(f0, scale)), n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0:      # d0/d1 underflows: the right-hand side outgrows the state
+        raise StepFailure("the starting step underflows to zero", t0)
     f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms(((b - a) / s for a, b, s in zip(f0, f1, scale)), n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -27,10 +27,9 @@ from . import __version__
 from .background import BackgroundSolution, integrate
 from .cache import load_background, save_background
 from .config import ConfigError, RunConfig, load_config
-from .horizon import solve_exit_general, solve_exit_reference
+from .horizon import CosmoConstants, HorizonExit, solve_exit_reference
 from .observables import DEFAULT_TARGETS, compare_targets, spectra_report
 from .perturbations import GravityMode, integrate_scalar, integrate_tensor
-from .potential import PotentialParams
 from .svg import line_chart
 from .toy_battery import run_battery
 from .toymodel import characteristic_fn, auto_k_grid, invert_to_density
@@ -120,22 +119,24 @@ class Writer:
 
 # --- shared pipeline pieces -----------------------------------------------------
 
-def _background(cfg: RunConfig) -> BackgroundSolution:
+def _solve(cfg: RunConfig) -> tuple[BackgroundSolution, CosmoConstants, HorizonExit]:
+    """The background (through the cache when it is on), the cosmology
+    constants and the pivot's horizon exit: the solve every cosmology
+    subcommand starts from."""
     cache_dir = cfg.cache_dir or str(Path(cfg.out_dir) / "cache")
+    sol = None
     if cfg.cache:
         sol = load_background(cfg.params(), cfg.t_start, cfg.t_end,
                               cfg.rtol, cfg.atol, cache_dir)
-        if sol is not None:
-            return sol
-    sol = integrate(cfg.params(), cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
-    if cfg.cache:
-        save_background(sol, cache_dir)
-    return sol
-
-
-def _table_rows(cfg: RunConfig, sol: BackgroundSolution):
+    if sol is None:
+        sol = integrate(cfg.params(), cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
+        if cfg.cache:
+            save_background(sol, cache_dir)
     consts = cfg.cosmo_constants()
-    exit_ = solve_exit_reference(sol, consts)
+    return sol, consts, solve_exit_reference(sol, consts)
+
+
+def _table_rows(sol: BackgroundSolution, consts: CosmoConstants) -> list[list]:
     rows = []
     for t12, *_ in REFERENCE_TABLE:
         t = t12 * 1e-12
@@ -144,14 +145,14 @@ def _table_rows(cfg: RunConfig, sol: BackgroundSolution):
         efolds = sol.efolds_to_end(t)
         ln_term = float(np.log(sol.hubble(t) / consts.q_R_over_aI))
         rows.append([t12, phi, H, efolds, ln_term])
-    return rows, exit_
+    return rows
 
 
 # --- subcommands -----------------------------------------------------------------
 
 def cmd_table1(cfg: RunConfig, w: Writer) -> int:
-    sol = _background(cfg)
-    rows, exit_ = _table_rows(cfg, sol)
+    sol, consts, exit_ = _solve(cfg)
+    rows = _table_rows(sol, consts)
     footer = ["comparison against the published reference rows (dev% = computed/reference - 1)"]
     for (t12, rphi, rH, refold, rln), row in zip(REFERENCE_TABLE, rows):
         devs = []
@@ -179,50 +180,40 @@ def cmd_table1(cfg: RunConfig, w: Writer) -> int:
 
 
 def cmd_figs(cfg: RunConfig, w: Writer) -> int:
-    sol = _background(cfg)
-    consts = cfg.cosmo_constants()
-    exit_ = solve_exit_reference(sol, consts)
+    sol, consts, exit_ = _solve(cfg)
     der = sol.derived
     t_I = sol.end_of_inflation()
 
     ts = np.linspace(cfg.t_start, cfg.t_end, 800)
-    phi = sol.phi(ts) / 1e19
-    H = sol.hubble(ts) / 1e14
     t12 = ts / 1e-12
-    w.csv("fig1_phi.csv", ["t_1e-12_gev_inv", "phi_1e19_gev"],
-          [[a, b] for a, b in zip(t12, phi)])
-    w.text("fig1_phi.svg", line_chart(
-        [("phi(t)/1e19 GeV", t12.tolist(), phi.tolist())],
-        title="inflaton background", xlabel="t / 1e-12 GeV^-1", ylabel="phi / 1e19 GeV",
-        markers=[(t12[-1], der.v / 1e19, f"limit {der.v / 1e19:.3g}")]))
-    w.csv("fig2_hubble.csv", ["t_1e-12_gev_inv", "H_1e14_gev"],
-          [[a, b] for a, b in zip(t12, H)])
-    w.text("fig2_hubble.svg", line_chart(
-        [("H(t)/1e14 GeV", t12.tolist(), H.tolist())],
-        title="expansion rate", xlabel="t / 1e-12 GeV^-1", ylabel="H / 1e14 GeV",
-        markers=[(t12[0], der.hbar_inf / 1e14, f"limit {der.hbar_inf / 1e14:.3g}")]))
-
     # exit construction: e-folds to the end vs the log of the horizon condition
     ts3 = np.linspace(max(cfg.t_start, -10e-12), t_I - 0.02e-12, 600)
-    ef = sol.efolds_to_end(ts3)
-    ln_term = np.log(sol.hubble(ts3) / consts.q_R_over_aI)
     t312 = ts3 / 1e-12
-    w.csv("fig3_exit.csv",
-          ["t_1e-12_gev_inv", "efolds_to_end", "ln_H_aI_over_qR"],
-          [[a, b, c] for a, b, c in zip(t312, ef, ln_term)])
-    w.text("fig3_exit.svg", line_chart(
-        [("efolds to end", t312.tolist(), ef.tolist()),
-         ("ln(H a_I/q_R)", t312.tolist(), ln_term.tolist())],
-        title="horizon-exit construction", xlabel="t / 1e-12 GeV^-1", ylabel="e-folds",
-        markers=[(exit_.t_exit / 1e-12, exit_.efolds_to_end,
-                  f"exit {exit_.t_exit / 1e-12:.3g}")]))
+    # (file stem, times, [(CSV column, legend, values)], chart labels)
+    figures = (
+        ("fig1_phi", t12, [("phi_1e19_gev", "phi(t)/1e19 GeV", sol.phi(ts) / 1e19)],
+         dict(title="inflaton background", ylabel="phi / 1e19 GeV",
+              markers=[(t12[-1], der.v / 1e19, f"limit {der.v / 1e19:.3g}")])),
+        ("fig2_hubble", t12, [("H_1e14_gev", "H(t)/1e14 GeV", sol.hubble(ts) / 1e14)],
+         dict(title="expansion rate", ylabel="H / 1e14 GeV",
+              markers=[(t12[0], der.hbar_inf / 1e14, f"limit {der.hbar_inf / 1e14:.3g}")])),
+        ("fig3_exit", t312,
+         [("efolds_to_end", "efolds to end", sol.efolds_to_end(ts3)),
+          ("ln_H_aI_over_qR", "ln(H a_I/q_R)", np.log(sol.hubble(ts3) / consts.q_R_over_aI))],
+         dict(title="horizon-exit construction", ylabel="e-folds",
+              markers=[(exit_.t_exit / 1e-12, exit_.efolds_to_end,
+                        f"exit {exit_.t_exit / 1e-12:.3g}")])),
+    )
+    for stem, x, columns, labels in figures:
+        w.csv(f"{stem}.csv", ["t_1e-12_gev_inv"] + [c for c, _, _ in columns],
+              np.column_stack([x] + [y for _, _, y in columns]).tolist())
+        series = [(legend, x.tolist(), y.tolist()) for _, legend, y in columns]
+        w.text(f"{stem}.svg", line_chart(series, xlabel="t / 1e-12 GeV^-1", **labels))
     return 0
 
 
 def cmd_observables(cfg: RunConfig, w: Writer) -> int:
-    sol = _background(cfg)
-    consts = cfg.cosmo_constants()
-    exit_ = solve_exit_reference(sol, consts)
+    _, _, exit_ = _solve(cfg)
     report = spectra_report(cfg.params(), exit_, gravity=GravityMode(cfg.gravity))
     comparison = compare_targets(report)
     payload = {
@@ -243,10 +234,8 @@ def cmd_observables(cfg: RunConfig, w: Writer) -> int:
 
 
 def cmd_modes(cfg: RunConfig, w: Writer) -> int:
-    sol = _background(cfg)
-    consts = cfg.cosmo_constants()
+    sol, consts, exit_ = _solve(cfg)
     gravity = GravityMode(cfg.gravity)
-    exit_ = solve_exit_reference(sol, consts)
     report = spectra_report(cfg.params(), exit_, gravity=gravity)
     q = consts.q_R
     sc = integrate_scalar(sol, q, consts, x_start=cfg.x_start, x_end=cfg.x_end,
@@ -333,29 +322,24 @@ def cmd_toy(cfg: RunConfig, w: Writer) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _scan_row(job) -> list:
-    kappa, lam, cfg_dict = job
-    cfg = RunConfig(**cfg_dict)
+def _scan_row(cfg: RunConfig) -> list:
+    """One scan point, solved from its own config without the cache."""
     try:
-        params = PotentialParams(kappa=kappa, lam=lam, G=cfg.G_gev_m2)
-        sol = integrate(params, cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
-        exit_ = solve_exit_general(sol, cfg.cosmo_constants().q_R_over_aI)
-        report = spectra_report(params, exit_, gravity=GravityMode(cfg.gravity))
-        return [kappa, lam, report.n_s, report.NS2, report.r, exit_.t_exit, "ok"]
+        sol = integrate(cfg.params(), cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
+        exit_ = solve_exit_reference(sol, cfg.cosmo_constants())
+        report = spectra_report(cfg.params(), exit_, gravity=GravityMode(cfg.gravity))
+        return [cfg.kappa_gev, cfg.lam, report.n_s, report.NS2, report.r, exit_.t_exit, "ok"]
     except Exception as e:   # failures are recorded per row, never fatal
-        return [kappa, lam, None, None, None, None, f"{type(e).__name__}: {e}"]
+        return [cfg.kappa_gev, cfg.lam, None, None, None, None, f"{type(e).__name__}: {e}"]
 
 
 def cmd_scan(cfg: RunConfig, w: Writer) -> int:
     sc = cfg.scan
     kappas = np.geomspace(sc.kappa_min, sc.kappa_max, sc.kappa_points)
     lams = np.geomspace(sc.lambda_min, sc.lambda_max, sc.lambda_points)
-    cfg_dict = {
-        "G_gev_m2": cfg.G_gev_m2, "t_start": cfg.t_start, "t_end": cfg.t_end,
-        "rtol": cfg.rtol, "atol": cfg.atol, "gravity": cfg.gravity,
-        "q_R_mpc_inv": cfg.q_R_mpc_inv, "z_L": cfg.z_L, "d_A_mpc": cfg.d_A_mpc,
-    }
-    jobs = [(float(k), float(l), cfg_dict) for k in kappas for l in lams]
+    # each point is the validated config with its couplings replaced; it
+    # pickles, so the process pool takes it as it is
+    jobs = [replace(cfg, kappa_gev=float(k), lam=float(l)) for k in kappas for l in lams]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_scan_row, jobs))

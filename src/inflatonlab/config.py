@@ -13,7 +13,7 @@ import numpy as np
 from ._dop853 import RTOL_FLOOR
 from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
-from .horizon import DEFAULT_DA_MPC, DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
+from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .perturbations import DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END, DEFAULT_X_START
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
@@ -65,7 +65,6 @@ class RunConfig:
     atol: float = DEFAULT_ATOL
     q_R_mpc_inv: float = DEFAULT_QR_MPC_INV
     z_L: float = DEFAULT_Z_L
-    d_A_mpc: float = DEFAULT_DA_MPC
     gravity: str = "quantum"
     x_start: float = DEFAULT_X_START
     x_end: float = DEFAULT_X_END
@@ -87,8 +86,7 @@ class RunConfig:
         return PotentialParams(kappa=self.kappa_gev, lam=self.lam, G=self.G_gev_m2)
 
     def cosmo_constants(self) -> CosmoConstants:
-        return CosmoConstants.from_physical(
-            q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L, d_A_mpc=self.d_A_mpc)
+        return CosmoConstants.from_physical(q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L)
 
     def validate(self) -> "RunConfig":
         if self.format not in ("csv", "json"):
@@ -105,7 +103,7 @@ class RunConfig:
         for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
                             ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0),
                             ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0),
-                            ("q_R_mpc_inv", 0.0), ("d_A_mpc", 0.0), ("z_L", -1.0)):
+                            ("q_R_mpc_inv", 0.0), ("z_L", -1.0)):
             if not getattr(self, name) > floor:
                 raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
         try:

@@ -24,7 +24,6 @@ from .constants import MPC_IN_INV_GEV
 
 DEFAULT_QR_MPC_INV = 0.05
 DEFAULT_Z_L = 1089.0
-DEFAULT_DA_MPC = 12.99
 
 
 class NoHorizonExit(RuntimeError):
@@ -33,37 +32,28 @@ class NoHorizonExit(RuntimeError):
 
 @dataclass(frozen=True)
 class CosmoConstants:
-    """Reference wavenumber and last-scattering geometry.
+    """Reference wavenumber and last-scattering scale factor.
 
-    q_R         : GeV, comoving pivot wavenumber
-    a_L         : scale factor at last scattering (a(today) = 1)
-    d_A         : GeV^-1, angular distance of the last-scattering surface
-    r_L         : GeV^-1, radial coordinate d_A / a_L
-    q_R_over_aI : GeV, physical pivot wavenumber at the end of inflation
+    q_R : GeV, comoving pivot wavenumber
+    a_L : scale factor at last scattering (a(today) = 1)
     """
 
     q_R: float
     a_L: float
-    d_A: float
-    r_L: float
-    q_R_over_aI: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in astuple(self)):
-            raise ValueError("constants must be positive and finite")
-        if abs(self.r_L - self.d_A / self.a_L) > 1e-3 * self.r_L:
-            raise ValueError("r_L inconsistent with d_A / a_L")
-        if abs(self.q_R_over_aI - self.q_R / self.a_L) > 1e-2 * self.q_R_over_aI:
-            raise ValueError("q_R_over_aI inconsistent with q_R / a_L")
+        if not all(0 < v < math.inf for v in (*astuple(self), self.q_R_over_aI)):
+            raise ValueError("constants and q_R / a_L must be positive and finite")
+
+    @property
+    def q_R_over_aI(self) -> float:
+        """GeV, physical pivot wavenumber at the end of inflation."""
+        return self.q_R / self.a_L
 
     @classmethod
     def from_physical(cls, q_R_mpc_inv: float = DEFAULT_QR_MPC_INV,
-                      z_L: float = DEFAULT_Z_L,
-                      d_A_mpc: float = DEFAULT_DA_MPC) -> "CosmoConstants":
-        q_R = q_R_mpc_inv / MPC_IN_INV_GEV
-        a_L = 1.0 / (z_L + 1.0)
-        d_A = d_A_mpc * MPC_IN_INV_GEV
-        return cls(q_R=q_R, a_L=a_L, d_A=d_A, r_L=d_A / a_L, q_R_over_aI=q_R / a_L)
+                      z_L: float = DEFAULT_Z_L) -> "CosmoConstants":
+        return cls(q_R=q_R_mpc_inv / MPC_IN_INV_GEV, a_L=1.0 / (z_L + 1.0))
 
 
 DEFAULT_CONSTANTS = CosmoConstants.from_physical()

@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -88,8 +87,11 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
     t_I = sol.end_of_inflation()
 
     def crossing(level):
-        # q/(aH) = level is the exit condition of the wavenumber q/level
-        t = sol.first_crossing(partial(log_q_over_aH, sol, q_over_aI / level), sol.t_start, t_I)
+        # ln(q/(aH)) - ln(level) changes sign; in log space, since q/level
+        # underflows for an extreme level
+        log_level = math.log(level)
+        t = sol.first_crossing(lambda t: log_q_over_aH(sol, q_over_aI, t) - log_level,
+                               sol.t_start, t_I)
         if t is None:
             raise ModeError(
                 f"q/(aH) never reaches {level:g} before the end of inflation")
@@ -99,7 +101,11 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
     t_b = crossing(x_end)
     if not t_a < t_b:
         raise ModeError("degenerate mode window")
-    q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
+    try:
+        q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
+    except OverflowError:
+        raise ModeError(f"a_I/a at the window start overflows the float range; "
+                        f"x_start = {x_start:g} is too large") from None
     f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
     # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled

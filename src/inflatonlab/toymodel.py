@@ -65,7 +65,6 @@ MIN_K_POINTS = 64       # smallest k-grid per observable
 CF_MOMENT_STEP = 1e-3   # central-difference step in k for the moments of Phi
 EXPM_BLOCK = 1024       # matrices per block of the stacked exponential: bounds its temporaries
 SKIP_TOL = 1e-12        # k-points whose proven |Phi| bound is below this are not evaluated
-Slice = tuple[float, Sequence[float]]          # (duration, xi per observable)
 Template = Sequence[tuple[float, Sequence[float]]]   # (duration, weight row)
 
 
@@ -300,8 +299,10 @@ def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) ->
     """G[k] W for every coupling vector k of a stack, shape (..., n_obs).
 
     Slice s of the template couples xi = k * w_s; all k-points advance
-    together through the slices.  Returns the evolved operators, shape
-    (..., N, N).
+    together through the slices, later slices acting on the left.  Returns
+    the evolved operators, shape (..., N, N); W may itself be a stack that
+    broadcasts against the k-points.  This is the only construction of the
+    slice-ordered map: Phi, the moments and the reduced state all read it.
     """
     kvecs = np.asarray(kvecs, dtype=float)
     if kvecs.shape[-1:] != (model.n_obs,) or any(len(w) != model.n_obs for _, w in template):
@@ -313,21 +314,6 @@ def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) ->
     if not np.all(np.isfinite(W)):
         raise FloatingPointError("non-finite entries during propagation")
     return W
-
-
-def propagate(model: ToyModel, schedule: Sequence[Slice]) -> np.ndarray:
-    """Slice-ordered propagator as an explicit N^2 x N^2 superoperator matrix.
-
-    Empty schedules give the identity.  Later slices compose on the left:
-    propagate(S1 + S2) = propagate(S2) @ propagate(S1).
-    """
-    G = np.eye(model.dim**2, dtype=complex)
-    for dt, xi in schedule:
-        El, Er = _slice_factors(model, xi, dt)
-        G = np.kron(El, Er.T) @ G
-    if not np.all(np.isfinite(G)):
-        raise FloatingPointError("non-finite entries in the propagator")
-    return G
 
 
 # --- characteristic function and density -----------------------------------------
@@ -586,13 +572,11 @@ def cf_moments(model: ToyModel) -> tuple[np.ndarray, np.ndarray]:
 
     mean_j = -i dPhi/dk_j,  second_ij = - d2 Phi / dk_i dk_j.
     """
-    template = _template_for(model, None)
     n = model.n_obs
     h = CF_MOMENT_STEP
-    # Phi on the stencil {-h, 0, h}^n, indexed by the step signs plus one
-    stencil = _k_mesh([np.array([-h, 0.0, h])] * n)
-    samples = np.trace(evolve_density(model, template, stencil, model.initial_state),
-                       axis1=-2, axis2=-1)
+    # Phi on the stencil {-h, 0, h}^n, indexed by the step signs plus one;
+    # every point of a three-point axis is a face, so none is skipped
+    samples = characteristic_fn(model, None, [np.array([-h, 0.0, h])] * n).samples
 
     def phi(steps):
         return complex(samples[tuple(steps + 1)])

@@ -23,12 +23,17 @@ def test_invalid_config_exit_code(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
-def test_contract_violation_exit_code(tmp_path):
+def test_contract_violation_exit_code(tmp_path, capsys):
     cfg = tmp_path / "short.json"
     # integration window too short for any horizon exit
     cfg.write_text(json.dumps({"t_start": -25e-12, "t_end": -20e-12}))
     assert run(["observables", "--config", str(cfg), "--out", str(tmp_path),
                 "--no-cache"]) == 1
+    # a mode window whose start overflows q/a is a named mode error
+    cfg.write_text(json.dumps({"x_start": 1e300}))
+    capsys.readouterr()
+    assert run(["modes", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 1
+    assert "error: ModeError:" in capsys.readouterr().err
 
 
 def test_table1_layout_and_footer(outdir):

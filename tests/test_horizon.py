@@ -12,19 +12,18 @@ from inflatonlab.perturbations import DEFAULT_X_END, DEFAULT_X_START, _window
 
 
 def test_constants_invariants(consts):
-    assert consts.r_L == pytest.approx(consts.d_A / consts.a_L, rel=1e-3)
     assert consts.q_R_over_aI == pytest.approx(consts.q_R / consts.a_L, rel=1e-2)
-    # published values: q_R = 3.193e-40 GeV, q_R/a_I = 3.490e-37 GeV,
-    # r_L = 2.217e42 GeV^-1; unit-conversion digits differ below the percent
+    # published values: q_R = 3.193e-40 GeV, q_R/a_I = 3.490e-37 GeV;
+    # unit-conversion digits differ below the percent
     assert consts.q_R == pytest.approx(3.193e-40, rel=5e-3)
     assert consts.q_R_over_aI == pytest.approx(3.490e-37, rel=5e-3)
-    assert consts.r_L == pytest.approx(2.217e42, rel=5e-3)
     assert consts.a_L == pytest.approx(1 / 1090, rel=1e-12)
 
 
 def test_constants_validation():
-    with pytest.raises(ValueError):
-        il.CosmoConstants(q_R=1e-40, a_L=1e-3, d_A=1e39, r_L=1e39, q_R_over_aI=1e-37)
+    for q_R, a_L in ((0.0, 1e-3), (1e-40, -1e-3), (1e-40, math.inf), (5e-324, 1e3)):
+        with pytest.raises(ValueError):
+            il.CosmoConstants(q_R=q_R, a_L=a_L)
 
 
 def test_exit_residual_and_reconstruction(background, exit_point, consts):
@@ -100,6 +99,6 @@ def test_no_exit_raises(background):
 
 
 def test_config_overridable_constants():
-    c = il.CosmoConstants.from_physical(q_R_mpc_inv=0.10, z_L=1100.0, d_A_mpc=13.2)
+    c = il.CosmoConstants.from_physical(q_R_mpc_inv=0.10, z_L=1100.0)
     assert c.q_R == pytest.approx(2 * il.DEFAULT_CONSTANTS.q_R, rel=1e-12)
     assert c.a_L == pytest.approx(1 / 1101, rel=1e-12)

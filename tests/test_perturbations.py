@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import inflatonlab as il
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import TWO_PI
-from inflatonlab.perturbations import DEFAULT_X_END, DEFAULT_X_START, tensor_wronskian
+from inflatonlab.perturbations import (DEFAULT_X_END, DEFAULT_X_START, ModeError,
+                                       tensor_wronskian)
 
 
 def _start_scale_factor(background, consts, mode):
@@ -132,6 +133,16 @@ def test_mode_start_threshold_insensitivity(background, consts, scalar_mode):
     # starting twice as deep moves the frozen amplitude at the (aH/q)^2 level
     deeper = il.integrate_scalar(background, consts.q_R, consts, x_start=200.0)
     assert abs(deeper.R_plateau) == pytest.approx(abs(scalar_mode.R_plateau), rel=1e-3)
+
+
+@settings(max_examples=10)
+@given(x_start=st.floats(1e300, 1e308, exclude_min=True, exclude_max=True))
+def test_extreme_x_start_is_a_mode_error(background, consts, x_start):
+    # q/level would underflow and q/a at the window start overflows: the
+    # crossing search runs in log space and the overflow names x_start
+    for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
+        with pytest.raises(ModeError, match="x_start"):
+            integrate_mode(background, consts.q_R, consts, x_start=x_start)
 
 
 def test_classical_mode_scalar(background, consts, scalar_mode):

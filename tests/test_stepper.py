@@ -136,6 +136,17 @@ def test_nan_from_the_start_raises_without_looping():
     assert info.value.t == 0.0
 
 
+def test_starting_step_underflow_raises(background, consts):
+    # |f/scale| squares past the float range, so 0.01 d0/d1 is zero: a
+    # named failure at t0, not a division by zero
+    with pytest.raises(_dop853.StepFailure, match="starting step") as info:
+        _dop853.solve(lambda t, y: [1e200 * v for v in y], 0.0, 1.0, [1.0], 1e-10, 1e-12)
+    assert info.value.t == 0.0
+    # a mode started at q/(aH) = 1e100 oscillates that fast
+    with pytest.raises(ModeError, match="starting step"):
+        il.integrate_tensor(background, consts.q_R, consts, x_start=1e100)
+
+
 def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_point,
                                                        monkeypatch):
     rhs = _Coeffs.rhs

@@ -98,9 +98,17 @@ def test_apply_kernel_dimension_mismatch():
         _kernel_matrix(model, [0.1, 0.2])
 
 
+def _slice_map(model, template, k):
+    """The map W -> G[k] W as an N^2 x N^2 matrix on the row-major vec of W,
+    assembled from evolve_density on the N^2 matrix units."""
+    n2 = model.dim**2
+    units = np.eye(n2, dtype=complex).reshape(n2, model.dim, model.dim)
+    return tm.evolve_density(model, template, k, units).reshape(n2, n2).T
+
+
 def test_empty_schedule_is_identity():
     model = tm.random_model(seed=3, dim=3)
-    G = tm.propagate(model, [])
+    G = _slice_map(model, [], [1.0])
     assert np.allclose(G, np.eye(9), atol=0)
 
 
@@ -110,7 +118,7 @@ def test_propagator_matches_generator_exponential():
     model = tm.random_model(seed=4, dim=2)
     xi = [0.6]
     dt = 0.8
-    G_fast = tm.propagate(model, [(dt, xi)])
+    G_fast = _slice_map(model, [(dt, [1.0])], xi)
     M = _liouvillian(model) + _kernel_matrix(model, xi)
     assert np.allclose(G_fast, expm(dt * M), atol=1e-12)
 
