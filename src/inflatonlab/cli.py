@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: table1, figs, observables, modes, mubound, toy, scan.
-Global flags: --config PATH, --out DIR, --format csv|json,
---gravity quantum|classical, --no-cache.
+Global flags: --config PATH, --out DIR, --gravity quantum|classical,
+--no-cache.
 Exit codes: 0 success, 1 contract violation, 2 invalid configuration.
+`scan` runs its points in parallel on the machine's CPUs and writes the
+same bytes as a serial run.
 
 All floating-point output is pinned to 6 significant digits so identical
 configurations produce byte-identical files; every output file goes
@@ -16,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -166,16 +169,8 @@ def cmd_table1(cfg: RunConfig, w: Writer) -> int:
                   f"GeV^-1, phi = {_fmt(exit_.phi_exit / 1e19)}e19 GeV, "
                   f"H = {_fmt(exit_.H_exit / 1e14)}e14 GeV, "
                   f"efolds-to-end = {_fmt(exit_.efolds_to_end)}")
-    header = ["t_1e-12_gev_inv", "phi_1e19_gev", "H_1e14_gev",
-              "efolds_to_end", "ln_H_aI_over_qR"]
-    if cfg.format == "json":
-        w.json("table1.json", {
-            "header": header,
-            "rows": [[None if x is None else float(x) for x in r] for r in rows],
-            "comparison": footer,
-        })
-    else:
-        w.csv("table1.csv", header, rows, footer_lines=footer)
+    w.csv("table1.csv", ["t_1e-12_gev_inv", "phi_1e19_gev", "H_1e14_gev",
+                         "efolds_to_end", "ln_H_aI_over_qR"], rows, footer_lines=footer)
     return 0
 
 
@@ -226,10 +221,9 @@ def cmd_observables(cfg: RunConfig, w: Writer) -> int:
         },
     }
     w.json("observables.json", payload)
-    if cfg.format == "csv":
-        d = report.to_dict()
-        keys = sorted(d)
-        w.csv("observables.csv", keys, [[d[k] for k in keys]])
+    d = report.to_dict()
+    keys = sorted(d)
+    w.csv("observables.csv", keys, [[d[k] for k in keys]])
     return 0
 
 
@@ -338,13 +332,10 @@ def cmd_scan(cfg: RunConfig, w: Writer) -> int:
     kappas = np.geomspace(sc.kappa_min, sc.kappa_max, sc.kappa_points)
     lams = np.geomspace(sc.lambda_min, sc.lambda_max, sc.lambda_points)
     # each point is the validated config with its couplings replaced; it
-    # pickles, so the process pool takes it as it is
+    # pickles, so the process pool takes it as it is, and map keeps job order
     jobs = [replace(cfg, kappa_gev=float(k), lam=float(l)) for k in kappas for l in lams]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_scan_row, jobs))
-    else:
-        rows = [_scan_row(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        rows = list(pool.map(_scan_row, jobs))
     w.csv("scan.csv", ["kappa_gev", "lambda", "n_s", "NS2", "r",
                        "t_exit_gev_inv", "status"], rows)
     return 0
@@ -365,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
     common.add_argument("--out", metavar="DIR", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--gravity", choices=("quantum", "classical"), default=None)
     common.add_argument("--no-cache", action="store_true")
     parser = argparse.ArgumentParser(
@@ -384,8 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     overrides: dict = {}
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
     if args.gravity is not None:
         overrides["gravity"] = args.gravity
     if args.no_cache:

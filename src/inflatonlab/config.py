@@ -14,7 +14,8 @@ from ._dop853 import RTOL_FLOOR
 from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
-from .perturbations import DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END, DEFAULT_X_START
+from .perturbations import (DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END,
+                            DEFAULT_X_START, MAX_X_START)
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
 
@@ -71,10 +72,8 @@ class RunConfig:
     mode_rtol: float = DEFAULT_MODE_RTOL
     mode_atol: float = DEFAULT_MODE_ATOL
     out_dir: str = "out"
-    format: str = "csv"
     cache: bool = True
     cache_dir: str | None = None
-    workers: int = 1
     scan: ScanConfig = field(default_factory=ScanConfig)
     toy: ToyConfig = field(default_factory=ToyConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
@@ -89,16 +88,14 @@ class RunConfig:
         return CosmoConstants.from_physical(q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L)
 
     def validate(self) -> "RunConfig":
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.gravity not in ("quantum", "classical"):
             raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         for lo, hi in (("t_start", "t_end"), ("x_end", "x_start")):
             a, b = getattr(self, lo), getattr(self, hi)
             if not a < b:
                 raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
+        if not self.x_start <= MAX_X_START:
+            raise ConfigError(f"x_start must not exceed {MAX_X_START:g}, got {self.x_start!r}")
         # x_end is a value of the ratio q/(aH); z_L > -1 keeps a_L = 1/(1 + z_L) positive
         for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
                             ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0),

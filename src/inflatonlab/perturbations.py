@@ -50,6 +50,11 @@ from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
 
 DEFAULT_X_START = 100.0   # q/(aH) at which WKB data is imposed
+# The leading-order start error falls as about 1/x_start^2, to about 1e-8 at
+# 1e4, far below the 6 significant digits every output carries; a mode's cost
+# grows linearly with x_start (the stepper keeps each step's dense output), so
+# a larger start buys nothing and can run for hours.
+MAX_X_START = 1e4
 DEFAULT_X_END = 0.01      # q/(aH) at which the mode is declared frozen
 DEFAULT_MODE_RTOL = 1e-10
 DEFAULT_MODE_ATOL = 1e-12

@@ -356,7 +356,7 @@ class CharacteristicFunction:
 
 
 def characteristic_fn(model: ToyModel, template: Template | None,
-                      k_grids: Sequence[np.ndarray] | np.ndarray) -> CharacteristicFunction:
+                      k_grids: Sequence[np.ndarray]) -> CharacteristicFunction:
     """Sample Phi over the outer product of per-observable k-grids.
 
     The template assigns each slice a duration and a weight row w_s; slice s
@@ -368,8 +368,6 @@ def characteristic_fn(model: ToyModel, template: Template | None,
     and -1 of every axis, the grid faces and their k -> -k mirrors, are
     always evaluated.
     """
-    if isinstance(k_grids, np.ndarray) and k_grids.ndim == 1:
-        k_grids = [k_grids]
     k_grids = [np.asarray(g, dtype=float) for g in k_grids]
     if len(k_grids) != model.n_obs:
         raise ValueError("need one k-grid per observable")
@@ -465,7 +463,7 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
 
 @dataclass(frozen=True)
 class DensitySamples:
-    """Probability density on centered theta-grids, plus its moment table."""
+    """Probability density on centered theta-grids, with its per-axis moments."""
 
     theta_grids: tuple[np.ndarray, ...]
     p: np.ndarray                # real
@@ -492,20 +490,13 @@ class DensitySamples:
                                           axes=self.p.ndim) * cell))
         return np.array(out)
 
-    def second_moments(self) -> np.ndarray:
-        cell = self.cell()
-        n = len(self.theta_grids)
-        out = np.empty((n, n))
-        for i in range(n):
-            mi = _axis_mesh(self.theta_grids[i], self.p.shape, i)
-            for j in range(i, n):
-                mj = _axis_mesh(self.theta_grids[j], self.p.shape, j)
-                out[i, j] = out[j, i] = float(np.sum(self.p * mi * mj) * cell)
-        return out
-
     def variance(self) -> np.ndarray:
-        m = self.mean()
-        return np.diag(self.second_moments()) - m**2
+        cell = self.cell()
+        second = []
+        for ax, grid in enumerate(self.theta_grids):
+            mesh = _axis_mesh(grid, self.p.shape, ax)
+            second.append(float(np.sum(self.p * mesh * mesh) * cell))
+        return np.array(second) - self.mean()**2
 
     def interp(self, theta: Sequence[float]) -> float:
         """Multilinear interpolation of p at an arbitrary point."""

@@ -56,10 +56,8 @@ def test_invalid_values_rejected(tmp_path, capsys):
     p.write_text(json.dumps({"gravity": "semiclassical"}))
     with pytest.raises(ConfigError, match="gravity"):
         load_config(p)
-    p.write_text(json.dumps({"format": "xml"}))
-    with pytest.raises(ConfigError, match="format"):
-        load_config(p)
-    # empty integration span, inverted mode window, values of the wrong
+    # empty integration span, inverted mode window, a mode window start past
+    # its bound, the removed output-format and worker keys, values of the wrong
     # type, tolerances the solver would silently replace, a non-positive
     # window end, slice duration, scan bound, coupling or experiment value,
     # an empty scan axis, a toy model that breaks its own contract, a toy
@@ -68,9 +66,12 @@ def test_invalid_values_rejected(tmp_path, capsys):
     # constants are not positive and finite: rejected at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
                        ({"x_start": 0.001}, "x_start"),
+                       ({"x_start": 2e4}, "x_start must not exceed 10000"),
+                       ({"x_start": 1e300}, "x_start must not exceed 10000"),
+                       ({"format": "xml"}, "unknown config key 'format'"),
+                       ({"workers": "2"}, "unknown config key 'workers'"),
                        ({"x_end": "0.01"}, "x_end"),
                        ({"kappa_gev": "8e12"}, "kappa_gev"),
-                       ({"workers": "2"}, "workers"),
                        ({"toy": {"mu": "x"}}, "toy.mu"),
                        ({"toy": {"schedule": [[1.0]]}}, r"toy.schedule\[0\]"),
                        ({"toy": {"seeds": 1.5}}, "toy.seeds"),
@@ -114,6 +115,9 @@ def test_invalid_values_rejected(tmp_path, capsys):
         with pytest.raises(ConfigError, match=where):
             load_config(p)
         assert main(["modes", "--config", str(p), "--out", str(tmp_path)]) == 2
+    # the x_start bound itself is accepted
+    p.write_text(json.dumps({"x_start": 1e4}))
+    assert load_config(p).x_start == 1e4
     # a mu so small that the grid would need 2^469 k-points: the count is
     # printed as a power of two, not as a 142-digit integer
     p.write_text(json.dumps({"toy": {"mu": 1e-70}}))
