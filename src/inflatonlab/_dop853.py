@@ -7,11 +7,14 @@ runs it: the same tableau, initial-step rule, error norm, step-size control
 and minimum-step test.  Only forward integration and scalar tolerances are
 supported, which is all the package uses.
 
-The right-hand side takes and returns plain Python floats, and every stage
-sum is one sum(map(mul, ...)) over a component's stage values, which on the
-3-component background costs less than one numpy product per stage.  The
-three extra dense-output stages are computed with each accepted step; the
-dense-output blocks of all steps are formed at the end, as arrays.
+The right-hand side takes and returns plain Python floats, and each stage is
+written out as one statement, as in Hairer's dop853.f: a comprehension over the
+components whose stage sum names the nonzero coefficients of its tableau row,
+left to right.  Skipping the structural zeros drops only 0.0 * k terms, which
+are exact for finite k, so every sum rounds as the full row would.  On the
+3-component background this costs less than one numpy product per stage.
+The three extra dense-output stages are computed with each accepted step;
+the dense-output blocks of all steps are formed at the end, as arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -100,8 +102,27 @@ D = np.array([
      -149.72683625798564),
 ])
 N_STAGES = len(C)
-_STEP_STAGES = tuple(zip(A[1:12], C[1:12]))
-_DENSE_STAGES = tuple(zip(A[13:], C[13:]))
+
+# the coefficients by name for the stage lines below, structural zeros as _;
+# the stage lines skip those zeros
+_, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = C
+a10, = A[1]
+a20, a21 = A[2]
+a30, _, a32 = A[3]
+a40, _, a42, a43 = A[4]
+a50, _, _, a53, a54 = A[5]
+a60, _, _, a63, a64, a65 = A[6]
+a70, _, _, a73, a74, a75, a76 = A[7]
+a80, _, _, a83, a84, a85, a86, a87 = A[8]
+a90, _, _, a93, a94, a95, a96, a97, a98 = A[9]
+a100, _, _, a103, a104, a105, a106, a107, a108, a109 = A[10]
+a110, _, _, a113, a114, a115, a116, a117, a118, a119, a1110 = A[11]
+a130, _, _, _, _, _, a136, a137, a138, a139, a1310, a1311, a1312 = A[13]
+a140, _, _, _, _, a145, a146, a147, _, _, a1410, a1411, a1412, a1413 = A[14]
+a150, _, _, _, _, a155, a156, a157, a158, _, _, _, a1512, a1513, a1514 = A[15]
+b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = B
+e50, _, _, _, _, e55, e56, e57, e58, e59, e510, e511, _ = E5
+e30, _, _, _, _, e35, e36, e37, e38, e39, e310, e311, _ = E3
 
 
 class StepFailure(ArithmeticError):
@@ -149,37 +170,76 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
     return min(100 * h0, h1, span)
 
 
-def _stages(fun, t: float, y: list, K: list, h: float, rows) -> None:
-    """Evaluate the stages of rows, appending each to its component's column of K."""
-    for a, c in rows:
-        stage = fun(t + c * h, [v + sum(map(mul, a, col)) * h for v, col in zip(y, K)])
-        for col, k in zip(K, stage):
-            col.append(k)
-
-
 def _step(fun, t: float, y: list, f: list, h: float):
     """One step of size h from y, with f = fun(t, y).
 
-    Returns y_new, f_new and K, where K[i] holds component i's 13 stage
-    values; the last of them is f_new[i].
+    Returns y_new and the list K of the stages k0 ... k12, each a list over
+    the components; k0 is f and k12 = fun(t + h, y_new).
     """
-    K = [[v] for v in f]
-    _stages(fun, t, y, K, h, _STEP_STAGES)
-    y_new = [v + h * sum(map(mul, B, col)) for v, col in zip(y, K)]
-    f_new = fun(t + h, y_new)
-    for col, k in zip(K, f_new):
-        col.append(k)
-    return y_new, f_new, K
+    k0 = f
+    k1 = fun(t + c1 * h, [v + (a10 * x0) * h for v, x0 in zip(y, k0)])
+    k2 = fun(t + c2 * h, [v + (a20 * x0 + a21 * x1) * h for v, x0, x1 in zip(y, k0, k1)])
+    k3 = fun(t + c3 * h, [v + (a30 * x0 + a32 * x2) * h for v, x0, x2 in zip(y, k0, k2)])
+    k4 = fun(t + c4 * h, [v + (a40 * x0 + a42 * x2 + a43 * x3) * h
+                          for v, x0, x2, x3 in zip(y, k0, k2, k3)])
+    k5 = fun(t + c5 * h, [v + (a50 * x0 + a53 * x3 + a54 * x4) * h
+                          for v, x0, x3, x4 in zip(y, k0, k3, k4)])
+    k6 = fun(t + c6 * h, [v + (a60 * x0 + a63 * x3 + a64 * x4 + a65 * x5) * h
+                          for v, x0, x3, x4, x5 in zip(y, k0, k3, k4, k5)])
+    k7 = fun(t + c7 * h, [v + (a70 * x0 + a73 * x3 + a74 * x4 + a75 * x5 + a76 * x6) * h
+                          for v, x0, x3, x4, x5, x6 in zip(y, k0, k3, k4, k5, k6)])
+    k8 = fun(t + c8 * h, [v + (a80 * x0 + a83 * x3 + a84 * x4 + a85 * x5 + a86 * x6
+                               + a87 * x7) * h
+                          for v, x0, x3, x4, x5, x6, x7 in zip(y, k0, k3, k4, k5, k6, k7)])
+    k9 = fun(t + c9 * h, [v + (a90 * x0 + a93 * x3 + a94 * x4 + a95 * x5 + a96 * x6
+                               + a97 * x7 + a98 * x8) * h
+                          for v, x0, x3, x4, x5, x6, x7, x8
+                          in zip(y, k0, k3, k4, k5, k6, k7, k8)])
+    k10 = fun(t + c10 * h, [v + (a100 * x0 + a103 * x3 + a104 * x4 + a105 * x5 + a106 * x6
+                                 + a107 * x7 + a108 * x8 + a109 * x9) * h
+                            for v, x0, x3, x4, x5, x6, x7, x8, x9
+                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
+    k11 = fun(t + c11 * h, [v + (a110 * x0 + a113 * x3 + a114 * x4 + a115 * x5 + a116 * x6
+                                 + a117 * x7 + a118 * x8 + a119 * x9 + a1110 * x10) * h
+                            for v, x0, x3, x4, x5, x6, x7, x8, x9, x10
+                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
+    y_new = [v + h * (b0 * x0 + b5 * x5 + b6 * x6 + b7 * x7 + b8 * x8 + b9 * x9
+                      + b10 * x10 + b11 * x11)
+             for v, x0, x5, x6, x7, x8, x9, x10, x11
+             in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
+    return y_new, [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, fun(t + h, y_new)]
+
+
+def _dense_stages(fun, t: float, y: list, K: list, h: float) -> None:
+    """Append the three dense-output stages k13 ... k15 of an accepted step to K."""
+    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11, k12 = K
+    k13 = fun(t + c13 * h, [v + (a130 * x0 + a136 * x6 + a137 * x7 + a138 * x8 + a139 * x9
+                                 + a1310 * x10 + a1311 * x11 + a1312 * x12) * h
+                            for v, x0, x6, x7, x8, x9, x10, x11, x12
+                            in zip(y, k0, k6, k7, k8, k9, k10, k11, k12)])
+    k14 = fun(t + c14 * h, [v + (a140 * x0 + a145 * x5 + a146 * x6 + a147 * x7
+                                 + a1410 * x10 + a1411 * x11 + a1412 * x12 + a1413 * x13) * h
+                            for v, x0, x5, x6, x7, x10, x11, x12, x13
+                            in zip(y, k0, k5, k6, k7, k10, k11, k12, k13)])
+    k15 = fun(t + c15 * h, [v + (a150 * x0 + a155 * x5 + a156 * x6 + a157 * x7 + a158 * x8
+                                 + a1512 * x12 + a1513 * x13 + a1514 * x14) * h
+                            for v, x0, x5, x6, x7, x8, x12, x13, x14
+                            in zip(y, k0, k5, k6, k7, k8, k12, k13, k14)])
+    K += k13, k14, k15
 
 
 def _error_norm(y: list, y_new: list, K: list, h: float, rtol: float, atol: float) -> float:
     """The step's error relative to the tolerances: DOP853's 5th-order
     estimate, damped by its 3rd-order one."""
+    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11, _ = K
     e5 = e3 = 0.0
-    for v, v_new, col in zip(y, y_new, K):
+    for v, v_new, x0, x5, x6, x7, x8, x9, x10, x11 in zip(y, y_new, k0, k5, k6, k7, k8,
+                                                           k9, k10, k11):
         scale = atol + max(abs(v), abs(v_new)) * rtol
-        r5 = sum(map(mul, E5, col)) / scale
-        r3 = sum(map(mul, E3, col)) / scale
+        r5 = (e50 * x0 + e55 * x5 + e56 * x6 + e57 * x7 + e58 * x8 + e59 * x9
+              + e510 * x10 + e511 * x11) / scale
+        r3 = (e30 * x0 + e35 * x5 + e36 * x6 + e37 * x7 + e38 * x8 + e39 * x9
+              + e310 * x10 + e311 * x11) / scale
         e5 += r5 * r5
         e3 += r3 * r3
     if e5 == 0 and e3 == 0:
@@ -205,8 +265,8 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
 
     fun takes a time and a list of floats and returns a list of floats.
     Raises ValueError for a tolerance the error test cannot resolve, and
-    StepFailure when a stage is not finite or the step size falls below ten
-    float spacings.
+    StepFailure when a stage is not finite, fun overflows or the step size
+    falls below ten float spacings.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
@@ -215,36 +275,38 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     n = len(y0)
     t = float(t0)
     y = [float(v) for v in y0]
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
-
-    while t < t1:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise StepFailure("the step size fell below ten float spacings", t)
-            t_new = min(t + h_abs, t1)
-            h = h_abs = t_new - t
-            y_new, f_new, K = _step(fun, t, y, f, h)
-            error = _error_norm(y, y_new, K, h, rtol, atol)
-            if error < 1:
-                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
-                                                           SAFETY * error ** ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            if math.isnan(error):
-                raise StepFailure("a right-hand side value is not finite", t)
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-            rejected = True
-        _stages(fun, t, y, K, h, _DENSE_STAGES)
-        for col in K:
-            ks.extend(col)
-        ts.append(t_new)
-        ys.extend(y_new)
-        t, y, f = t_new, y_new, f_new
+    try:
+        f = fun(t, y)
+        h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
+        while t < t1:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StepFailure("the step size fell below ten float spacings", t)
+                t_new = min(t + h_abs, t1)
+                h = h_abs = t_new - t
+                y_new, K = _step(fun, t, y, f, h)
+                error = _error_norm(y, y_new, K, h, rtol, atol)
+                if error < 1:
+                    factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
+                                                               SAFETY * error ** ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                if math.isnan(error):
+                    raise StepFailure("a right-hand side value is not finite", t)
+                h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+                rejected = True
+            _dense_stages(fun, t, y, K, h)
+            for col in zip(*K):
+                ks.extend(col)
+            ts.append(t_new)
+            ys.extend(y_new)
+            t, y, f = t_new, y_new, K[12]
+    except OverflowError:   # fun raised it, as float ** does past the float range
+        raise StepFailure("a right-hand side value overflows", t) from None
 
     t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T
     F = _dense_output(t_nodes, y_nodes, np.array(ks).reshape(-1, n, N_STAGES))

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from ._dop853 import RTOL_FLOOR
-from .background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
+from .background import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START,
+                         initial_state)
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .perturbations import (DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END,
@@ -107,6 +108,11 @@ class RunConfig:
             self.cosmo_constants()
         except ValueError as e:
             raise ConfigError(f"cosmology: {e}") from e
+        # the asymptotic start phi = v e^{alpha t_start} must lie deep in the past
+        try:
+            initial_state(self.params(), self.t_start)
+        except (ValueError, ArithmeticError) as e:
+            raise ConfigError(f"background start: {e}") from e
         sc = self.scan
         if min(sc.kappa_min, sc.kappa_max, sc.lambda_min, sc.lambda_max) <= 0:
             raise ConfigError("scan bounds must be positive")

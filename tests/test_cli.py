@@ -41,6 +41,10 @@ def test_contract_violation_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run(["modes", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 1
     assert "error: ModeError:" in capsys.readouterr().err
+    # a tolerance so loose that the background's first steps overflow
+    cfg.write_text(json.dumps({"rtol": 0.5}))
+    assert run(["table1", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 1
+    assert "error: IntegrationError: solver failed near t = " in capsys.readouterr().err
 
 
 def test_table1_layout_and_footer(outdir):

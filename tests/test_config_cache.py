@@ -56,15 +56,19 @@ def test_invalid_values_rejected(tmp_path, capsys):
     p.write_text(json.dumps({"gravity": "semiclassical"}))
     with pytest.raises(ConfigError, match="gravity"):
         load_config(p)
-    # empty integration span, inverted mode window, a mode window start past
-    # its bound, the removed output-format and worker keys, values of the wrong
-    # type, tolerances the solver would silently replace, a non-positive
+    # empty integration span, a start too late for the asymptotic initial
+    # state (a late t_start, or couplings that put phi near v at the default
+    # t_start), inverted mode window, a mode window start past its bound, the
+    # removed output-format and worker keys, values of the wrong type, tolerances the solver would silently replace, a non-positive
     # window end, slice duration, scan bound, coupling or experiment value,
     # an empty scan axis, a toy model that breaks its own contract, a toy
     # sweep over no seeds, a toy mu or schedule whose k-grid cannot damp Phi
     # within its point budget or overflows the float range, a cosmology whose
     # constants are not positive and finite: rejected at load, before any solve
     for bad, where in (({"t_start": 0.0, "t_end": -1e-12}, "t_start"),
+                       ({"t_start": -1e-12}, "background start: t_start=-1e-12"),
+                       ({"lambda": 1e-30}, "background start: .* start earlier"),
+                       ({"G_gev_m2": 1e-30}, "background start: .* start earlier"),
                        ({"x_start": 0.001}, "x_start"),
                        ({"x_start": 2e4}, "x_start must not exceed 10000"),
                        ({"x_start": 1e300}, "x_start must not exceed 10000"),

@@ -61,9 +61,10 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     fun = _smooth_rhs(n, seed)
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
-    y_new, _, K = _dop853._step(fun, t, y, fun(t, y), h)
-    _dop853._stages(fun, t, y, K, h, _dop853._DENSE_STAGES)
-    F = _dop853._dense_output(np.array([t, t + h]), np.array([y, y_new]).T, np.array([K]))[..., 0]
+    y_new, K = _dop853._step(fun, t, y, fun(t, y), h)
+    _dop853._dense_stages(fun, t, y, K, h)
+    F = _dop853._dense_output(np.array([t, t + h]), np.array([y, y_new]).T,
+                              np.array(K).T[None])[..., 0]
 
     ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
     ref.step()
@@ -76,11 +77,85 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     assert np.all(np.abs(F[3:] - F_ref[3:]) <= 1e-14 * h * (np.abs(_dop853.D) @ np.abs(K_ref)))
 
 
-def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, consts,
-                                                        monkeypatch):
-    # every solve the package makes, replayed through solve_ivp: the
-    # background (f, g, N), the tensor mode with its background and the
-    # scalar mode with its background
+def _generic_stages(fun, t, y, K, h, rows):
+    """Evaluate the stages of rows, appending each to its component's column of K."""
+    for s in rows:
+        stage = fun(t + _dop853.C[s] * h,
+                    [v + sum(map(mul, _dop853.A[s], col)) * h for v, col in zip(y, K)])
+        for col, k in zip(K, stage):
+            col.append(k)
+
+
+def _generic_solve(fun, t0, t1, y0, rtol, atol):
+    """The oracle for _dop853.solve: the same method and step-size control,
+    with every stage, update and error sum one sum(map(mul, ...)) over its
+    whole tableau row, structural zeros included.  The starting step and the
+    dense-output blocks come from _dop853's own _initial_step and
+    _dense_output.  Returns the Steps and the number of attempted steps."""
+    n = len(y0)
+    t, y = float(t0), [float(v) for v in y0]
+    f = fun(t, y)
+    h_abs = _dop853._initial_step(fun, t, y, f, t1 - t, rtol, atol)
+    ts, ys, ks, attempts = [t], list(y), [], 0
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            K = [[v] for v in f]
+            _generic_stages(fun, t, y, K, h, range(1, 12))
+            y_new = [v + h * sum(map(mul, _dop853.B, col)) for v, col in zip(y, K)]
+            for col, k in zip(K, fun(t + h, y_new)):
+                col.append(k)
+            attempts += 1
+            e5 = e3 = 0.0
+            for v, v_new, col in zip(y, y_new, K):
+                scale = atol + max(abs(v), abs(v_new)) * rtol
+                r5 = sum(map(mul, _dop853.E5, col)) / scale
+                r3 = sum(map(mul, _dop853.E3, col)) / scale
+                e5 += r5 * r5
+                e3 += r3 * r3
+            error = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error < 1:
+                factor = _dop853.MAX_FACTOR if error == 0 else min(
+                    _dop853.MAX_FACTOR, _dop853.SAFETY * error ** _dop853.ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_dop853.MIN_FACTOR, _dop853.SAFETY * error ** _dop853.ERROR_EXPONENT)
+            rejected = True
+        _generic_stages(fun, t, y, K, h, range(13, 16))
+        ks.append(K)
+        ts.append(t_new)
+        ys += y_new
+        t, y, f = t_new, y_new, [col[12] for col in K]
+    t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T
+    F = _dop853._dense_output(t_nodes, y_nodes, np.array(ks))
+    return _dop853.Steps(t_nodes, y_nodes, F), attempts
+
+
+def _counted(fun):
+    """fun with a count of its calls in counted.calls."""
+    def counted(t, y):
+        counted.calls += 1
+        return fun(t, y)
+    counted.calls = 0
+    return counted
+
+
+def _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol):
+    got_fun, want_fun = _counted(fun), _counted(fun)
+    got = _dop853.solve(got_fun, t0, t1, y0, rtol, atol)
+    want, attempts = _generic_solve(want_fun, t0, t1, y0, rtol, atol)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # 2 calls to start, 12 per attempted step, 3 dense-output stages per accepted one
+    assert got_fun.calls == want_fun.calls == 2 + 12 * attempts + 3 * (len(want.t) - 1)
+
+
+def _record_solves(monkeypatch):
+    """Record the arguments and result of every _dop853.solve the package makes."""
     calls = []
     solve = _dop853.solve
 
@@ -90,6 +165,38 @@ def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, cons
         return steps
 
     monkeypatch.setattr(_dop853, "solve", recorded)
+    return calls
+
+
+def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background, consts,
+                                                             monkeypatch):
+    # the default background (f, g, N), the tensor mode with its background
+    # and the scalar mode with its background, replayed through the oracle
+    calls = _record_solves(monkeypatch)
+    il.integrate(params)
+    il.integrate_tensor(background, consts.q_R, consts)
+    il.integrate_scalar(background, consts.q_R, consts)
+    monkeypatch.undo()
+    assert [len(c[3]) for c in calls] == [3, 7, 9]
+    for fun, t0, t1, y0, rtol, atol, _ in calls:
+        _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), t0=st.floats(-5, 5),
+       span=st.floats(0.1, 3), log_rtol=st.floats(-12, -3))
+def test_smooth_solves_match_the_generic_oracle_bit_for_bit(n, seed, t0, span, log_rtol):
+    y0 = np.random.default_rng(seed + 1).normal(size=n).tolist()
+    rtol = 10**log_rtol
+    _assert_same_bits_as_the_oracle(_smooth_rhs(n, seed), t0, t0 + span, y0, rtol, rtol / 100)
+
+
+def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, consts,
+                                                        monkeypatch):
+    # every solve the package makes, replayed through solve_ivp: the
+    # background (f, g, N), the tensor mode with its background and the
+    # scalar mode with its background
+    calls = _record_solves(monkeypatch)
     il.integrate(params, t_end=-10e-12)
     il.integrate_tensor(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts)
@@ -134,6 +241,26 @@ def test_nan_from_the_start_raises_without_looping():
     with pytest.raises(_dop853.StepFailure) as info:
         _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0, 3.0], 1e-10, 1e-12)
     assert info.value.t == 0.0
+
+
+def test_overflowing_right_hand_side_raises_with_its_time(params):
+    # float ** raises OverflowError past the float range: the first step that
+    # samples the right-hand side beyond t_star fails, at its start
+    def decay(t, y):
+        return [-v for v in y]
+
+    clean = _dop853.solve(decay, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+    for t_star in (0.0, 0.3, 0.5, 0.9):
+        def fun(t, y):
+            return decay(t, y) if t <= t_star else [(1e200 * v) ** 2 for v in y]
+
+        with pytest.raises(_dop853.StepFailure, match="overflows") as info:
+            _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+        assert info.value.t == clean.t[np.searchsorted(clean.t, t_star, side="right") - 1]
+    # at rtol 0.5 the background's first steps diverge until (f^2 - vbar^2)^2
+    # in its right-hand side overflows
+    with pytest.raises(IntegrationError, match="overflows"):
+        il.integrate(params, rtol=0.5)
 
 
 def test_starting_step_underflow_raises(background, consts):
