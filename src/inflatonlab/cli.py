@@ -143,11 +143,11 @@ def _table_rows(sol: BackgroundSolution, consts: CosmoConstants) -> list[list]:
     rows = []
     for t12, *_ in REFERENCE_TABLE:
         t = t12 * 1e-12
-        phi = sol.phi(t) / 1e19
-        H = sol.hubble(t) / 1e14
-        efolds = sol.efolds_to_end(t)
-        ln_term = float(np.log(sol.hubble(t) / consts.q_R_over_aI))
-        rows.append([t12, phi, H, efolds, ln_term])
+        row = [t12, None, None, None, None]    # blank outside the solved span
+        if sol.t_start <= t <= sol.t_end:
+            row[1:] = [sol.phi(t) / 1e19, sol.hubble(t) / 1e14, sol.efolds_to_end(t),
+                       float(np.log(sol.hubble(t) / consts.q_R_over_aI))]
+        rows.append(row)
     return rows
 
 
@@ -158,6 +158,8 @@ def cmd_table1(cfg: RunConfig, w: Writer) -> int:
     rows = _table_rows(sol, consts)
     footer = ["comparison against the published reference rows (dev% = computed/reference - 1)"]
     for (t12, rphi, rH, refold, rln), row in zip(REFERENCE_TABLE, rows):
+        if row[1] is None:
+            continue
         devs = []
         for label, ref, val in (("phi", rphi, row[1]), ("H", rH, row[2]),
                                 ("efolds", refold, row[3]), ("ln", rln, row[4])):
@@ -232,10 +234,8 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
     gravity = GravityMode(cfg.gravity)
     report = spectra_report(cfg.params(), exit_, gravity=gravity)
     q = consts.q_R
-    sc = integrate_scalar(sol, q, consts, x_start=cfg.x_start, x_end=cfg.x_end,
-                          rtol=cfg.mode_rtol, atol=cfg.mode_atol, gravity=gravity)
-    tn = integrate_tensor(sol, q, consts, x_start=cfg.x_start, x_end=cfg.x_end,
-                          rtol=cfg.mode_rtol, atol=cfg.mode_atol, gravity=gravity)
+    sc = integrate_scalar(sol, q, consts, gravity)
+    tn = integrate_tensor(sol, q, consts, gravity)
 
     rows = [[t / 1e-12, c.real, c.imag, p.real, p.imag, x, r.real, r.imag]
             for t, c, p, x, r in zip(sc.t, sc.chi, sc.psi, sc.q_over_aH, sc.R)]
@@ -386,9 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     writer = Writer(cfg.out_dir)
     try:
         return COMMANDS[args.command](cfg, writer)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

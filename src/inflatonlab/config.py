@@ -15,8 +15,6 @@ from .background import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_ST
                          initial_state)
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
-from .perturbations import (DEFAULT_MODE_ATOL, DEFAULT_MODE_RTOL, DEFAULT_X_END,
-                            DEFAULT_X_START, MAX_X_START)
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
 
@@ -68,10 +66,6 @@ class RunConfig:
     q_R_mpc_inv: float = DEFAULT_QR_MPC_INV
     z_L: float = DEFAULT_Z_L
     gravity: str = "quantum"
-    x_start: float = DEFAULT_X_START
-    x_end: float = DEFAULT_X_END
-    mode_rtol: float = DEFAULT_MODE_RTOL
-    mode_atol: float = DEFAULT_MODE_ATOL
     out_dir: str = "out"
     cache: bool = True
     cache_dir: str | None = None
@@ -91,15 +85,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.gravity not in ("quantum", "classical"):
             raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
-        for lo, hi in (("t_start", "t_end"), ("x_end", "x_start")):
-            a, b = getattr(self, lo), getattr(self, hi)
-            if not a < b:
-                raise ConfigError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
-        if not self.x_start <= MAX_X_START:
-            raise ConfigError(f"x_start must not exceed {MAX_X_START:g}, got {self.x_start!r}")
-        # x_end is a value of the ratio q/(aH); z_L > -1 keeps a_L = 1/(1 + z_L) positive
-        for name, floor in (("rtol", RTOL_FLOOR), ("mode_rtol", RTOL_FLOOR),
-                            ("atol", 0.0), ("mode_atol", 0.0), ("x_end", 0.0),
+        if not self.t_start < self.t_end:
+            raise ConfigError(f"t_start must be below t_end, "
+                              f"got {self.t_start!r} and {self.t_end!r}")
+        # z_L > -1 keeps a_L = 1/(1 + z_L) positive
+        for name, floor in (("rtol", RTOL_FLOOR), ("atol", 0.0),
                             ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0),
                             ("q_R_mpc_inv", 0.0), ("z_L", -1.0)):
             if not getattr(self, name) > floor:

@@ -28,7 +28,8 @@ background solve uses, so the coefficients a mode sees solve the background
 ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-n} needs no lookup.
 Modes and background go through the same DOP853 stepper (_dop853), whose
 right-hand sides take and return plain floats; the stored trajectory is
-sampled from the mode's own dense output.
+sampled from the mode's own dense output.  Modes solve at their background's
+tolerances (sol.rtol, sol.atol) over q/(aH) from X_START to X_END.
 
 Modes are integrated in normalized variables (initial amplitude 1) with the
 exact WKB prefactors reattached afterwards, so the stored trajectories carry
@@ -49,15 +50,8 @@ from .background import BackgroundSolution
 from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
 
-DEFAULT_X_START = 100.0   # q/(aH) at which WKB data is imposed
-# The leading-order start error falls as about 1/x_start^2, to about 1e-8 at
-# 1e4, far below the 6 significant digits every output carries; a mode's cost
-# grows linearly with x_start (the stepper keeps each step's dense output), so
-# a larger start buys nothing and can run for hours.
-MAX_X_START = 1e4
-DEFAULT_X_END = 0.01      # q/(aH) at which the mode is declared frozen
-DEFAULT_MODE_RTOL = 1e-10
-DEFAULT_MODE_ATOL = 1e-12
+X_START = 100.0   # q/(aH) at which WKB data is imposed
+X_END = 0.01      # q/(aH) at which the mode is declared frozen
 FREEZE_RATE_LIMIT = 1e-3  # |dR/dt| < limit * H |R| defines the plateau
 N_OUTPUT = 800            # samples stored per mode trajectory
 
@@ -85,15 +79,13 @@ class _Window(NamedTuple):
     wkb: complex        # c'/c = -(H + i q/a) at t_a, scaled; read by both modes
 
 
-def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
-            x_start: float, x_end: float) -> _Window:
-    """Times at which q/(aH) crosses x_start and x_end, and the data at the first."""
+def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Window:
+    """Times at which q/(aH) crosses X_START and X_END, and the data at the first."""
     q_over_aI = q / consts.a_L
     t_I = sol.end_of_inflation()
 
     def crossing(level):
-        # ln(q/(aH)) - ln(level) changes sign; in log space, since q/level
-        # underflows for an extreme level
+        # ln(q/(aH)) - ln(level) changes sign
         log_level = math.log(level)
         t = sol.first_crossing(lambda t: log_q_over_aH(sol, q_over_aI, t) - log_level,
                                sol.t_start, t_I)
@@ -102,15 +94,15 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants,
                 f"q/(aH) never reaches {level:g} before the end of inflation")
         return t
 
-    t_a = crossing(x_start)
-    t_b = crossing(x_end)
+    t_a = crossing(X_START)
+    t_b = crossing(X_END)
     if not t_a < t_b:
         raise ModeError("degenerate mode window")
     try:
         q_over_a = q_over_aI * math.exp(float(sol.efolds_to_end(t_a)))
     except OverflowError:
         raise ModeError(f"a_I/a at the window start overflows the float range; "
-                        f"x_start = {x_start:g} is too large") from None
+                        f"q = {q:g} GeV is too small") from None
     f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
     # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled
@@ -131,8 +123,9 @@ class _Run(NamedTuple):
     n_nodes: np.ndarray
 
 
-def _evolve(co, rhs, w: _Window, z0: list, rtol: float, atol: float, what: str) -> _Run:
-    """Integrate one mode with its background across the scaled window.
+def _evolve(sol: BackgroundSolution, rhs, w: _Window, z0: list, what: str) -> _Run:
+    """Integrate one mode with its background across the scaled window, at
+    the tolerances the background was solved with.
 
     The mode variables z0 start complex and travel as (real, imaginary)
     float pairs ahead of the background (f, g, n); rhs works on that state.
@@ -140,7 +133,7 @@ def _evolve(co, rhs, w: _Window, z0: list, rtol: float, atol: float, what: str) 
     tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
     y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
     try:
-        steps = _dop853.solve(rhs, tau_a, tau_b, y0, rtol, atol)
+        steps = _dop853.solve(rhs, tau_a, tau_b, y0, sol.rtol, sol.atol)
     except _dop853.StepFailure as exc:
         raise ModeError(f"{what} mode solver failed near t = {exc.t * TIME_UNIT:g}: "
                         f"{exc}") from None
@@ -152,8 +145,22 @@ def _evolve(co, rhs, w: _Window, z0: list, rtol: float, atol: float, what: str) 
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
     z, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
     z_nodes, bg_nodes = split(steps.y)
-    rates = np.array([co.rhs(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
+    rates = np.array([sol._coeffs.rhs(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
     return _Run(taus, z, bg, rates, w.Qt0 * np.exp(-bg[2]) / rates[2], z_nodes, bg_nodes[2])
+
+
+def _wkb_scale(num: float, den: float, q: float) -> float:
+    """num / den, the prefactor that restores mode q's physical normalization;
+    ModeError where den, which carries a sqrt(2q), underflowed to zero."""
+    if den == 0.0:
+        raise ModeError(f"a sqrt(2q) underflows to zero; q = {q:g} GeV is too small")
+    return num / den
+
+
+def _check_finite(q: float, *arrays: np.ndarray) -> None:
+    """Raise ModeError unless every physical array of mode q is finite."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ModeError(f"physical normalization overflows; q = {q:g} GeV is too small")
 
 
 def _check_frozen(amplitude: np.ndarray, run: _Run, limit: float, what: str) -> None:
@@ -190,11 +197,8 @@ class ScalarMode:
 
 def integrate_scalar(sol: BackgroundSolution, q: float,
                      consts: CosmoConstants = DEFAULT_CONSTANTS,
-                     x_start: float = DEFAULT_X_START,
-                     x_end: float = DEFAULT_X_END,
-                     rtol: float = DEFAULT_MODE_RTOL, atol: float = DEFAULT_MODE_ATOL,
                      gravity: GravityMode = GravityMode.QUANTUM) -> ScalarMode:
-    """Evolve (chi, chidot, Psi) for mode q from q/(aH)=x_start to x_end.
+    """Evolve (chi, chidot, Psi) for mode q from q/(aH) = X_START to X_END.
 
     Psi(t0) is fixed from the energy constraint evaluated on the WKB field
     data, so the constraint holds exactly at the start and its residual stays
@@ -206,7 +210,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     K1, K2 = co.k1, co.k2
     FOURPIG_F2 = 4 * math.pi * sol.params.G * F0**2
 
-    w = _window(sol, q, consts, x_start, x_end)
+    w = _window(sol, q, consts)
     Qt0 = w.Qt0
     g_a = w.seed[1]
     quantum = gravity is GravityMode.QUANTUM
@@ -230,17 +234,18 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
 
     # normalized initial data: c = 1, c' = WKB start, P from the constraint
     P0 = gpsi * (w.rates[1] - g_a * w.wkb) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
-    run = _evolve(co, rhs, w, [1.0 + 0j, w.wkb, P0], rtol, atol, "scalar")
+    run = _evolve(sol, rhs, w, [1.0 + 0j, w.wkb, P0], "scalar")
     c, cp, P = run.z
     g_t = run.bg[1]
     _, gp_t, Np_t = run.rates
 
     # physical normalization
-    chi0 = 1.0 / (TWO_PI**1.5 * w.a0 * math.sqrt(2 * q))
+    chi0 = _wkb_scale(1.0, TWO_PI**1.5 * w.a0 * math.sqrt(2 * q), q)
     chi = chi0 * c
     chidot = chi0 * cp / T0
     psi = (W / F0) * chi0 * P
     Rcurv = (chi0 / F0) * (-W * P + (Np_t / g_t) * c)
+    _check_finite(q, chi, chidot, psi, Rcurv)
 
     # energy-constraint residual, normalized by the largest participating term;
     # both terms vanish identically under classical gravity
@@ -289,9 +294,6 @@ class TensorMode:
 
 def integrate_tensor(sol: BackgroundSolution, q: float,
                      consts: CosmoConstants = DEFAULT_CONSTANTS,
-                     x_start: float = DEFAULT_X_START,
-                     x_end: float = DEFAULT_X_END,
-                     rtol: float = DEFAULT_MODE_RTOL, atol: float = DEFAULT_MODE_ATOL,
                      gravity: GravityMode = GravityMode.QUANTUM) -> TensorMode:
     """Evolve the tensor amplitude D_q through horizon exit.
 
@@ -300,7 +302,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     """
     T0 = TIME_UNIT
     co = sol._coeffs
-    w = _window(sol, q, consts, x_start, x_end)
+    w = _window(sol, q, consts)
 
     if gravity is GravityMode.CLASSICAL:
         t = np.linspace(w.t_a / T0, w.t_b / T0, N_OUTPUT) * T0
@@ -321,7 +323,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
         dpp = -3 * bg[2] * dp - Qv * Qv * d
         return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
 
-    run = _evolve(co, rhs, w, [1.0 + 0j, w.wkb], rtol, atol, "tensor")
+    run = _evolve(sol, rhs, w, [1.0 + 0j, w.wkb], "tensor")
     d, dp = run.z
 
     # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),
@@ -330,9 +332,11 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     wr = np.exp(3.0 * run.n_nodes) * (np.conj(dn) * dpn).imag
     drift = float(np.max(np.abs(wr / wr[0] - 1.0)))
 
-    amp0 = math.sqrt(16 * math.pi * sol.params.G) / (TWO_PI**1.5 * math.sqrt(2 * q) * w.a0)
+    amp0 = _wkb_scale(math.sqrt(16 * math.pi * sol.params.G),
+                      TWO_PI**1.5 * math.sqrt(2 * q) * w.a0, q)
     D = amp0 * d
     Ddot = amp0 * dp / T0
+    _check_finite(q, D, Ddot)
     _check_frozen(D, run, FREEZE_RATE_LIMIT, "tensor amplitude")
 
     return TensorMode(

@@ -85,7 +85,11 @@ def derive_constants(params: PotentialParams) -> DerivedConstants:
     numbers and loses ~8 digits at the default couplings.
     """
     v = params.kappa / math.sqrt(params.lam)
-    vac = params.kappa**4 / (4 * params.lam)
+    try:
+        vac = params.kappa**4 / (4 * params.lam)
+    except OverflowError:
+        raise ValueError(f"kappa^4/(4 lambda) overflows the float range at "
+                         f"kappa = {params.kappa!r}") from None
     hbar_inf = math.sqrt(8 * math.pi * params.G / 3 * vac)
     k2 = params.kappa**2
     alpha = 2 * k2 / (math.sqrt(9 * hbar_inf**2 + 4 * k2) + 3 * hbar_inf)

@@ -36,8 +36,9 @@ def test_contract_violation_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"t_start": -25e-12, "t_end": -20e-12}))
     assert run(["observables", "--config", str(cfg), "--out", str(tmp_path),
                 "--no-cache"]) == 1
-    # a window end q/(aH) that inflation never reaches is a named mode error
-    cfg.write_text(json.dumps({"x_end": 1e-300}))
+    # a pivot so small that the WKB normalization leaves the float range is a
+    # named mode error
+    cfg.write_text(json.dumps({"q_R_mpc_inv": 1e-200}))
     capsys.readouterr()
     assert run(["modes", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 1
     assert "error: ModeError:" in capsys.readouterr().err
@@ -58,6 +59,23 @@ def test_table1_layout_and_footer(outdir):
     assert rows[0].startswith("-25,")
     assert any("horizon exit" in l for l in footer)
     assert any("t=-1.48" in l for l in footer)
+
+
+@pytest.mark.parametrize("span, blank", [({"t_start": -24e-12}, ["-25"]),
+                                         ({"t_end": 10e-12}, ["12", "15"])])
+def test_table1_blanks_rows_outside_the_span(tmp_path, span, blank):
+    # reference times outside [t_start, t_end] keep their row with empty
+    # computed cells and get no footer comparison
+    cfg = tmp_path / "span.json"
+    cfg.write_text(json.dumps(span))
+    assert run(["table1", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 0
+    lines = (tmp_path / "table1.csv").read_text().splitlines()
+    rows = [l for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == len(REFERENCE_TABLE)
+    assert [r.split(",")[0] for r in rows if r.endswith(",,,,")] == blank
+    footer = [l for l in lines if l.startswith("# t=")]
+    assert len(footer) == len(REFERENCE_TABLE) - len(blank)
+    assert not any(l.startswith(f"# t={t}:") for l in footer for t in blank)
 
 
 def test_figs_outputs(outdir):

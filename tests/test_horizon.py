@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 import inflatonlab as il
 from inflatonlab.horizon import NoHorizonExit
-from inflatonlab.perturbations import DEFAULT_X_END, DEFAULT_X_START, _window
+from inflatonlab.perturbations import _window
 
 
 def test_constants_invariants(consts):
@@ -85,7 +85,7 @@ def test_exit_inside_mode_window_across_band(background, consts, exit_point, log
     q_over_aI = q / consts.a_L
     ex = il.solve_exit_general(background, q_over_aI)
     assert abs(ex.residual) < 1e-6
-    w = _window(background, q, consts, DEFAULT_X_START, DEFAULT_X_END)
+    w = _window(background, q, consts)
     assert w.t_a < ex.t_exit < w.t_b
     # a larger wavenumber leaves the horizon later
     assert np.sign(ex.t_exit - exit_point.t_exit) == np.sign(q - consts.q_R)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inflatonlab as il
+from inflatonlab import _dop853, perturbations
+from inflatonlab.cache import load_background, save_background
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import TWO_PI
-from inflatonlab.perturbations import (DEFAULT_X_END, DEFAULT_X_START, ModeError,
-                                       tensor_wronskian)
+from inflatonlab.perturbations import X_END, X_START, ModeError, tensor_wronskian
 
 
 def _start_scale_factor(background, consts, mode):
@@ -51,8 +52,30 @@ def test_mode_contracts_across_band(background, consts, ratio):
     # the background each mode carries tracks the stored one: q/(aH) hits the
     # window ends that were rooted on the stored solution
     for mode in (sc, tn):
-        assert mode.q_over_aH[0] == pytest.approx(DEFAULT_X_START, rel=1e-6)
-        assert mode.q_over_aH[-1] == pytest.approx(DEFAULT_X_END, rel=1e-6)
+        assert mode.q_over_aH[0] == pytest.approx(X_START, rel=1e-6)
+        assert mode.q_over_aH[-1] == pytest.approx(X_END, rel=1e-6)
+
+
+def test_modes_solve_at_their_backgrounds_tolerances(params, consts, tmp_path, monkeypatch):
+    # a background solved at non-default tolerances, fresh and through the
+    # cache: every mode solve runs at that background's rtol and atol
+    sol = il.integrate(params, rtol=1e-9, atol=1e-11)
+    save_background(sol, tmp_path)
+    cached = load_background(params, sol.t_start, sol.t_end, 1e-9, 1e-11, tmp_path)
+    seen = []
+    solve = _dop853.solve
+
+    def spy(fun, t0, t1, y0, rtol, atol):
+        seen.append((rtol, atol))
+        return solve(fun, t0, t1, y0, rtol, atol)
+
+    monkeypatch.setattr(_dop853, "solve", spy)
+    modes = [integrate_mode(bg, consts.q_R, consts) for bg in (sol, cached)
+             for integrate_mode in (il.integrate_scalar, il.integrate_tensor)]
+    assert seen == [(1e-9, 1e-11)] * 4
+    # the cached background hands its modes the same bits
+    assert np.array_equal(modes[0].R, modes[2].R)
+    assert np.array_equal(modes[1].D, modes[3].D)
 
 
 def test_scalar_wkb_envelope_inside_horizon(background, scalar_mode):
@@ -129,20 +152,23 @@ def test_mode_tilts_match_slow_roll_across_scan_box(kappa, lam, consts):
     assert abs(n_T - report.n_T) < TILT_TOL
 
 
-def test_mode_start_threshold_insensitivity(background, consts, scalar_mode):
+def test_mode_start_threshold_insensitivity(background, consts, scalar_mode, monkeypatch):
     # starting twice as deep moves the frozen amplitude at the (aH/q)^2 level
-    deeper = il.integrate_scalar(background, consts.q_R, consts, x_start=200.0)
+    monkeypatch.setattr(perturbations, "X_START", 200.0)
+    deeper = il.integrate_scalar(background, consts.q_R, consts)
+    assert deeper.q_over_aH[0] == pytest.approx(200.0, rel=1e-6)
     assert abs(deeper.R_plateau) == pytest.approx(abs(scalar_mode.R_plateau), rel=1e-3)
 
 
 @settings(max_examples=10)
-@given(x_start=st.floats(1e300, 1e308, exclude_min=True, exclude_max=True))
-def test_extreme_x_start_is_a_mode_error(background, consts, x_start):
-    # q/level would underflow and q/a at the window start overflows: the
-    # crossing search runs in log space and the overflow names x_start
+@given(log10_q=st.floats(-323.0, -200.0))
+def test_extreme_small_q_is_a_mode_error(background, consts, log10_q):
+    # q/(aH) is rooted in log space, so the window is found; then a_I/a at its
+    # start overflows, a sqrt(2q) underflows to zero or the WKB normalization
+    # overflows the physical arrays, and each failure names q
     for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
-        with pytest.raises(ModeError, match="x_start"):
-            integrate_mode(background, consts.q_R, consts, x_start=x_start)
+        with pytest.raises(ModeError, match="GeV is too small"):
+            integrate_mode(background, 10.0**log10_q, consts)
 
 
 def test_classical_mode_scalar(background, consts, scalar_mode):

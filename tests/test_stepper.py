@@ -263,15 +263,12 @@ def test_overflowing_right_hand_side_raises_with_its_time(params):
         il.integrate(params, rtol=0.5)
 
 
-def test_starting_step_underflow_raises(background, consts):
+def test_starting_step_underflow_raises():
     # |f/scale| squares past the float range, so 0.01 d0/d1 is zero: a
     # named failure at t0, not a division by zero
     with pytest.raises(_dop853.StepFailure, match="starting step") as info:
         _dop853.solve(lambda t, y: [1e200 * v for v in y], 0.0, 1.0, [1.0], 1e-10, 1e-12)
     assert info.value.t == 0.0
-    # a mode started at q/(aH) = 1e100 oscillates that fast
-    with pytest.raises(ModeError, match="starting step"):
-        il.integrate_tensor(background, consts.q_R, consts, x_start=1e100)
 
 
 def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_point,
@@ -286,14 +283,12 @@ def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_
         assert exit_point.t_exit - 0.01e-12 < _time_in(str(info.value)) < exit_point.t_exit
 
 
-def test_rtol_at_the_floor_is_rejected(params, background, consts):
+def test_rtol_at_the_floor_is_rejected(params):
     for rtol in (_dop853.RTOL_FLOOR, 1e-16, 0.0, math.nan):
         with pytest.raises(ValueError, match="rtol"):
             _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], rtol, 1e-12)
     with pytest.raises(ValueError, match="rtol"):
         il.integrate(params, rtol=_dop853.RTOL_FLOOR)
-    with pytest.raises(ValueError, match="rtol"):
-        il.integrate_scalar(background, consts.q_R, consts, rtol=1e-16)
     with pytest.raises(ValueError, match="atol"):
         _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], 1e-10, -1.0)
 
