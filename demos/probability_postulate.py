@@ -35,17 +35,6 @@ print("  p_past = %.4e, trace defect %.1e, min eigenvalue %.3e"
       % (red.p_past, red.trace_defect, red.min_eigenvalue))
 print("  diagonal = [%.6f, %.6f]" % (red.W_c[0, 0].real, red.W_c[1, 1].real))
 
-# a Hamiltonian rotates the observable between slices; the slice map still
-# composes exactly across window splits, on every matrix unit
-model2 = tm.random_model(seed=11, dim=3, n_obs=2)
-S1 = [(0.5, [0.4, -0.1])]
-S2 = [(0.5, [0.0, 0.3])]
-k = np.ones(2)
-units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-err = np.max(np.abs(tm.evolve_density(model2, S1 + S2, k, units)
-                    - tm.evolve_density(model2, S2, k, tm.evolve_density(model2, S1, k, units))))
-print("\ncomposition defect across a window split: %.1e" % err)
-
 print("\nfull property battery (thinned sweep):")
 for r in run_battery(n_seeds=12):
     print("  " + r.line())

@@ -241,10 +241,11 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
 
     # physical normalization
     chi0 = _wkb_scale(1.0, TWO_PI**1.5 * w.a0 * math.sqrt(2 * q), q)
-    chi = chi0 * c
-    chidot = chi0 * cp / T0
-    psi = (W / F0) * chi0 * P
-    Rcurv = (chi0 / F0) * (-W * P + (Np_t / g_t) * c)
+    with np.errstate(over="ignore", invalid="ignore"):   # _check_finite names the failure
+        chi = chi0 * c
+        chidot = chi0 * cp / T0
+        psi = (W / F0) * chi0 * P
+        Rcurv = (chi0 / F0) * (-W * P + (Np_t / g_t) * c)
     _check_finite(q, chi, chidot, psi, Rcurv)
 
     # energy-constraint residual, normalized by the largest participating term;
@@ -334,8 +335,9 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
 
     amp0 = _wkb_scale(math.sqrt(16 * math.pi * sol.params.G),
                       TWO_PI**1.5 * math.sqrt(2 * q) * w.a0, q)
-    D = amp0 * d
-    Ddot = amp0 * dp / T0
+    with np.errstate(over="ignore", invalid="ignore"):   # _check_finite names the failure
+        D = amp0 * d
+        Ddot = amp0 * dp / T0
     _check_finite(q, D, Ddot)
     _check_frozen(D, run, FREEZE_RATE_LIMIT, "tensor amplitude")
 

@@ -463,7 +463,8 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
 
 @dataclass(frozen=True)
 class DensitySamples:
-    """Probability density on centered theta-grids, with its per-axis moments."""
+    """Probability density on centered theta-grids; each axis's moments are read
+    off that axis's marginal."""
 
     theta_grids: tuple[np.ndarray, ...]
     p: np.ndarray                # real
@@ -483,19 +484,13 @@ class DensitySamples:
         return float(np.min(self.p))
 
     def mean(self) -> np.ndarray:
-        cell = self.cell()
-        out = []
-        for ax, grid in enumerate(self.theta_grids):
-            out.append(float(np.tensordot(self.p, _axis_mesh(grid, self.p.shape, ax),
-                                          axes=self.p.ndim) * cell))
-        return np.array(out)
+        marginals = [marginalize(self, [ax]) for ax in range(self.p.ndim)]
+        return np.array([float(np.dot(m.p, m.theta_grids[0]) * m.dtheta[0]) for m in marginals])
 
     def variance(self) -> np.ndarray:
-        cell = self.cell()
-        second = []
-        for ax, grid in enumerate(self.theta_grids):
-            mesh = _axis_mesh(grid, self.p.shape, ax)
-            second.append(float(np.sum(self.p * mesh * mesh) * cell))
+        marginals = [marginalize(self, [ax]) for ax in range(self.p.ndim)]
+        second = [float(np.sum(m.p * th * th) * m.dtheta[0])
+                  for m in marginals for th in m.theta_grids]
         return np.array(second) - self.mean()**2
 
     def interp(self, theta: Sequence[float]) -> float:
@@ -507,12 +502,6 @@ class DensitySamples:
             s = (pt[ax] - grid[i]) / (grid[i + 1] - grid[i])
             arr = (1 - s) * np.take(arr, i, axis=0) + s * np.take(arr, i + 1, axis=0)
         return float(arr)
-
-
-def _axis_mesh(grid: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-    view = [1] * len(shape)
-    view[axis] = len(grid)
-    return grid.reshape(view) * np.ones(shape)
 
 
 def _invert_axis(arr: np.ndarray, dk: float, axis: int) -> tuple[np.ndarray, np.ndarray]:

@@ -142,13 +142,26 @@ def test_mubound_report(outdir):
     assert data["sigma2_per_mu4"]["literal"] == pytest.approx(5.14e38, rel=0.01)
 
 
-def test_toy_battery_command(outdir, tmp_path):
+TOY_PROPERTIES = [
+    ("normalization", 1e-6), ("hermitian-symmetry", 1e-10), ("positivity", -1e-8),
+    ("composition", 1e-10), ("two-level-oracle", 1e-8), ("moment-identities", 1e-6),
+    ("mu-to-zero-variance", 1e-6), ("marginalization", 1e-5), ("reduction", 1e-3),
+]
+
+
+def test_toy_battery_command(tmp_path):
+    # two runs write byte-identical files carrying the nine properties in order
     cfg = tmp_path / "toy.json"
     cfg.write_text(json.dumps({"toy": {"seeds": 6}}))
-    assert run(["toy", "--config", str(cfg), "--out", str(outdir)]) == 0
-    data = json.loads((outdir / "toy_properties.json").read_text())
+    files = []
+    for name in ("a", "b"):
+        assert run(["toy", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        files.append([(tmp_path / name / f).read_bytes()
+                      for f in ("toy_properties.json", "toy_density.csv")])
+    assert files[0] == files[1]
+    data = json.loads(files[0][0])
+    assert [(p["name"], p["tolerance"]) for p in data["properties"]] == TOY_PROPERTIES
     assert all(p["passed"] for p in data["properties"])
-    assert (outdir / "toy_density.csv").exists()
 
 
 def test_scan_rows_and_consistency(outdir, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import inflatonlab as il
@@ -160,12 +160,15 @@ def test_mode_start_threshold_insensitivity(background, consts, scalar_mode, mon
     assert abs(deeper.R_plateau) == pytest.approx(abs(scalar_mode.R_plateau), rel=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=10)
 @given(log10_q=st.floats(-323.0, -200.0))
+@example(log10_q=-200.0)
 def test_extreme_small_q_is_a_mode_error(background, consts, log10_q):
     # q/(aH) is rooted in log space, so the window is found; then a_I/a at its
     # start overflows, a sqrt(2q) underflows to zero or the WKB normalization
-    # overflows the physical arrays, and each failure names q
+    # overflows the physical arrays, and each failure names q without a
+    # numpy warning first (q = 1e-200 GeV reaches the last case)
     for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
         with pytest.raises(ModeError, match="GeV is too small"):
             integrate_mode(background, 10.0**log10_q, consts)

@@ -286,6 +286,46 @@ def test_marginalize_order_independence():
     assert ds.normalization() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_marginal_is_the_inverse_of_the_zero_k_row():
+    # the 2-D inverse summed over theta_i is exactly the 1-D inverse of the
+    # k_i = 0 row, and the density's moments are read off those marginals
+    model = tm.random_model(seed=31, dim=2, n_obs=2)
+    grids = tm.auto_k_grid(model, max_points=256)
+    cf = tm.characteristic_fn(model, None, grids)
+    ds = tm.invert_to_density(cf)
+    for keep, row in ((0, cf.samples[:, len(grids[1]) // 2]),
+                      (1, cf.samples[len(grids[0]) // 2, :])):
+        ds1 = tm.invert_to_density(tm.CharacteristicFunction(
+            k_grids=(grids[keep],), samples=row, template=cf.template))
+        assert np.max(np.abs(tm.marginalize(ds, keep=[keep]).p - ds1.p)) <= 1e-14
+        assert ds.mean()[keep] == pytest.approx(ds1.mean()[0], abs=1e-13)
+        assert ds.variance()[keep] == pytest.approx(ds1.variance()[0], abs=1e-13)
+
+
+@pytest.mark.parametrize("by, smeared", [(0, 1), (1, 0)])
+def test_marginalization_fails_on_a_leaking_kernel(monkeypatch, by, smeared):
+    # a kernel that also smears one observable by the other's xi, so the
+    # smearing acts where the smeared observable's own xi is zero
+    exact = tm._coupling_operator
+
+    def leaky(model, xi):
+        Y = exact(model, xi)
+        if model.n_obs == 2:
+            x = np.asarray(xi, dtype=float)[..., by, None, None]
+            Y = Y - 0.05 * model.mu4 * x * x * np.asarray(model.weight_ops[smeared], dtype=complex)
+        return Y
+
+    monkeypatch.setattr(tm, "_coupling_operator", leaky)
+    res = toy_battery.check_marginalization()
+    assert not res.passed and res.worst > 1e-2, res.line()
+
+
+def test_composition_fails_on_a_truncated_pade_numerator(monkeypatch):
+    monkeypatch.setattr(tm, "_PADE13", tm._PADE13[:12] + (0.0, 0.0))
+    res = toy_battery.check_composition()
+    assert not res.passed, res.line()
+
+
 def test_reduce_state_flat_conditioning_is_unitary_evolution():
     # integrating the conditioned state over all outcomes returns the
     # propagated unconditional state: sum over the theta-grid of W_num;
