@@ -270,8 +270,8 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
-    if not atol >= 0:
-        raise ValueError(f"atol must be nonnegative, got {atol!r}")
+    if not atol > 0:
+        raise ValueError(f"atol must be positive, got {atol!r}")
     n = len(y0)
     t = float(t0)
     y = [float(v) for v in y0]

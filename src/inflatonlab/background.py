@@ -162,7 +162,6 @@ class BackgroundSolution:
     """
 
     params: PotentialParams
-    derived: DerivedConstants
     t_start: float                    # GeV^-1
     t_end: float                      # GeV^-1
     rtol: float
@@ -173,13 +172,14 @@ class BackgroundSolution:
     N: np.ndarray                     # e-folds from start
     coef: np.ndarray                  # (7, 3, steps) dense-output coefficients
     t_I: float | None = None          # end of inflation (GeV^-1)
-    _coeffs: _Coeffs = field(default=None, repr=False)
+    derived: DerivedConstants = field(init=False)             # from params
+    _coeffs: _Coeffs = field(init=False, repr=False)          # from params
 
     # -- construction helpers -------------------------------------------------
 
     def __post_init__(self):
-        if self._coeffs is None:
-            self._coeffs = _Coeffs(self.params)
+        self.derived = derive_constants(self.params)
+        self._coeffs = _Coeffs(self.params)
         if np.any(np.diff(self.tau) <= 0):
             raise IntegrationError("time grid is not strictly increasing")
         if self.coef.shape != (7, 3, len(self.tau) - 1):
@@ -276,8 +276,7 @@ class BackgroundSolution:
         params = PotentialParams(kappa=float(meta[0]), lam=float(meta[1]), G=float(meta[2]))
         t_I = None if math.isnan(float(meta[7])) else float(meta[7])
         return cls(
-            params=params, derived=derive_constants(params),
-            t_start=float(meta[3]), t_end=float(meta[4]),
+            params=params, t_start=float(meta[3]), t_end=float(meta[4]),
             rtol=float(meta[5]), atol=float(meta[6]),
             tau=d["tau"], f=d["f"], g=d["g"], N=d["N"], coef=d["coef"], t_I=t_I,
         )
@@ -329,9 +328,8 @@ def integrate(params: PotentialParams,
 
     f, g, N = steps.y
     bg = BackgroundSolution(
-        params=params, derived=derive_constants(params),
-        t_start=t_start, t_end=t_end, rtol=rtol, atol=atol, tau=steps.t, f=f, g=g, N=N,
-        coef=steps.F, _coeffs=co,
+        params=params, t_start=t_start, t_end=t_end, rtol=rtol, atol=atol,
+        tau=steps.t, f=f, g=g, N=N, coef=steps.F,
     )
     _check_midpoint_residual(bg)
     try:

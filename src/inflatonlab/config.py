@@ -149,21 +149,15 @@ class RunConfig:
             dim = math.isqrt(arr.size)
             if dim == 0 or dim * dim != arr.size:
                 raise ConfigError(f"toy.{name}: {arr.size} entries do not form a square matrix")
-            return arr.reshape(dim, dim).astype(complex)
+            return arr.reshape(dim, dim)
 
         H = mat(t.hamiltonian, "hamiltonian")
-        A = mat(t.observable, "observable")
-        C = mat(t.weight_op, "weight_op")
-        if A.shape != H.shape or C.shape != H.shape:
-            raise ConfigError("toy matrices differ in dimension")
-        dim = len(H)
         return ToyModel(
-            dim=dim,
             hamiltonian=H,
-            observables=(A,),
-            weight_ops=(C,),
+            observables=(mat(t.observable, "observable"),),
+            weight_ops=(mat(t.weight_op, "weight_op"),),
             mu=t.mu,
-            initial_state=np.eye(dim, dtype=complex) / dim,
+            initial_state=np.eye(len(H)) / len(H),
         )
 
     def toy_template(self):

@@ -49,31 +49,36 @@ def slow_roll_functions(params: PotentialParams, phi: float) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class SlowRollReport:
-    """Spectral observables at one horizon exit."""
+    """Spectral observables at one horizon exit; the tilts and r follow from
+    epsilon, delta and the gravity mode."""
 
     epsilon: float
     delta: float
-    n_s: float
-    n_T: float
     NS2: float            # scalar amplitude [N_S]^2
     NT2: float            # tensor amplitude [N_T]^2
-    r: float              # tensor-to-scalar ratio
     t_exit: float
     phi_exit: float
     H_exit: float
     gravity: str = GravityMode.QUANTUM.value
 
     def __post_init__(self):
-        # the report's defining identities, re-checked on every construction
-        if self.n_s != 1 - 4 * self.epsilon - 2 * self.delta:
-            raise ValueError("n_s != 1 - 4 epsilon - 2 delta")
-        if self.n_T != -2 * self.epsilon:
-            raise ValueError("n_T != -2 epsilon")
+        # two independent amplitude formulas must agree; raised, so python -O keeps it
         if self.gravity == GravityMode.QUANTUM.value:
-            if self.r != 16 * self.epsilon:
-                raise ValueError("r != 16 epsilon")
             if abs(self.NT2 / self.NS2 - 4 * self.epsilon) > 1e-12 * 4 * self.epsilon:
                 raise ValueError("NT2 / NS2 != 4 epsilon")
+
+    @property
+    def n_s(self) -> float:
+        return 1 - 4 * self.epsilon - 2 * self.delta
+
+    @property
+    def n_T(self) -> float:
+        return -2 * self.epsilon
+
+    @property
+    def r(self) -> float:
+        """Tensor-to-scalar ratio: zero with the tensor sector off (classical gravity)."""
+        return 16 * self.epsilon if self.gravity == GravityMode.QUANTUM.value else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -94,15 +99,9 @@ def spectra_report(params: PotentialParams, exit: HorizonExit,
     """
     eps, delta = slow_roll_functions(params, exit.phi_exit)
     NS2 = params.G * exit.H_exit**2 / (4 * np.pi**2 * eps)
-    if gravity is GravityMode.CLASSICAL:
-        NT2, r = 0.0, 0.0
-    else:
-        NT2 = params.G * exit.H_exit**2 / np.pi**2
-        r = 16 * eps
+    NT2 = 0.0 if gravity is GravityMode.CLASSICAL else params.G * exit.H_exit**2 / np.pi**2
     return SlowRollReport(
-        epsilon=eps, delta=delta,
-        n_s=1 - 4 * eps - 2 * delta, n_T=-2 * eps,
-        NS2=NS2, NT2=NT2, r=r,
+        epsilon=eps, delta=delta, NS2=NS2, NT2=NT2,
         t_exit=exit.t_exit, phi_exit=exit.phi_exit, H_exit=exit.H_exit,
         gravity=gravity.value,
     )

@@ -24,12 +24,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out or [lo]
 
 
-def line_chart(series: list[tuple[str, list, list]],
-               title: str = "", xlabel: str = "", ylabel: str = "",
-               markers: list[tuple[float, float, str]] | None = None) -> str:
+def line_chart(series: list[tuple[str, list, list]], title: str, xlabel: str, ylabel: str,
+               markers: list[tuple[float, float, str]]) -> str:
     """A line chart as SVG text.
 
-    series: list of (label, xs, ys); markers: optional (x, y, text) points.
+    series: list of (label, xs, ys); markers: (x, y, text) points.
     """
     width, height = WIDTH, HEIGHT
     pad_l, pad_r, pad_t, pad_b = 66, 16, 30, 46
@@ -79,21 +78,18 @@ def line_chart(series: list[tuple[str, list, list]],
         parts.append(f'<text x="{width - pad_r - 6}" y="{pad_t + 14 + 14 * i}" '
                      f'text-anchor="end" fill="{color}">{label}</text>')
 
-    for x, y, text in markers or []:
+    for x, y, text in markers:
         parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3.5" '
                      f'fill="#d62728"/>')
         parts.append(f'<text x="{px(x) + 6:.1f}" y="{py(y) - 6:.1f}">{text}</text>')
 
-    if title:
-        parts.append(f'<text x="{width / 2}" y="{pad_t - 12}" text-anchor="middle" '
-                     f'font-size="13">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{(pad_l + width - pad_r) / 2}" y="{height - 10}" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="16" y="{(pad_t + height - pad_b) / 2}" '
-                     f'text-anchor="middle" '
-                     f'transform="rotate(-90 16 {(pad_t + height - pad_b) / 2})">'
-                     f'{ylabel}</text>')
+    parts.append(f'<text x="{width / 2}" y="{pad_t - 12}" text-anchor="middle" '
+                 f'font-size="13">{title}</text>')
+    parts.append(f'<text x="{(pad_l + width - pad_r) / 2}" y="{height - 10}" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{(pad_t + height - pad_b) / 2}" '
+                 f'text-anchor="middle" '
+                 f'transform="rotate(-90 16 {(pad_t + height - pad_b) / 2})">'
+                 f'{ylabel}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -40,10 +40,8 @@ def _random_suite(n_seeds: int, dims=(2, 3, 4)):
 def _single_view(model: tm.ToyModel, index: int, W=None) -> tm.ToyModel:
     """One-observable view of a model, optionally with a replaced state."""
     Wuse = model.initial_state if W is None else 0.5 * (W + W.conj().T)
-    return tm.ToyModel(dim=model.dim, hamiltonian=model.hamiltonian,
-                       observables=model.observables[index:index + 1],
-                       weight_ops=model.weight_ops[index:index + 1],
-                       mu=model.mu, initial_state=Wuse)
+    return replace(model, observables=model.observables[index:index + 1],
+                   weight_ops=model.weight_ops[index:index + 1], initial_state=Wuse)
 
 
 @lru_cache(maxsize=4)

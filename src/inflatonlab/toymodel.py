@@ -42,9 +42,9 @@ lam_min(C_j)) (a logarithmic-norm bound).  With ||E_l W E_r||_1 <=
 the same Gaussian damping auto_k_grid sizes the grid by.  characteristic_fn
 and reduce_state evaluate only the k-points where this bound reaches
 SKIP_TOL and take the others as exactly zero.  characteristic_fn always
-evaluates the first two and the last index of every axis -- the grid faces
-and the k -> -k mirrors of the upper faces -- so the edge-decay self-check
-and the Hermitian symmetry Phi(-k) = conj Phi(k) compare measured values.
+evaluates indices 0, 1 and -1 of every axis longer than one point -- the
+grid faces and the k -> -k mirrors of the upper faces -- so the edge-decay
+self-check and the Hermitian symmetry Phi(-k) = conj Phi(k) compare measured values.
 
 Everything is dimensionless; mu plays the role of a mass in the field
 theory but enters the toy only through mu^4.
@@ -72,16 +72,23 @@ class InsufficientDecay(RuntimeError):
     """|Phi| has not decayed below threshold at the k-grid edge (mu too small)."""
 
 
-def _check_hermitian(M: np.ndarray, name: str):
+def _checked_operator(M, name: str, dim: int, psd: bool = False) -> np.ndarray:
+    """M as a complex array, checked dim x dim, self-adjoint and, with psd, PSD."""
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {M.shape}, which differs from the model's {dim} x {dim}")
     if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
         raise ValueError(f"{name} is not self-adjoint within {HERMITICITY_TOL:g}")
+    if psd and np.linalg.eigvalsh(M).min() < -1e-10:
+        raise ValueError(f"{name} is not positive semidefinite")
+    return M
 
 
 @dataclass(frozen=True)
 class ToyModel:
-    """Hilbert-space model of the postulate's ingredients."""
+    """Hilbert-space model of the postulate's ingredients, its operators held as
+    checked complex arrays of the Hamiltonian's dim x dim shape."""
 
-    dim: int
     hamiltonian: np.ndarray
     observables: tuple[np.ndarray, ...]
     weight_ops: tuple[np.ndarray, ...]
@@ -89,27 +96,26 @@ class ToyModel:
     initial_state: np.ndarray
 
     def __post_init__(self):
-        H = np.asarray(self.hamiltonian, dtype=complex)
-        _check_hermitian(H, "hamiltonian")
-        if H.shape != (self.dim, self.dim):
-            raise ValueError("hamiltonian shape mismatch")
+        dim = len(self.hamiltonian)
+        H = _checked_operator(self.hamiltonian, "hamiltonian", dim)
         if len(self.observables) != len(self.weight_ops):
             raise ValueError("need one weight operator per observable")
-        for j, A in enumerate(self.observables):
-            _check_hermitian(np.asarray(A, dtype=complex), f"observable {j}")
-        for j, C in enumerate(self.weight_ops):
-            C = np.asarray(C, dtype=complex)
-            _check_hermitian(C, f"weight op {j}")
-            if np.linalg.eigvalsh(C).min() < -1e-10:
-                raise ValueError(f"weight op {j} is not positive semidefinite")
-        W = np.asarray(self.initial_state, dtype=complex)
-        _check_hermitian(W, "initial state")
+        obs = tuple(_checked_operator(A, f"observable {j}", dim)
+                    for j, A in enumerate(self.observables))
+        wops = tuple(_checked_operator(C, f"weight op {j}", dim, psd=True)
+                     for j, C in enumerate(self.weight_ops))
+        W = _checked_operator(self.initial_state, "initial state", dim, psd=True)
         if abs(np.trace(W).real - 1.0) > 1e-12 or abs(np.trace(W).imag) > 1e-12:
             raise ValueError("initial state must have unit trace")
-        if np.linalg.eigvalsh(W).min() < -1e-10:
-            raise ValueError("initial state is not positive semidefinite")
         if not 0 <= self.mu <= sys.float_info.max ** 0.25:
             raise ValueError("mu must be nonnegative, with mu^4 a finite float")
+        for name, value in (("hamiltonian", H), ("observables", obs),
+                            ("weight_ops", wops), ("initial_state", W)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return len(self.hamiltonian)
 
     @property
     def mu4(self) -> float:
@@ -131,12 +137,11 @@ def two_level_model(c1: float = 1.0, c2: float = 1.0, mu: float = 0.8) -> ToyMod
     and density p = N(+1, mu^4 c1)/2 + N(-1, mu^4 c2)/2.
     """
     return ToyModel(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        observables=(np.diag([1.0, -1.0]).astype(complex),),
-        weight_ops=(np.diag([c1, c2]).astype(complex),),
+        hamiltonian=np.zeros((2, 2)),
+        observables=(np.diag([1.0, -1.0]),),
+        weight_ops=(np.diag([c1, c2]),),
         mu=mu,
-        initial_state=np.eye(2, dtype=complex) / 2,
+        initial_state=np.eye(2) / 2,
     )
 
 
@@ -181,8 +186,8 @@ def random_model(seed: int, dim: int | None = None, n_obs: int = 1,
     rot = max(np.linalg.norm(H @ A - A @ H, 2) for A in obs)
     if rot > cap:
         H = H * (cap / rot)
-    return ToyModel(dim=dim, hamiltonian=H, observables=tuple(obs),
-                    weight_ops=tuple(wops), mu=mu, initial_state=W)
+    return ToyModel(hamiltonian=H, observables=tuple(obs), weight_ops=tuple(wops),
+                    mu=mu, initial_state=W)
 
 
 def pointer_random_model(seed: int) -> ToyModel:
@@ -206,9 +211,9 @@ def pointer_random_model(seed: int) -> ToyModel:
     w = rng.uniform(0.05, 1.0, size=dim)
     w /= w.sum()
     mu = float(rng.uniform(0.3, 1.0)) ** 0.25
-    diag = lambda d: V @ np.diag(d.astype(complex)) @ V.conj().T
-    return ToyModel(dim=dim, hamiltonian=diag(h), observables=(diag(a),),
-                    weight_ops=(diag(c),), mu=mu, initial_state=diag(w))
+    diag = lambda d: V @ np.diag(d) @ V.conj().T
+    return ToyModel(hamiltonian=diag(h), observables=(diag(a),), weight_ops=(diag(c),),
+                    mu=mu, initial_state=diag(w))
 
 
 # --- kernel and propagation -----------------------------------------------------
@@ -221,8 +226,8 @@ def _coupling_operator(model: ToyModel, xi) -> np.ndarray:
     Y = np.zeros(xi.shape[:-1] + (model.dim, model.dim), dtype=complex)
     for j, (A, C) in enumerate(zip(model.observables, model.weight_ops)):
         x = xi[..., j, None, None]
-        Y += 1j * x * np.asarray(A, dtype=complex)
-        Y -= 0.5 * model.mu4 * x * x * np.asarray(C, dtype=complex)
+        Y += 1j * x * A
+        Y -= 0.5 * model.mu4 * x * x * C
     return Y
 
 
@@ -290,7 +295,7 @@ def _slice_factors(model: ToyModel, xi, dt: float):
     """
     if dt <= 0:
         raise ValueError("slice durations must be positive")
-    H = np.asarray(model.hamiltonian, dtype=complex)
+    H = model.hamiltonian
     Y = _coupling_operator(model, xi)
     return _expm(dt * (-1j * H + 0.5 * Y)), _expm(dt * (1j * H + 0.5 * Y))
 
@@ -324,6 +329,13 @@ def _template_for(model: ToyModel, template: Template | None) -> Template:
     return ((1.0, (1.0,) * model.n_obs),)
 
 
+def _spacing(grid: np.ndarray, ax: int) -> float:
+    """Spacing of grid axis `ax`, read off its first two points."""
+    if len(grid) < 2:
+        raise ValueError(f"grid axis {ax} has {len(grid)} point(s); a spacing needs two")
+    return float(grid[1] - grid[0])
+
+
 @dataclass(frozen=True)
 class CharacteristicFunction:
     """Sampled Phi(k) = Tr{G[k] W} on centered uniform k-grids (one per observable)."""
@@ -342,7 +354,7 @@ class CharacteristicFunction:
 
     @property
     def dk(self) -> tuple[float, ...]:
-        return tuple(float(g[1] - g[0]) for g in self.k_grids)
+        return tuple(_spacing(g, ax) for ax, g in enumerate(self.k_grids))
 
     def edge_decay(self) -> float:
         """Largest |Phi| on any face of the grid."""
@@ -365,8 +377,8 @@ def characteristic_fn(model: ToyModel, template: Template | None,
 
     Samples whose proven decay bound (module docstring) is below SKIP_TOL
     are exactly zero; the true |Phi| there is smaller still.  Indices 0, 1
-    and -1 of every axis, the grid faces and their k -> -k mirrors, are
-    always evaluated.
+    and -1 of every axis of more than one point, the grid faces and their
+    k -> -k mirrors, are always evaluated.
     """
     k_grids = [np.asarray(g, dtype=float) for g in k_grids]
     if len(k_grids) != model.n_obs:
@@ -375,8 +387,9 @@ def characteristic_fn(model: ToyModel, template: Template | None,
     kvecs = _k_mesh(k_grids)
     faces = np.zeros(kvecs.shape[:-1], dtype=bool)
     for ax in range(faces.ndim):
-        edge = np.moveaxis(faces, ax, 0)
-        edge[:2] = edge[-1] = True
+        if faces.shape[ax] > 1:
+            edge = np.moveaxis(faces, ax, 0)
+            edge[:2] = edge[-1] = True
     mask, W = _evolve_significant(model, template, kvecs, faces)
     samples = np.zeros(kvecs.shape[:-1], dtype=complex)
     samples[mask] = np.trace(W, axis1=-2, axis2=-1)
@@ -396,7 +409,7 @@ def _smearing(model: ToyModel, template: Template) -> list[tuple[float, np.ndarr
             wsum = sum(dt * wrow[j] ** 2 for dt, wrow in template)
         except OverflowError:       # a float power raises where a product gives inf
             wsum = math.inf
-        out.append((wsum, np.linalg.eigvalsh(np.asarray(C, dtype=complex))))
+        out.append((wsum, np.linalg.eigvalsh(C)))
     return out
 
 
@@ -448,7 +461,7 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
         # design for a tenth of the target tail: the power-of-two grid rounding
         # leaves the positive edge one dk short of the nominal extent
         k_max = _finite(j, "k_max", math.sqrt(2 * math.log(10.0 / K_TAIL) / damping))
-        a_max = float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(A, dtype=complex)))))
+        a_max = float(np.max(np.abs(np.linalg.eigvalsh(A))))
         theta_max = _finite(j, "theta_max",
                             wabs * a_max + 8 * math.sqrt(model.mu4 * wsum * lam_max) + 1.0)
         dk = math.pi / theta_max
@@ -468,14 +481,14 @@ class DensitySamples:
 
     theta_grids: tuple[np.ndarray, ...]
     p: np.ndarray                # real
-    dtheta: tuple[float, ...]
     imag_residual: float         # max |Im| discarded by the inversion
 
+    @property
+    def dtheta(self) -> tuple[float, ...]:
+        return tuple(_spacing(t, ax) for ax, t in enumerate(self.theta_grids))
+
     def cell(self) -> float:
-        out = 1.0
-        for d in self.dtheta:
-            out *= d
-        return out
+        return math.prod(self.dtheta)
 
     def normalization(self) -> float:
         return float(np.sum(self.p) * self.cell())
@@ -524,8 +537,12 @@ def invert_to_density(cf: CharacteristicFunction) -> DensitySamples:
 
     Requires |Phi| to have decayed below K_TAIL at every grid edge, which the
     mu^4-Gaussian damping guarantees for a wide enough grid; otherwise the
-    periodized density would alias.
+    periodized density would alias.  Each k-axis needs an even point count
+    with zero at index len // 2; on an odd count the transform is no inverse.
     """
+    for ax, g in enumerate(cf.k_grids):
+        if len(g) % 2:
+            raise ValueError(f"k-grid axis {ax} has an odd point count ({len(g)})")
     decay = cf.edge_decay()
     if decay > K_TAIL:
         raise InsufficientDecay(
@@ -537,9 +554,7 @@ def invert_to_density(cf: CharacteristicFunction) -> DensitySamples:
         arr, theta = _invert_axis(arr, dk, ax)
         thetas.append(theta)
     imag_res = float(np.max(np.abs(arr.imag)))
-    return DensitySamples(theta_grids=tuple(thetas), p=arr.real,
-                          dtheta=tuple(float(t[1] - t[0]) for t in thetas),
-                          imag_residual=imag_res)
+    return DensitySamples(theta_grids=tuple(thetas), p=arr.real, imag_residual=imag_res)
 
 
 def density(model: ToyModel) -> DensitySamples:
@@ -588,7 +603,6 @@ def marginalize(ds: DensitySamples, keep: Sequence[int]) -> DensitySamples:
     return DensitySamples(
         theta_grids=tuple(ds.theta_grids[ax] for ax in keep),
         p=p,
-        dtheta=tuple(ds.dtheta[ax] for ax in keep),
         imag_residual=ds.imag_residual,
     )
 
@@ -634,9 +648,7 @@ def reduce_state(model: ToyModel, template: Template | None,
     theta_bar = np.asarray(theta_bar, dtype=float)
     if len(theta_bar) != model.n_obs:
         raise ValueError("theta_bar length mismatch")
-    cell = 1.0
-    for dk in (g[1] - g[0] for g in k_grids):
-        cell *= dk / (2 * np.pi)
+    cell = math.prod(_spacing(g, ax) / (2 * np.pi) for ax, g in enumerate(k_grids))
     kvecs = _k_mesh(k_grids).reshape(-1, len(k_grids))
     mask, Wk = _evolve_significant(model, template, kvecs)
     kvecs = kvecs[mask]

@@ -293,6 +293,15 @@ def test_rtol_at_the_floor_is_rejected(params):
         _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], 1e-10, -1.0)
 
 
+def test_zero_atol_is_rejected(params):
+    # every solve has a component that starts at 0 (the e-fold counter), so
+    # atol = 0 would divide by a zero error scale in the starting-step rule
+    with pytest.raises(ValueError, match="atol must be positive"):
+        _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [0.0, 1.0], 1e-10, 0.0)
+    with pytest.raises(ValueError, match="atol must be positive"):
+        il.integrate(params, atol=0.0)
+
+
 _CROSSING_FAMILIES = (
     lambda x, c: x * (1 + c * x * x),
     lambda x, c: math.tanh(c * x) + 0.1 * x**3,

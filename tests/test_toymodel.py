@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,21 +10,29 @@ from inflatonlab import toy_battery
 
 
 def test_model_validation():
+    H, A, C, W = np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2) / 2
     with pytest.raises(ValueError, match="self-adjoint"):
-        tm.ToyModel(dim=2, hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex),
-                    observables=(np.eye(2, dtype=complex),),
-                    weight_ops=(np.eye(2, dtype=complex),),
-                    mu=0.5, initial_state=np.eye(2, dtype=complex) / 2)
+        tm.ToyModel(hamiltonian=np.array([[0, 1], [0, 0]]), observables=(A,),
+                    weight_ops=(C,), mu=0.5, initial_state=W)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        tm.ToyModel(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
-                    observables=(np.eye(2, dtype=complex),),
-                    weight_ops=(-np.eye(2, dtype=complex),),
-                    mu=0.5, initial_state=np.eye(2, dtype=complex) / 2)
+        tm.ToyModel(hamiltonian=H, observables=(A,), weight_ops=(-C,), mu=0.5, initial_state=W)
     with pytest.raises(ValueError, match="unit trace"):
-        tm.ToyModel(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
-                    observables=(np.eye(2, dtype=complex),),
-                    weight_ops=(np.eye(2, dtype=complex),),
-                    mu=0.5, initial_state=np.eye(2, dtype=complex))
+        tm.ToyModel(hamiltonian=H, observables=(A,), weight_ops=(C,), mu=0.5,
+                    initial_state=2 * W)
+    # every operator takes the Hamiltonian's shape, checked at construction
+    for name, shape in (("hamiltonian", (2, 3)), ("observable 0", (3, 3)),
+                        ("weight op 0", (3, 3)), ("initial state", (3, 3))):
+        ops = {"hamiltonian": H, "observable 0": A, "weight op 0": C, "initial state": W}
+        ops[name] = np.eye(*shape) / shape[0]
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, which")):
+            tm.ToyModel(hamiltonian=ops["hamiltonian"], observables=(ops["observable 0"],),
+                        weight_ops=(ops["weight op 0"],), mu=0.5,
+                        initial_state=ops["initial state"])
+    model = tm.ToyModel(hamiltonian=H, observables=(A,), weight_ops=(C,), mu=0.5,
+                        initial_state=W)
+    assert model.dim == 2
+    assert all(M.dtype == complex for M in (model.hamiltonian, *model.observables,
+                                            *model.weight_ops, model.initial_state))
 
 
 def _sides(X, Z):
@@ -250,6 +260,62 @@ def test_insufficient_decay_raises():
         tm.invert_to_density(cf)
     with pytest.raises(tm.InsufficientDecay, match="mu"):
         tm.auto_k_grid(tm.two_level_model(mu=0.0))
+
+
+def test_inversion_rejects_an_odd_axis():
+    # the centered transform inverts only an even axis: on 129 points of the
+    # two-level model's auto spacing it would return a density off by 0.029
+    # (normalization 0.966) without complaint; on 128 it is exact to 3e-14
+    model = tm.two_level_model()
+    auto = tm.auto_k_grid(model)[0]
+    grid = (np.arange(129) - 64) * (auto[1] - auto[0])
+    cf = tm.characteristic_fn(model, None, [grid])
+    assert len(grid) == 129 and cf.edge_decay() < tm.K_TAIL
+    with pytest.raises(ValueError, match="k-grid axis 0 has an odd point count"):
+        tm.invert_to_density(cf)
+
+
+def test_one_point_axis_has_no_spacing():
+    model = tm.two_level_model()
+    cf = tm.characteristic_fn(model, None, [np.zeros(1)])
+    with pytest.raises(ValueError, match="grid axis 0 has 1 point"):
+        cf.dk
+    with pytest.raises(ValueError, match="grid axis 0 has 1 point"):
+        tm.reduce_state(model, None, [0.3], k_grids=[np.zeros(1)])
+    with pytest.raises(ValueError, match="odd point count"):
+        tm.invert_to_density(cf)
+
+
+def test_a_zero_k_row_is_skipped_by_the_decay_bound(monkeypatch):
+    # a one-point axis has no faces, so a k_2 = 0 row hands evolve_density
+    # only the points the bound keeps and the faces of the k_1 axis
+    model = tm.random_model(seed=3000, dim=2, n_obs=2)
+    axes = [tm.auto_k_grid(model, max_points=256)[0], np.zeros(1)]
+    handed = []
+    evolve = tm.evolve_density
+
+    def counting(model, template, kvecs, W):
+        handed.append(len(kvecs))
+        return evolve(model, template, kvecs, W)
+
+    monkeypatch.setattr(tm, "evolve_density", counting)
+    tm.characteristic_fn(model, None, axes)
+    bound = tm._decay_bound(model, ((1.0, (1.0, 1.0)),), tm._k_mesh(axes))[:, 0]
+    kept = bound >= tm.SKIP_TOL
+    kept[[0, 1, -1]] = True
+    assert handed == [np.count_nonzero(kept)]
+    assert handed[0] < len(axes[0])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4), n_obs=st.integers(1, 2))
+def test_auto_k_grid_axes_pass_the_spacing_rule(seed, dim, n_obs):
+    # at least two points, an even count with zero at len // 2, and uniform
+    model = tm.random_model(seed=seed, dim=dim, n_obs=n_obs)
+    for ax, g in enumerate(tm.auto_k_grid(model)):
+        dk = tm._spacing(g, ax)
+        assert dk > 0 and len(g) % 2 == 0 and g[len(g) // 2] == 0
+        assert np.allclose(np.diff(g), dk, rtol=1e-12, atol=0)
 
 
 def test_two_level_density_is_gaussian_mixture():
