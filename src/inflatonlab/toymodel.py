@@ -97,7 +97,11 @@ class ToyModel:
 
     def __post_init__(self):
         dim = len(self.hamiltonian)
+        if dim == 0:
+            raise ValueError("hamiltonian is 0 x 0: the model needs at least one dimension")
         H = _checked_operator(self.hamiltonian, "hamiltonian", dim)
+        if not self.observables:
+            raise ValueError("the model needs at least one observable")
         if len(self.observables) != len(self.weight_ops):
             raise ValueError("need one weight operator per observable")
         obs = tuple(_checked_operator(A, f"observable {j}", dim)
@@ -346,7 +350,9 @@ class CharacteristicFunction:
 
     def __post_init__(self):
         center = tuple(len(g) // 2 for g in self.k_grids)
-        for g, c in zip(self.k_grids, center):
+        for ax, (g, c) in enumerate(zip(self.k_grids, center)):
+            if len(g) == 0:
+                raise ValueError(f"k-grid axis {ax} is empty")
             if abs(g[c]) > 1e-12:
                 raise ValueError("k-grids must be centered on zero")
         if abs(self.samples[center] - 1.0) > 1e-10:

@@ -1,5 +1,7 @@
 import json
+import struct
 import tempfile
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import inflatonlab as il
 from inflatonlab import cache
-from inflatonlab.cache import cache_key, load_background, save_background
+from inflatonlab.cache import cache_key, cache_path, load_background, save_background
 from inflatonlab.cli import main
 from inflatonlab.config import _GROUPS, ConfigError, RunConfig, load_config
 
@@ -188,6 +190,9 @@ def test_cache_round_trip(tmp_path, background, params):
     path = save_background(background, tmp_path)
     # the npz is renamed into place: no temp file is left behind
     assert list(tmp_path.iterdir()) == [path]
+    # and stored, not deflated: compression saves 13% at twenty times the write time
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
     loaded = load_background(params, background.t_start, background.t_end,
                              background.rtol, background.atol, tmp_path)
     assert loaded is not None
@@ -214,17 +219,45 @@ def test_failed_cache_write_leaves_nothing(tmp_path, background, monkeypatch):
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", fail)
+    monkeypatch.setattr(np, "savez", fail)
     with pytest.raises(OSError, match="disk full"):
         save_background(background, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_corrupt_cache_falls_back(tmp_path, background, params):
+    def load():
+        return load_background(params, background.t_start, background.t_end,
+                               background.rtol, background.atol, tmp_path)
+
+    # one flipped byte inside a stored member: there is no deflate stream to
+    # fail on, so the ZIP CRC-32 is what turns it into a miss
     path = save_background(background, tmp_path)
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("coef.npy")
+    raw = bytearray(path.read_bytes())
+    # the member's data follow its 30-byte local header, name and extra field
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    assert load() is None
     path.write_bytes(b"garbage")
-    assert load_background(params, background.t_start, background.t_end,
-                           background.rtol, background.atol, tmp_path) is None
+    assert load() is None
+
+
+def test_compressed_cache_still_loads(tmp_path, background, params):
+    # files written with np.savez_compressed load bit-identically
+    path = cache_path(tmp_path, cache_key(params, background.t_start, background.t_end,
+                                          background.rtol, background.atol))
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **background.to_arrays())
+    loaded = load_background(params, background.t_start, background.t_end,
+                             background.rtol, background.atol, tmp_path)
+    assert loaded is not None
+    assert loaded.t_I == background.t_I
+    expected, got = background.to_arrays(), loaded.to_arrays()
+    assert got.keys() == expected.keys()
+    assert all(np.array_equal(got[name], expected[name]) for name in expected)
 
 
 _JSON = st.recursive(

@@ -28,6 +28,13 @@ def test_model_validation():
             tm.ToyModel(hamiltonian=ops["hamiltonian"], observables=(ops["observable 0"],),
                         weight_ops=(ops["weight op 0"],), mu=0.5,
                         initial_state=ops["initial state"])
+    # a model without dimensions or without observables is rejected by name
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="hamiltonian is 0 x 0"):
+        tm.ToyModel(hamiltonian=empty, observables=(empty,), weight_ops=(empty,), mu=0.5,
+                    initial_state=empty)
+    with pytest.raises(ValueError, match="at least one observable"):
+        tm.ToyModel(hamiltonian=H, observables=(), weight_ops=(), mu=0.5, initial_state=W)
     model = tm.ToyModel(hamiltonian=H, observables=(A,), weight_ops=(C,), mu=0.5,
                         initial_state=W)
     assert model.dim == 2
@@ -284,6 +291,14 @@ def test_one_point_axis_has_no_spacing():
         tm.reduce_state(model, None, [0.3], k_grids=[np.zeros(1)])
     with pytest.raises(ValueError, match="odd point count"):
         tm.invert_to_density(cf)
+
+
+def test_empty_k_axis_is_named():
+    with pytest.raises(ValueError, match="k-grid axis 0 is empty"):
+        tm.characteristic_fn(tm.two_level_model(), None, [np.zeros(0)])
+    model = tm.random_model(seed=3, n_obs=2)
+    with pytest.raises(ValueError, match="k-grid axis 1 is empty"):
+        tm.characteristic_fn(model, None, [np.zeros(1), np.zeros(0)])
 
 
 def test_a_zero_k_row_is_skipped_by_the_decay_bound(monkeypatch):
