@@ -41,6 +41,9 @@ DEFAULT_ATOL = 1e-12
 # asymptotic initial data is trusted only while phi stays well below the minimum
 MAX_START_FIELD_FRACTION = 0.15
 
+# largest relative gap between the dense output's slope of f and the stored g
+MAX_MIDPOINT_RESIDUAL = 1e-6
+
 # Brent tolerances shared by every crossing search on the stored background
 CROSSING_XTOL = 1e-24       # GeV^-1
 CROSSING_RTOL = 1e-15
@@ -339,7 +342,7 @@ def integrate(params: PotentialParams,
     return bg
 
 
-def _check_midpoint_residual(bg: BackgroundSolution, limit: float = 1e-6) -> None:
+def _check_midpoint_residual(bg: BackgroundSolution) -> None:
     """Abort if the dense output disagrees with the ODE at step midpoints.
 
     Guards against silently accepting a corrupted solve or a misread
@@ -358,8 +361,9 @@ def _check_midpoint_residual(bg: BackgroundSolution, limit: float = 1e-6) -> Non
     slope = (bg._state(mid + eps)[0] - bg._state(mid - eps)[0]) / (2 * eps)
     scale = np.maximum(np.abs(g), np.max(np.abs(bg.g[:last])) * 1e-3)
     worst = float(np.max(np.abs(slope - g) / scale))
-    if worst > limit:
-        raise IntegrationError(f"dense-output residual {worst:.2e} exceeds {limit:g}")
+    if worst > MAX_MIDPOINT_RESIDUAL:
+        raise IntegrationError(f"dense-output residual {worst:.2e} "
+                               f"exceeds {MAX_MIDPOINT_RESIDUAL:g}")
 
 
 class BigBangClass(enum.Enum):

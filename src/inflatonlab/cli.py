@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .background import BackgroundSolution, integrate
+from .background import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START,
+                         BackgroundSolution, integrate)
 from .cache import load_background, save_background
 from .config import ConfigError, RunConfig, load_config
 from .horizon import CosmoConstants, HorizonExit, solve_exit_reference
@@ -129,10 +130,10 @@ def _solve(cfg: RunConfig) -> tuple[BackgroundSolution, CosmoConstants, HorizonE
     cache_dir = cfg.cache_dir or str(Path(cfg.out_dir) / "cache")
     sol = None
     if cfg.cache:
-        sol = load_background(cfg.params(), cfg.t_start, cfg.t_end,
-                              cfg.rtol, cfg.atol, cache_dir)
+        sol = load_background(cfg.params(), DEFAULT_T_START, DEFAULT_T_END,
+                              DEFAULT_RTOL, DEFAULT_ATOL, cache_dir)
     if sol is None:
-        sol = integrate(cfg.params(), cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
+        sol = integrate(cfg.params())
         if cfg.cache:
             save_background(sol, cache_dir)
     consts = cfg.cosmo_constants()
@@ -143,11 +144,8 @@ def _table_rows(sol: BackgroundSolution, consts: CosmoConstants) -> list[list]:
     rows = []
     for t12, *_ in REFERENCE_TABLE:
         t = t12 * 1e-12
-        row = [t12, None, None, None, None]    # blank outside the solved span
-        if sol.t_start <= t <= sol.t_end:
-            row[1:] = [sol.phi(t) / 1e19, sol.hubble(t) / 1e14, sol.efolds_to_end(t),
-                       float(np.log(sol.hubble(t) / consts.q_R_over_aI))]
-        rows.append(row)
+        rows.append([t12, sol.phi(t) / 1e19, sol.hubble(t) / 1e14, sol.efolds_to_end(t),
+                     float(np.log(sol.hubble(t) / consts.q_R_over_aI))])
     return rows
 
 
@@ -158,8 +156,6 @@ def cmd_table1(cfg: RunConfig, w: Writer) -> int:
     rows = _table_rows(sol, consts)
     footer = ["comparison against the published reference rows (dev% = computed/reference - 1)"]
     for (t12, rphi, rH, refold, rln), row in zip(REFERENCE_TABLE, rows):
-        if row[1] is None:
-            continue
         devs = []
         for label, ref, val in (("phi", rphi, row[1]), ("H", rH, row[2]),
                                 ("efolds", refold, row[3]), ("ln", rln, row[4])):
@@ -181,10 +177,10 @@ def cmd_figs(cfg: RunConfig, w: Writer) -> int:
     der = sol.derived
     t_I = sol.end_of_inflation()
 
-    ts = np.linspace(cfg.t_start, cfg.t_end, 800)
+    ts = np.linspace(sol.t_start, sol.t_end, 800)
     t12 = ts / 1e-12
     # exit construction: e-folds to the end vs the log of the horizon condition
-    ts3 = np.linspace(max(cfg.t_start, -10e-12), t_I - 0.02e-12, 600)
+    ts3 = np.linspace(-10e-12, t_I - 0.02e-12, 600)
     t312 = ts3 / 1e-12
     # (file stem, times, [(CSV column, legend, values)], chart labels)
     figures = (
@@ -319,7 +315,7 @@ def cmd_toy(cfg: RunConfig, w: Writer) -> int:
 def _scan_row(cfg: RunConfig) -> list:
     """One scan point, solved from its own config without the cache."""
     try:
-        sol = integrate(cfg.params(), cfg.t_start, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
+        sol = integrate(cfg.params())
         exit_ = solve_exit_reference(sol, cfg.cosmo_constants())
         report = spectra_report(cfg.params(), exit_, gravity=GravityMode(cfg.gravity))
         return [cfg.kappa_gev, cfg.lam, report.n_s, report.NS2, report.r, exit_.t_exit, "ok"]

@@ -10,10 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._dop853 import RTOL_FLOOR
-from .background import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START,
-                         initial_state)
-from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
+from .background import DEFAULT_T_START, initial_state
+from .constants import KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
@@ -58,11 +56,6 @@ class ExperimentConfig:
 class RunConfig:
     kappa_gev: float = KAPPA_DEFAULT
     lam: float = LAMBDA_DEFAULT
-    G_gev_m2: float = G_NEWTON
-    t_start: float = DEFAULT_T_START
-    t_end: float = DEFAULT_T_END
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
     q_R_mpc_inv: float = DEFAULT_QR_MPC_INV
     z_L: float = DEFAULT_Z_L
     gravity: str = "quantum"
@@ -77,7 +70,7 @@ class RunConfig:
     _ALIASES = {"lambda": "lam"}
 
     def params(self) -> PotentialParams:
-        return PotentialParams(kappa=self.kappa_gev, lam=self.lam, G=self.G_gev_m2)
+        return PotentialParams(kappa=self.kappa_gev, lam=self.lam)
 
     def cosmo_constants(self) -> CosmoConstants:
         return CosmoConstants.from_physical(q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L)
@@ -85,12 +78,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.gravity not in ("quantum", "classical"):
             raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
-        if not self.t_start < self.t_end:
-            raise ConfigError(f"t_start must be below t_end, "
-                              f"got {self.t_start!r} and {self.t_end!r}")
         # z_L > -1 keeps a_L = 1/(1 + z_L) positive
-        for name, floor in (("rtol", RTOL_FLOOR), ("atol", 0.0),
-                            ("kappa_gev", 0.0), ("lam", 0.0), ("G_gev_m2", 0.0),
+        for name, floor in (("kappa_gev", 0.0), ("lam", 0.0),
                             ("q_R_mpc_inv", 0.0), ("z_L", -1.0)):
             if not getattr(self, name) > floor:
                 raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
@@ -100,7 +89,7 @@ class RunConfig:
             raise ConfigError(f"cosmology: {e}") from e
         # the asymptotic start phi = v e^{alpha t_start} must lie deep in the past
         try:
-            initial_state(self.params(), self.t_start)
+            initial_state(self.params(), DEFAULT_T_START)
         except (ValueError, ArithmeticError) as e:
             raise ConfigError(f"background start: {e}") from e
         sc = self.scan
@@ -204,14 +193,16 @@ def _typed(value, ftype: str, where: str):
 def _apply(obj, data: dict, path: str = ""):
     types = {f.name: f.type for f in fields(obj)}
     aliases = getattr(obj, "_ALIASES", {})
+    # an aliased field is set through its alias alone
+    names = {name: name for name in types if name not in aliases.values()} | aliases
     for key, value in data.items():
-        name = aliases.get(key, key)
+        name = names.get(key)
         where = f"{path}{key}"
         if name in _GROUPS and isinstance(obj, RunConfig):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
             _apply(getattr(obj, name), value, path=f"{where}.")
-        elif name in types:
+        elif name is not None:
             setattr(obj, name, _typed(value, types[name], where))
         else:
             raise ConfigError(f"unknown config key {where!r}")

@@ -30,7 +30,6 @@ HBARC_GEV_M = 1.973269804e-16
 
 M_IN_INV_GEV = 1.0 / HBARC_GEV_M          # 1 m in GeV^-1
 CM_IN_INV_GEV = 1e-2 * M_IN_INV_GEV       # 1 cm in GeV^-1
-SECOND_IN_INV_GEV = 299792458.0 * M_IN_INV_GEV
 
 MPC_IN_M = 3.0856775814913673e22
 MPC_IN_INV_GEV = MPC_IN_M * M_IN_INV_GEV  # 1 Mpc in GeV^-1
