@@ -28,17 +28,17 @@ for key in ("epsilon", "delta", "n_s", "n_T", "NS2", "NT2", "r"):
     print("  %-7s = %.6g" % (key, getattr(report, key)))
 
 cmp_ = il.compare_targets(report)
-for rec in cmp_.records:
+for rec in cmp_["records"]:
     print("  %s vs target %.4g +- %.2g: z = %+.1f" %
-          (rec.name, rec.target, rec.sigma, rec.z))
+          (rec["name"], rec["target"], rec["sigma"], rec["z"]))
 print("  tensor-ratio bound r < %.3f: %s" %
-      (cmp_.r_bound, "VIOLATED" if cmp_.r_bound_violated else "satisfied"))
+      (cmp_["r_bound"], "VIOLATED" if cmp_["r_bound_violated"] else "satisfied"))
 
 # treating the metric as a classical field removes the tensor sector entirely
 classical = il.spectra_report(params, exit_, gravity=il.GravityMode.CLASSICAL)
 cmp_cl = il.compare_targets(classical)
 print("\nclassical-gravity switch: r = %g, bound %s; scalar amplitude unchanged (%.4g)"
-      % (classical.r, "VIOLATED" if cmp_cl.r_bound_violated else "satisfied",
+      % (classical.r, "VIOLATED" if cmp_cl["r_bound_violated"] else "satisfied",
          classical.NS2))
 
 # a longer pivot wavelength leaves the horizon earlier

@@ -32,14 +32,13 @@ print("  deposited density delta_rho = %.3e GeV^4" % exp.delta_rho)
 print("  quantum variance at t = lifetime: %.3e GeV^8 (factor e^-1 - e^-2 = %.4f)"
       % (il.decay_quantum_variance(exp), np.exp(-1) - np.exp(-2)))
 
-s = il.sigma_squared(1.0, exp)
+composed, literal = il.sigma2_per_mu4(exp)
 print("\nsigma^2 / mu^4 (GeV^-4):")
-print("  composed prefactor e^2/(8(e-1)):  %.3e" % s.coeff_composed)
-print("  literal prefactor  e^2/(8(e-2)):  %.3e" % s.coeff_literal)
+print("  composed prefactor e^2/(8(e-1)):  %.3e" % composed)
+print("  literal prefactor  e^2/(8(e-2)):  %.3e" % literal)
 
 # two readings of the quoted consistency threshold (applied to sigma^2 or to
 # sigma itself) bracket the upper bound on the smearing mass
 for s2max in (1e-3, 1e-6):
-    b = il.mu_bound(exp, s2max)
-    lo, hi = b.bracket
+    lo, hi = sorted(il.mu_bound(exp, s2max))
     print("sigma^2 < %g  ->  mu < [%.3e, %.3e] GeV" % (s2max, lo, hi))

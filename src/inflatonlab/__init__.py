@@ -60,27 +60,6 @@ from .variance import (
     covariance_matrix,
     decay_quantum_variance,
     mu_bound,
-    sigma_squared,
+    sigma2_per_mu4,
     weight_overlap,
 )
-
-__all__ = [
-    "__version__",
-    "BackgroundSolution", "BackgroundState", "BigBangClass",
-    "classify_bigbang", "initial_state", "integrate",
-    "G_NEWTON",
-    "DEFAULT_CONSTANTS", "CosmoConstants", "HorizonExit",
-    "solve_exit_general", "solve_exit_reference",
-    "SlowRollReport", "compare_targets", "slow_roll_functions",
-    "spectra_report",
-    "GravityMode", "ScalarMode", "TensorMode", "integrate_scalar",
-    "integrate_tensor", "vector_mode_decay",
-    "DerivedConstants", "PotentialParams", "derive_constants", "potential",
-    "potential_d1", "potential_d2",
-    "CharacteristicFunction", "DensitySamples", "ToyModel",
-    "characteristic_fn", "density", "invert_to_density", "marginalize",
-    "reduce_state", "two_level_model",
-    "ClassicalCovariance", "DecayExperiment", "WeightFunction",
-    "classical_variance_00", "covariance_matrix", "decay_quantum_variance",
-    "mu_bound", "sigma_squared", "weight_overlap",
-]

@@ -32,12 +32,12 @@ from .background import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_ST
 from .cache import load_background, save_background
 from .config import ConfigError, RunConfig, load_config
 from .horizon import CosmoConstants, HorizonExit, solve_exit_reference
-from .observables import DEFAULT_TARGETS, compare_targets, spectra_report
+from .observables import compare_targets, spectra_report
 from .perturbations import GravityMode, integrate_scalar, integrate_tensor
 from .svg import line_chart
 from .toy_battery import run_battery
 from .toymodel import characteristic_fn, auto_k_grid, invert_to_density
-from .variance import mu_bound, preset_air_mip, sigma_squared
+from .variance import mu_bound, preset_air_mip, sigma2_per_mu4
 
 # Published reference rows (t/1e-12, phi/1e19, H/1e14, efolds-to-end, ln(H a_I/q_R));
 # None marks blanks in the source layout.  Used only for the appended
@@ -208,10 +208,9 @@ def cmd_figs(cfg: RunConfig, w: Writer) -> int:
 def cmd_observables(cfg: RunConfig, w: Writer) -> int:
     _, _, exit_ = _solve(cfg)
     report = spectra_report(cfg.params(), exit_, gravity=GravityMode(cfg.gravity))
-    comparison = compare_targets(report)
     payload = {
         "report": report.to_dict(),
-        "targets": comparison.to_dict(),
+        "targets": compare_targets(report),
         "exit": {
             "t_exit_gev_inv": exit_.t_exit,
             "efolds_to_end": exit_.efolds_to_end,
@@ -245,6 +244,7 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
     R2 = abs(sc.R_plateau) ** 2
     D2 = abs(tn.D_plateau) ** 2
     slow_roll_R2 = report.NS2 * q**-3
+    targets = compare_targets(report)
     summary = {
         "gravity": gravity.value,
         "q_gev": q,
@@ -257,8 +257,8 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
         "tensor_wronskian_drift": tn.wronskian_drift,
         "scalar_constraint_residual_max": sc.constraint_residual_max,
         "r": report.r,
-        "r_bound": DEFAULT_TARGETS.r_bound,
-        "r_bound_satisfied": bool(report.r < DEFAULT_TARGETS.r_bound),
+        "r_bound": targets["r_bound"],
+        "r_bound_satisfied": not targets["r_bound_violated"],
     }
     w.json("modes_summary.json", summary)
     return 0
@@ -266,27 +266,27 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
 
 def cmd_mubound(cfg: RunConfig, w: Writer) -> int:
     exp = replace(preset_air_mip(), dEdx=cfg.experiment.dEdx_gev2)
-    s2 = sigma_squared(1.0, exp)
-    bound_main = mu_bound(exp, cfg.experiment.sigma2_max)
-    bound_alt = mu_bound(exp, cfg.experiment.sigma2_max_alt)
-    all_bounds = list(bound_main.bracket) + list(bound_alt.bracket)
+    per_mu4_composed, per_mu4_literal = sigma2_per_mu4(exp)
+    composed, literal = mu_bound(exp, cfg.experiment.sigma2_max)
+    composed_alt, literal_alt = mu_bound(exp, cfg.experiment.sigma2_max_alt)
+    bounds = (composed, literal, composed_alt, literal_alt)
     payload = {
         "experiment": {
             "gamma_q_gev": exp.gamma_q, "t_bar_gev_inv": exp.t_bar,
             "rho_0_gev4": exp.rho_0, "dEdx_gev2": exp.dEdx, "b_gev_inv": exp.b,
         },
         "sigma2_per_mu4": {
-            "composed": s2.coeff_composed,
-            "literal": s2.coeff_literal,
+            "composed": per_mu4_composed,
+            "literal": per_mu4_literal,
         },
         "mu_bound_gev": {
             "sigma2_max": cfg.experiment.sigma2_max,
-            "composed": bound_main.mu_composed,
-            "literal": bound_main.mu_literal,
+            "composed": composed,
+            "literal": literal,
             "sigma2_max_alt": cfg.experiment.sigma2_max_alt,
-            "composed_alt": bound_alt.mu_composed,
-            "literal_alt": bound_alt.mu_literal,
-            "bracket": [min(all_bounds), max(all_bounds)],
+            "composed_alt": composed_alt,
+            "literal_alt": literal_alt,
+            "bracket": [min(bounds), max(bounds)],
         },
     }
     w.json("mubound.json", payload)
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
     common.add_argument("--out", metavar="DIR", default=None)
-    common.add_argument("--gravity", choices=("quantum", "classical"), default=None)
+    common.add_argument("--gravity", choices=[m.value for m in GravityMode], default=None)
     common.add_argument("--no-cache", action="store_true")
     parser = argparse.ArgumentParser(
         prog="inflatonlab",

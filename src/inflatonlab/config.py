@@ -13,6 +13,7 @@ import numpy as np
 from .background import DEFAULT_T_START, initial_state
 from .constants import KAPPA_DEFAULT, LAMBDA_DEFAULT
 from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
+from .perturbations import GravityMode
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
 
@@ -76,8 +77,9 @@ class RunConfig:
         return CosmoConstants.from_physical(q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L)
 
     def validate(self) -> "RunConfig":
-        if self.gravity not in ("quantum", "classical"):
-            raise ConfigError(f"gravity must be quantum or classical, got {self.gravity!r}")
+        modes = [m.value for m in GravityMode]
+        if self.gravity not in modes:
+            raise ConfigError(f"gravity must be {' or '.join(modes)}, got {self.gravity!r}")
         # z_L > -1 keeps a_L = 1/(1 + z_L) positive
         for name, floor in (("kappa_gev", 0.0), ("lam", 0.0),
                             ("q_R_mpc_inv", 0.0), ("z_L", -1.0)):

@@ -107,59 +107,19 @@ def spectra_report(params: PotentialParams, exit: HorizonExit,
     )
 
 
-@dataclass(frozen=True)
-class ObservationalTargets:
-    """Survey values the report is graded against."""
-
-    n_s: float = 0.966
-    n_s_sigma: float = 0.003
-    NS2: float = 1.93e-10
-    NS2_sigma: float = 0.12e-10
-    r_bound: float = 0.032
+# survey values the report is graded against: (target, sigma) per observable
+SURVEY_TARGETS = {"n_s": (0.966, 0.003), "NS2": (1.93e-10, 0.12e-10)}
+R_BOUND = 0.032         # upper bound on the tensor-to-scalar ratio r
 
 
-DEFAULT_TARGETS = ObservationalTargets()
-
-
-@dataclass(frozen=True)
-class TargetRecord:
-    name: str
-    value: float
-    target: float
-    sigma: float
-    z: float
-    within_2sigma: bool
-
-
-@dataclass(frozen=True)
-class TargetComparison:
-    records: tuple[TargetRecord, ...]
-    r: float
-    r_bound: float
-    r_bound_violated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [vars(r) for r in self.records],
-            "r": self.r, "r_bound": self.r_bound,
-            "r_bound_violated": self.r_bound_violated,
-        }
-
-
-def compare_targets(report: SlowRollReport) -> TargetComparison:
-    """Per-observable z-scores against DEFAULT_TARGETS plus the tensor-ratio bound verdict."""
-    targets = DEFAULT_TARGETS
-    recs = []
-    for name, value, target, sigma in (
-        ("n_s", report.n_s, targets.n_s, targets.n_s_sigma),
-        ("NS2", report.NS2, targets.NS2, targets.NS2_sigma),
-    ):
+def compare_targets(report: SlowRollReport) -> dict:
+    """Per-observable z-scores against SURVEY_TARGETS plus the tensor-ratio bound
+    verdict, as observables.json carries them under "targets"."""
+    records = []
+    for name, (target, sigma) in SURVEY_TARGETS.items():
+        value = getattr(report, name)
         z = (value - target) / sigma
-        recs.append(TargetRecord(name=name, value=value, target=target,
-                                 sigma=sigma, z=z, within_2sigma=abs(z) <= 2))
-    return TargetComparison(
-        records=tuple(recs),
-        r=report.r,
-        r_bound=targets.r_bound,
-        r_bound_violated=report.r >= targets.r_bound,
-    )
+        records.append({"name": name, "value": value, "target": target,
+                        "sigma": sigma, "z": z, "within_2sigma": abs(z) <= 2})
+    return {"records": records, "r": report.r, "r_bound": R_BOUND,
+            "r_bound_violated": report.r >= R_BOUND}

@@ -182,7 +182,6 @@ class ScalarMode:
     """
 
     q: float
-    gravity: str
     t: np.ndarray
     chi: np.ndarray
     chidot: np.ndarray
@@ -268,8 +267,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     _check_frozen(Rcurv, run, limit if trusted else 0.0, "curvature amplitude")
 
     return ScalarMode(
-        q=q, gravity=gravity.value,
-        t=run.taus * T0, chi=chi, chidot=chidot, psi=psi, R=Rcurv,
+        q=q, t=run.taus * T0, chi=chi, chidot=chidot, psi=psi, R=Rcurv,
         q_over_aH=run.x, R_plateau=complex(Rcurv[-1]),
         constraint_residual_max=res_max, t_start=w.t_a, t_end=w.t_b,
     )
@@ -282,7 +280,6 @@ class TensorMode:
     """Tensor mode trajectory with frozen amplitude and Wronskian drift."""
 
     q: float
-    gravity: str
     t: np.ndarray
     D: np.ndarray
     Ddot: np.ndarray
@@ -309,8 +306,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
         t = np.linspace(w.t_a / T0, w.t_b / T0, N_OUTPUT) * T0
         zeros = np.zeros(N_OUTPUT, dtype=complex)
         x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, t))
-        return TensorMode(q=q, gravity=gravity.value, t=t,
-                          D=zeros, Ddot=zeros, q_over_aH=x_t,
+        return TensorMode(q=q, t=t, D=zeros, Ddot=zeros, q_over_aH=x_t,
                           D_plateau=0j, wronskian_drift=0.0,
                           t_start=w.t_a, t_end=w.t_b)
 
@@ -342,7 +338,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     _check_frozen(D, run, FREEZE_RATE_LIMIT, "tensor amplitude")
 
     return TensorMode(
-        q=q, gravity=gravity.value, t=run.taus * T0, D=D, Ddot=Ddot,
+        q=q, t=run.taus * T0, D=D, Ddot=Ddot,
         q_over_aH=run.x, D_plateau=complex(D[-1]),
         wronskian_drift=drift, t_start=w.t_a, t_end=w.t_b,
     )

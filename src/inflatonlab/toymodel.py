@@ -73,10 +73,12 @@ class InsufficientDecay(RuntimeError):
 
 
 def _checked_operator(M, name: str, dim: int, psd: bool = False) -> np.ndarray:
-    """M as a complex array, checked dim x dim, self-adjoint and, with psd, PSD."""
+    """M as a complex array, checked dim x dim, finite, self-adjoint and, with psd, PSD."""
     M = np.asarray(M, dtype=complex)
     if M.shape != (dim, dim):
         raise ValueError(f"{name} has shape {M.shape}, which differs from the model's {dim} x {dim}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
         raise ValueError(f"{name} is not self-adjoint within {HERMITICITY_TOL:g}")
     if psd and np.linalg.eigvalsh(M).min() < -1e-10:

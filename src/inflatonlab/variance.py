@@ -17,7 +17,7 @@ into an upper bound on mu.
 
 Two prefactors for sigma^2 circulate in the source material and disagree by a
 factor ~2.4; both are computed and reported side by side, and the mu bound is
-returned as the bracket they span.
+returned for each, so the pair brackets it.
 """
 
 from __future__ import annotations
@@ -190,52 +190,23 @@ def decay_quantum_variance(exp: DecayExperiment) -> float:
     return exp.delta_rho**2 * (math.exp(-x) - math.exp(-2 * x))
 
 
-@dataclass(frozen=True)
-class SigmaSquared:
-    """sigma^2 = classical variance / quantum variance, both prefactor readings."""
-
-    composed: float     # e^2/(e-1) * mu^4 / (8 (dE/dx)^2)
-    literal: float      # e^2/(8(e-2)) * mu^4 / (dE/dx)^2
-    coeff_composed: float   # composed / mu^4
-    coeff_literal: float
-
-
-def sigma_squared(mu: float, exp: DecayExperiment) -> SigmaSquared:
-    """Relative weight of the classical to the quantum fluctuation.
+def sigma2_per_mu4(exp: DecayExperiment) -> tuple[float, float]:
+    """Relative weight sigma^2 of the classical to the quantum fluctuation, per
+    mu^4: (composed, literal).
 
     Uses the t_bar = 1/gamma_q, lambda = 1/b, delta_rho = dE/dx / (pi b^2)
     conventions, under which b cancels and sigma^2 = C * mu^4 / (dE/dx)^2.
-    The default (composed) coefficient comes from dividing the closed-form
-    classical variance by the decay quantum variance; the literal variant
-    carries the alternative published prefactor.  Both scale exactly as mu^4.
+    The composed coefficient comes from dividing the closed-form classical
+    variance by the decay quantum variance; the literal one carries the
+    alternative published prefactor.
     """
-    cc = PREFACTOR_COMPOSED / exp.dEdx**2
-    cl = PREFACTOR_LITERAL / exp.dEdx**2
-    return SigmaSquared(composed=cc * mu**4, literal=cl * mu**4,
-                        coeff_composed=cc, coeff_literal=cl)
+    return PREFACTOR_COMPOSED / exp.dEdx**2, PREFACTOR_LITERAL / exp.dEdx**2
 
 
-@dataclass(frozen=True)
-class MuBound:
-    """Upper bound on mu for a given sigma^2 ceiling, both prefactor readings."""
-
-    mu_composed: float
-    mu_literal: float
-    sigma2_max: float
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        lo, hi = sorted((self.mu_composed, self.mu_literal))
-        return lo, hi
-
-
-def mu_bound(exp: DecayExperiment, sigma2_max: float) -> MuBound:
-    """Invert sigma^2 = C mu^4 at the ceiling sigma2_max."""
+def mu_bound(exp: DecayExperiment, sigma2_max: float) -> tuple[float, float]:
+    """Upper bound on mu, (composed, literal): sigma^2 = C mu^4 inverted at
+    the ceiling sigma2_max."""
     if sigma2_max <= 0:
         raise ValueError("sigma2_max must be positive")
-    s = sigma_squared(1.0, exp)
-    return MuBound(
-        mu_composed=(sigma2_max / s.coeff_composed) ** 0.25,
-        mu_literal=(sigma2_max / s.coeff_literal) ** 0.25,
-        sigma2_max=sigma2_max,
-    )
+    composed, literal = sigma2_per_mu4(exp)
+    return (sigma2_max / composed) ** 0.25, (sigma2_max / literal) ** 0.25

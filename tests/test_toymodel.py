@@ -42,6 +42,22 @@ def test_model_validation():
                                             *model.weight_ops, model.initial_state))
 
 
+def test_model_rejects_non_finite_operators():
+    # NaN and inf compare False against the self-adjointness tolerance, so
+    # finiteness is its own named check on every operator
+    ops = {"hamiltonian": np.zeros((2, 2)), "observable 0": np.eye(2),
+           "weight op 0": np.eye(2), "initial state": np.eye(2) / 2}
+    for name in ops:
+        for bad in (np.nan, np.inf):
+            M = ops[name].astype(complex)
+            M[0, 0] = bad
+            given = {**ops, name: M}
+            with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+                tm.ToyModel(hamiltonian=given["hamiltonian"],
+                            observables=(given["observable 0"],),
+                            weight_ops=(given["weight op 0"],), mu=0.5,
+                            initial_state=given["initial state"])
+
 def _sides(X, Z):
     """W -> X W + W Z as an N^2 x N^2 matrix on the row-major vec of W."""
     eye = np.eye(len(X))

@@ -165,43 +165,34 @@ def test_sigma_squared_composition_oracle():
     var_c = il.classical_variance_00(mu, w)
     var_q = il.decay_quantum_variance(exp)
     direct = var_c / var_q
-    s = il.sigma_squared(mu, exp)
-    assert s.composed == pytest.approx(direct, rel=1e-12)
+    composed, literal = il.sigma2_per_mu4(exp)
+    assert composed * mu**4 == pytest.approx(direct, rel=1e-12)
     # quoted closed form differs: e^2/(e-1)/8 vs e^2/(8(e-2))
-    assert s.literal / s.composed == pytest.approx(
+    assert literal / composed == pytest.approx(
         PREFACTOR_LITERAL / PREFACTOR_COMPOSED, rel=1e-12)
 
 
 def test_sigma_squared_order_of_magnitude():
     # coefficient ~1e38 GeV^-4 for dE/dx = 5e-20 GeV^2, both prefactors
-    s = il.sigma_squared(1.0, preset_air_mip())
-    assert 1e37 < s.coeff_composed < 1e39
-    assert 1e37 < s.coeff_literal < 1e39
-
-
-def test_sigma_squared_quartic_scaling():
-    exp = preset_air_mip()
-    s1 = il.sigma_squared(1e-11, exp)
-    s2 = il.sigma_squared(2e-11, exp)
-    assert s2.composed / s1.composed == pytest.approx(16.0, rel=1e-12)
-    assert il.sigma_squared(0.0, exp).composed == 0.0
+    composed, literal = il.sigma2_per_mu4(preset_air_mip())
+    assert 1e37 < composed < 1e39
+    assert 1e37 < literal < 1e39
 
 
 def test_mu_bound_round_trip_and_scaling():
     exp = preset_air_mip()
-    b1 = il.mu_bound(exp, 1e-3)
+    composed, literal = il.sigma2_per_mu4(exp)
+    mu_composed, mu_literal = il.mu_bound(exp, 1e-3)
     # at the threshold the bound inverts sigma^2 exactly
-    assert il.sigma_squared(b1.mu_composed, exp).composed == pytest.approx(
-        1e-3, rel=1e-10)
-    assert il.sigma_squared(b1.mu_literal, exp).literal == pytest.approx(
-        1e-3, rel=1e-10)
-    b4 = il.mu_bound(exp, 4e-3)
-    assert b4.mu_composed / b1.mu_composed == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert composed * mu_composed**4 == pytest.approx(1e-3, rel=1e-10)
+    assert literal * mu_literal**4 == pytest.approx(1e-3, rel=1e-10)
+    assert il.mu_bound(exp, 4e-3)[0] / mu_composed == pytest.approx(
+        math.sqrt(2.0), rel=1e-12)
     # doubling the coefficient scales mu by 2^(-1/4)
     exp2 = il.DecayExperiment(exp.gamma_q, exp.t_bar, exp.rho_0,
                               exp.dEdx / 2**0.5, exp.b)
-    b2 = il.mu_bound(exp2, 1e-3)
-    assert b2.mu_composed / b1.mu_composed == pytest.approx(2 ** -0.25, rel=1e-12)
+    assert il.mu_bound(exp2, 1e-3)[0] / mu_composed == pytest.approx(
+        2 ** -0.25, rel=1e-12)
     with pytest.raises(ValueError):
         il.mu_bound(exp, -1.0)
 
