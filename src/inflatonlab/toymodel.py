@@ -514,16 +514,6 @@ class DensitySamples:
                   for m in marginals for th in m.theta_grids]
         return np.array(second) - self.mean()**2
 
-    def interp(self, theta: Sequence[float]) -> float:
-        """Multilinear interpolation of p at an arbitrary point."""
-        pt = np.asarray(theta, dtype=float)
-        arr = self.p
-        for ax, grid in enumerate(self.theta_grids):
-            i = int(np.clip(np.searchsorted(grid, pt[ax]) - 1, 0, len(grid) - 2))
-            s = (pt[ax] - grid[i]) / (grid[i + 1] - grid[i])
-            arr = (1 - s) * np.take(arr, i, axis=0) + s * np.take(arr, i + 1, axis=0)
-        return float(arr)
-
 
 def _invert_axis(arr: np.ndarray, dk: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the centered inverse transform sum_n Phi_n exp(-i k_n theta_m) dk/2pi."""

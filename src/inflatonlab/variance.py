@@ -23,7 +23,8 @@ returned for each, so the pair brackets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ import numpy as np
 from .constants import GRAM_PER_CM3_IN_GEV4
 
 _E = math.e
-PREFACTOR_COMPOSED = _E**2 / (_E - 1) / 8        # from composing the variance chain
 PREFACTOR_LITERAL = _E**2 / (8 * (_E - 2))       # as printed in the closed form
 
 
@@ -54,8 +54,10 @@ class WeightFunction:
     component: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if self.lambda_t <= 0 or self.lambda_s <= 0:
-            raise ValueError("lambda_t and lambda_s must be positive")
+        if not (0 < self.lambda_t < math.inf and 0 < self.lambda_s < math.inf):
+            raise ValueError("lambda_t and lambda_s must be positive and finite")
+        if not all(map(math.isfinite, (self.t_w, *self.x_w))):
+            raise ValueError("t_w and x_w must be finite")
         mu, nu = self.component
         if not (0 <= mu <= 3 and 0 <= nu <= 3):
             raise ValueError("component indices must be in 0..3")
@@ -80,11 +82,15 @@ def weight_overlap(w1: WeightFunction, w2: WeightFunction) -> float:
     return out
 
 
+def _checked_mu(mu: float) -> float:
+    if not 0 <= mu <= sys.float_info.max ** 0.25:
+        raise ValueError("mu must be nonnegative, with mu^4 a finite float")
+    return mu
+
+
 def classical_variance_00(mu: float, w: WeightFunction) -> float:
     """Classical variance of the 00-weighted density: mu^4 Lt Ls^3 / (8 pi^2)."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    return 0.5 * mu**4 * weight_overlap(w, w)
+    return 0.5 * _checked_mu(mu)**4 * weight_overlap(w, w)
 
 
 _METRIC_SIGN = (-1.0, 1.0, 1.0, 1.0)
@@ -115,6 +121,7 @@ def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> Classical
 
     Uses the flat convention a(t) = 1, so every entry is a closed-form overlap.
     """
+    _checked_mu(mu)
     if len(weights) == 0:
         raise ValueError("need at least one weight function")
     n = len(weights)
@@ -156,8 +163,8 @@ class DecayExperiment:
 
     def __post_init__(self):
         for name in ("gamma_q", "t_bar", "rho_0", "dEdx", "b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def delta_rho(self) -> float:
@@ -194,19 +201,21 @@ def sigma2_per_mu4(exp: DecayExperiment) -> tuple[float, float]:
     """Relative weight sigma^2 of the classical to the quantum fluctuation, per
     mu^4: (composed, literal).
 
-    Uses the t_bar = 1/gamma_q, lambda = 1/b, delta_rho = dE/dx / (pi b^2)
+    Uses the lambda_t = lambda_s = 1/b, delta_rho = dE/dx / (pi b^2)
     conventions, under which b cancels and sigma^2 = C * mu^4 / (dE/dx)^2.
-    The composed coefficient comes from dividing the closed-form classical
-    variance by the decay quantum variance; the literal one carries the
-    alternative published prefactor.
+    The composed C is the window calculus's classical variance over the decay
+    quantum variance at unit dE/dx (e^2/(8(e-1)) at t_bar = 1/gamma_q); the
+    literal one carries the alternative published prefactor.
     """
-    return PREFACTOR_COMPOSED / exp.dEdx**2, PREFACTOR_LITERAL / exp.dEdx**2
+    w = WeightFunction(lambda_t=1 / exp.b, lambda_s=1 / exp.b)
+    composed = classical_variance_00(1.0, w) / decay_quantum_variance(replace(exp, dEdx=1.0))
+    return composed / exp.dEdx**2, PREFACTOR_LITERAL / exp.dEdx**2
 
 
 def mu_bound(exp: DecayExperiment, sigma2_max: float) -> tuple[float, float]:
     """Upper bound on mu, (composed, literal): sigma^2 = C mu^4 inverted at
     the ceiling sigma2_max."""
-    if sigma2_max <= 0:
-        raise ValueError("sigma2_max must be positive")
+    if not 0 < sigma2_max < math.inf:
+        raise ValueError("sigma2_max must be positive and finite")
     composed, literal = sigma2_per_mu4(exp)
     return (sigma2_max / composed) ** 0.25, (sigma2_max / literal) ** 0.25

@@ -129,7 +129,7 @@ def test_mubound_report(outdir):
 TOY_PROPERTIES = [
     ("normalization", 1e-6), ("hermitian-symmetry", 1e-10), ("positivity", -1e-8),
     ("composition", 1e-10), ("two-level-oracle", 1e-8), ("moment-identities", 1e-6),
-    ("mu-to-zero-variance", 1e-6), ("marginalization", 1e-5), ("reduction", 1e-3),
+    ("mu-to-zero-variance", 1e-6), ("marginalization", 1e-5), ("reduction", 1e-10),
 ]
 
 

@@ -423,6 +423,31 @@ def test_composition_fails_on_a_truncated_pade_numerator(monkeypatch):
     assert not res.passed, res.line()
 
 
+def test_reduction_fails_on_a_conjugated_conditioning_phase(monkeypatch):
+    # exp(+i k.theta) in reduce_state conditions on -theta instead; the
+    # two-level weight alone is off by less than one
+    vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda a, b: -vecdot(a, b))
+    res = toy_battery.check_reduction()
+    assert not res.passed and res.worst > 1.0, res.line()
+
+
+def test_reduction_fails_on_reversed_slice_order(monkeypatch):
+    # only the joint template has two slices, so only the Bayes identity sees it
+    exact = tm.evolve_density
+    monkeypatch.setattr(tm, "evolve_density",
+                        lambda model, template, kvecs, W: exact(model, template[::-1], kvecs, W))
+    res = toy_battery.check_reduction()
+    assert not res.passed and res.worst > 1e-2, res.line()
+
+
+def test_bayes_identity_holds_beyond_the_battery_seeds():
+    rng = np.random.default_rng(0)
+    for seed in range(32):
+        theta1 = rng.uniform(-1.0, 1.0)
+        assert toy_battery._bayes_defect(seed, theta1) < 1e-10, (seed, theta1)
+
+
 def test_reduce_state_flat_conditioning_is_unitary_evolution():
     # integrating the conditioned state over all outcomes returns the
     # propagated unconditional state: sum over the theta-grid of W_num;

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import inflatonlab as il
 from inflatonlab.variance import (
-    PREFACTOR_COMPOSED,
     PREFACTOR_LITERAL,
     PSDViolation,
     preset_air_mip,
@@ -167,9 +169,21 @@ def test_sigma_squared_composition_oracle():
     direct = var_c / var_q
     composed, literal = il.sigma2_per_mu4(exp)
     assert composed * mu**4 == pytest.approx(direct, rel=1e-12)
-    # quoted closed form differs: e^2/(e-1)/8 vs e^2/(8(e-2))
+    # the chain's coefficient is e^2/(8(e-1)); the quoted closed form differs,
+    # e^2/(8(e-2))
+    e = math.e
+    assert composed * exp.dEdx**2 == pytest.approx(e**2 / (8 * (e - 1)), rel=1e-12)
     assert literal / composed == pytest.approx(
-        PREFACTOR_LITERAL / PREFACTOR_COMPOSED, rel=1e-12)
+        PREFACTOR_LITERAL / (e**2 / (8 * (e - 1))), rel=1e-12)
+
+
+@pytest.mark.parametrize("dEdx", [1.5e-154, 1e-140, 5e-20, 1e10])
+def test_sigma_squared_composed_is_quadratic_in_dEdx(dEdx):
+    # the chain runs at unit dE/dx, so no stopping power the config accepts
+    # (dE/dx^2 a normal float) underflows it
+    exp = dataclasses.replace(preset_air_mip(), dEdx=dEdx)
+    composed, _ = il.sigma2_per_mu4(exp)
+    assert composed * dEdx**2 == pytest.approx(math.e**2 / (8 * (math.e - 1)), rel=1e-14)
 
 
 def test_sigma_squared_order_of_magnitude():
@@ -200,3 +214,36 @@ def test_mu_bound_round_trip_and_scaling():
 def test_kev_per_cm_conversion():
     # 2.76 keV/cm lands on 5.45e-20 GeV^2, consistent with the rounded 5e-20
     assert 2.76 * KEV_GEV / CM_IN_INV_GEV == pytest.approx(5.446e-20, rel=1e-3)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_POSITIVE = NON_FINITE | st.floats(max_value=0.0)
+BAD_MU = NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.4e77)
+
+
+def _experiment(**bad):
+    fields = dict(gamma_q=1.0, t_bar=1.0, rho_0=1.0, dEdx=1.0, b=1.0)
+    return il.DecayExperiment(**{**fields, **bad})
+
+
+BAD_INPUTS = [
+    ("lambda_t", NOT_POSITIVE, lambda v: il.WeightFunction(lambda_t=v)),
+    ("lambda_s", NOT_POSITIVE, lambda v: il.WeightFunction(lambda_s=v)),
+    ("t_w", NON_FINITE, lambda v: il.WeightFunction(t_w=v)),
+    ("x_w", NON_FINITE, lambda v: il.WeightFunction(x_w=(0.0, v, 0.0))),
+    *[(name, NOT_POSITIVE, lambda v, name=name: _experiment(**{name: v}))
+      for name in ("gamma_q", "t_bar", "rho_0", "dEdx", "b")],
+    ("sigma2_max", NOT_POSITIVE, lambda v: il.mu_bound(preset_air_mip(), v)),
+    ("mu", BAD_MU, lambda v: il.classical_variance_00(v, il.WeightFunction())),
+    ("mu", BAD_MU, lambda v: il.covariance_matrix(v, [il.WeightFunction()])),
+]
+
+
+@pytest.mark.parametrize("name, values, call", BAD_INPUTS,
+                         ids=[f"{i}-{entry[0]}" for i, entry in enumerate(BAD_INPUTS)])
+@given(data=st.data())
+def test_non_finite_or_out_of_range_inputs_are_named(name, values, call, data):
+    # NaN passes every `<= 0` test, so each entry point checks the range
+    # explicitly and names the input; none returns nan or inf
+    with pytest.raises(ValueError, match=name):
+        call(data.draw(values))
