@@ -263,7 +263,9 @@ def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) 
 def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     """Integrate y' = fun(t, y) from t0 to t1 > t0.
 
-    fun takes a time and a list of floats and returns a list of floats.
+    fun takes a time and a list of floats and returns a list of floats.  The
+    times, tolerances and y0 are read as floats, so fun sees plain floats
+    whatever numeric types the caller passes.
     Raises ValueError for a tolerance the error test cannot resolve, and
     StepFailure when a stage is not finite, fun overflows or the step size
     falls below ten float spacings.
@@ -273,7 +275,7 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     if not atol > 0:
         raise ValueError(f"atol must be positive, got {atol!r}")
     n = len(y0)
-    t = float(t0)
+    t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
     try:

@@ -276,7 +276,7 @@ class BackgroundSolution:
         if int(d["format"][0]) != cls.CACHE_FORMAT:
             raise ValueError("incompatible cache format")
         meta = d["meta"]
-        params = PotentialParams(kappa=float(meta[0]), lam=float(meta[1]), G=float(meta[2]))
+        params = PotentialParams(kappa=meta[0], lam=meta[1], G=meta[2])
         t_I = None if math.isnan(float(meta[7])) else float(meta[7])
         return cls(
             params=params, t_start=float(meta[3]), t_end=float(meta[4]),

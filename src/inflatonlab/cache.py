@@ -18,8 +18,10 @@ CACHE_VERSION = BackgroundSolution.CACHE_FORMAT
 
 def cache_key(params: PotentialParams, t_start: float, t_end: float,
               rtol: float, atol: float) -> str:
-    blob = (f"v{CACHE_VERSION}|{__version__}|{params.kappa!r}|{params.lam!r}|{params.G!r}"
-            f"|{t_start!r}|{t_end!r}|{rtol!r}|{atol!r}")
+    """Hash of the run parameters, each keyed as the repr of its float value,
+    so a numpy scalar and the equal float share a key."""
+    values = (params.kappa, params.lam, params.G, t_start, t_end, rtol, atol)
+    blob = "|".join([f"v{CACHE_VERSION}", __version__, *(repr(float(x)) for x in values)])
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 

@@ -36,6 +36,8 @@ class CosmoConstants:
 
     q_R : GeV, comoving pivot wavenumber
     a_L : scale factor at last scattering (a(today) = 1)
+
+    Both are checked, then stored as Python floats.
     """
 
     q_R: float
@@ -44,6 +46,8 @@ class CosmoConstants:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (*astuple(self), self.q_R_over_aI)):
             raise ValueError("constants and q_R / a_L must be positive and finite")
+        object.__setattr__(self, "q_R", float(self.q_R))
+        object.__setattr__(self, "a_L", float(self.a_L))
 
     @property
     def q_R_over_aI(self) -> float:

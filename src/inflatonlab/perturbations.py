@@ -31,6 +31,12 @@ right-hand sides take and return plain floats; the stored trajectory is
 sampled from the mode's own dense output.  Modes solve at their background's
 tolerances (sol.rtol, sol.atol) over q/(aH) from X_START to X_END.
 
+The mode right-hand sides close over Python floats only (q is read as a
+float, whatever its type) and carry each complex mode variable as a (real,
+imaginary) pair: the coefficients are real, so both parts obey the same real
+equations, written with the operation order of the complex form and so
+rounded as it rounds them.
+
 Modes are integrated in normalized variables (initial amplitude 1) with the
 exact WKB prefactors reattached afterwards, so the stored trajectories carry
 physical normalization without ever pushing floats near their range limits.
@@ -80,7 +86,9 @@ class _Window(NamedTuple):
 
 
 def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Window:
-    """Times at which q/(aH) crosses X_START and X_END, and the data at the first."""
+    """Times at which q/(aH) crosses X_START and X_END, and the data at the first;
+    q is read as a float, so every number in the window is one."""
+    q = float(q)
     q_over_aI = q / consts.a_L
     t_I = sol.end_of_inflation()
 
@@ -128,7 +136,8 @@ def _evolve(sol: BackgroundSolution, rhs, w: _Window, z0: list, what: str) -> _R
     the tolerances the background was solved with.
 
     The mode variables z0 start complex and travel as (real, imaginary)
-    float pairs ahead of the background (f, g, n); rhs works on that state.
+    float pairs ahead of the background (f, g, n); rhs works on that state
+    and closes over floats only, so every number it reads is a float.
     """
     tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
     y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
@@ -217,19 +226,24 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     gpsi = Qt0 / g_a if quantum else 0.0             # source coefficient of the Psi equation
 
     def rhs(tau, y):
-        c = y[0] + 1j * y[1]
-        cp = y[2] + 1j * y[3]
-        P = y[4] + 1j * y[5]
-        f, g = y[6], y[7]
+        # (c, c', P) as real pairs; the complex form is
+        # P' = -N' P + gpsi g c,  c'' = -3 N' c' - m c - 2 W V' P + 4 W g P'
+        c_r, c_i, cp_r, cp_i, P_r, P_i, f, g, n = y
         bg = co.rhs(tau, y[6:])
         Np = bg[2]
-        Qv = Qt0 * math.exp(-y[8])
-        Pp = -Np * P + gpsi * g * c
+        Qv = Qt0 * math.exp(-n)
+        src = gpsi * g
+        Pp_r = -Np * P_r + src * c_r
+        Pp_i = -Np * P_i + src * c_i
         Vp_s = -K1 * f + K2 * f**3
-        cpp = (-3 * Np * cp
-               - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
-               - 2 * W * Vp_s * P + 4 * W * g * Pp)
-        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
+        damp = -3 * Np
+        mass = -K1 + 3 * K2 * f * f + Qv * Qv
+        k_P = 2 * W * Vp_s
+        k_Pp = 4 * W * g
+        return [cp_r, cp_i,
+                damp * cp_r - mass * c_r - k_P * P_r + k_Pp * Pp_r,
+                damp * cp_i - mass * c_i - k_P * P_i + k_Pp * Pp_i,
+                Pp_r, Pp_i, *bg]
 
     # normalized initial data: c = 1, c' = WKB start, P from the constraint
     P0 = gpsi * (w.rates[1] - g_a * w.wkb) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
@@ -313,12 +327,13 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     Qt0 = w.Qt0
 
     def rhs(tau, y):
-        d = y[0] + 1j * y[1]
-        dp = y[2] + 1j * y[3]
+        # (d, d') as real pairs of d'' = -3 N' d' - Qv^2 d
+        d_r, d_i, dp_r, dp_i, _, _, n = y
         bg = co.rhs(tau, y[4:])
-        Qv = Qt0 * math.exp(-y[6])
-        dpp = -3 * bg[2] * dp - Qv * Qv * d
-        return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
+        Qv = Qt0 * math.exp(-n)
+        damp = -3 * bg[2]
+        mass = Qv * Qv
+        return [dp_r, dp_i, damp * dp_r - mass * d_r, damp * dp_i - mass * d_i, *bg]
 
     run = _evolve(sol, rhs, w, [1.0 + 0j, w.wkb], "tensor")
     d, dp = run.z

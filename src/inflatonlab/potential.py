@@ -23,6 +23,9 @@ class PotentialParams:
     kappa : GeV, mass scale of the quadratic term
     lam   : dimensionless quartic coupling
     G     : GeV^-2, Newton constant
+
+    Each field is checked, then stored as a Python float, so a numpy scalar
+    passed in never reaches the solvers' per-step arithmetic.
     """
 
     kappa: float = KAPPA_DEFAULT
@@ -34,6 +37,7 @@ class PotentialParams:
             val = getattr(self, name)
             if not math.isfinite(val) or val <= 0:
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
+            object.__setattr__(self, name, float(val))
 
 
 @dataclass(frozen=True)

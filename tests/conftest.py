@@ -3,6 +3,7 @@ are computed once per session, next to an independent slow-roll oracle for
 the pivot exit."""
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import settings
 from scipy.optimize import brentq
 
 import inflatonlab as il
+from inflatonlab import _dop853
 
 # one Hypothesis profile for the suite: reproducible examples, no timing
 # deadline (the solver calls are slow and uneven), no example database on disk
@@ -129,3 +131,23 @@ def scalar_mode(background, consts):
 @pytest.fixture(scope="session")
 def tensor_mode(background, consts):
     return il.integrate_tensor(background, consts.q_R, consts)
+
+
+# one recorded _dop853.solve: its arguments and the Steps it returned
+Solve = namedtuple("Solve", "fun t0 t1 y0 rtol atol steps")
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Every _dop853.solve the package makes during the test, in call order;
+    monkeypatch.undo() stops the recording."""
+    calls = []
+    solve = _dop853.solve
+
+    def recorded(fun, t0, t1, y0, rtol, atol):
+        steps = solve(fun, t0, t1, y0, rtol, atol)
+        calls.append(Solve(fun, t0, t1, y0, rtol, atol, steps))
+        return steps
+
+    monkeypatch.setattr(_dop853, "solve", recorded)
+    return calls

@@ -1,8 +1,9 @@
+import hashlib
 import json
 import struct
 import tempfile
 import zipfile
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,25 @@ def test_cache_key_sensitivity(params, monkeypatch):
     monkeypatch.setattr(cache, "__version__", il.__version__ + ".post1")
     k4 = cache_key(params, -25e-12, 15e-12, 1e-10, 1e-12)
     assert len({k1, k2, k3, k4}) == 4
+
+
+def test_numpy_scalar_inputs_hit_a_cache_written_with_floats(tmp_path, background, params):
+    # the key reads every input as a float: float inputs keep the key of
+    # their reprs, a numpy scalar shares the key of the equal float, and
+    # numpy-scalar inputs load the file that float inputs wrote
+    runs = (background.t_start, background.t_end, background.rtol, background.atol)
+    key = cache_key(params, *runs)
+    blob = "|".join([f"v{cache.CACHE_VERSION}", il.__version__,
+                     *(repr(x) for x in (*astuple(params), *runs))])
+    assert key == hashlib.sha256(blob.encode()).hexdigest()[:24]
+    params64 = il.PotentialParams(*map(np.float64, astuple(params)))
+    assert cache_key(params64, *runs) == key
+    for i in range(len(runs)):
+        one = list(runs)
+        one[i] = np.float64(one[i])
+        assert cache_key(params, *one) == key
+    save_background(background, tmp_path)
+    assert load_background(params64, *map(np.float64, runs), tmp_path) is not None
 
 
 def test_cache_round_trip(tmp_path, background, params):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import inflatonlab as il
 from inflatonlab import _dop853, perturbations
+from inflatonlab.background import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END, DEFAULT_T_START
 from inflatonlab.cache import load_background, save_background
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import TWO_PI
@@ -56,26 +58,114 @@ def test_mode_contracts_across_band(background, consts, ratio):
         assert mode.q_over_aH[-1] == pytest.approx(X_END, rel=1e-6)
 
 
-def test_modes_solve_at_their_backgrounds_tolerances(params, consts, tmp_path, monkeypatch):
+def test_modes_solve_at_their_backgrounds_tolerances(params, consts, tmp_path, solve_calls):
     # a background solved at non-default tolerances, fresh and through the
-    # cache: every mode solve runs at that background's rtol and atol
+    # cache: it and every mode solve run at that background's rtol and atol
     sol = il.integrate(params, rtol=1e-9, atol=1e-11)
     save_background(sol, tmp_path)
     cached = load_background(params, sol.t_start, sol.t_end, 1e-9, 1e-11, tmp_path)
-    seen = []
-    solve = _dop853.solve
-
-    def spy(fun, t0, t1, y0, rtol, atol):
-        seen.append((rtol, atol))
-        return solve(fun, t0, t1, y0, rtol, atol)
-
-    monkeypatch.setattr(_dop853, "solve", spy)
     modes = [integrate_mode(bg, consts.q_R, consts) for bg in (sol, cached)
              for integrate_mode in (il.integrate_scalar, il.integrate_tensor)]
-    assert seen == [(1e-9, 1e-11)] * 4
+    assert [(c.rtol, c.atol) for c in solve_calls] == [(1e-9, 1e-11)] * 5
     # the cached background hands its modes the same bits
     assert np.array_equal(modes[0].R, modes[2].R)
     assert np.array_equal(modes[1].D, modes[3].D)
+
+
+def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_mode,
+                                                         tensor_mode, solve_calls, monkeypatch):
+    # couplings, constants, q, run times and tolerances all as numpy scalars:
+    # they are stored or read as floats, every callback returns floats at its
+    # y0 and is called with floats only, and the modes are the float-input
+    # modes bit for bit
+    f64 = np.float64
+    params64 = il.PotentialParams(*map(f64, astuple(params)))
+    consts64 = il.CosmoConstants(*map(f64, astuple(consts)))
+    assert all(type(v) is float for v in (*astuple(params64), *astuple(consts64)))
+    sol = il.integrate(params64, f64(DEFAULT_T_START), f64(DEFAULT_T_END),
+                       f64(DEFAULT_RTOL), f64(DEFAULT_ATOL))
+    modes = (il.integrate_scalar(sol, f64(consts.q_R), consts64),
+             il.integrate_tensor(sol, f64(consts.q_R), consts64))
+    monkeypatch.undo()
+    assert [len(c.y0) for c in solve_calls] == [3, 9, 7]
+
+    def floats_only(fun):
+        def checked(t, y):
+            out = fun(t, y)
+            assert all(type(v) is float for v in (t, *y, *out))
+            return out
+        return checked
+
+    for fun, t0, t1, y0, rtol, atol, _ in solve_calls:
+        assert all(type(v) is float for v in fun(t0, y0))
+        _dop853.solve(floats_only(fun), t0, t1, y0, rtol, atol)
+    for got, want in zip(modes, (scalar_mode, tensor_mode)):
+        for a, b in zip(astuple(got), astuple(want)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _complex_scalar_rhs(co, K1, K2, Qt0, W, gpsi):
+    """The scalar right-hand side in complex form: the oracle for the real pairs."""
+    def rhs(tau, y):
+        c = y[0] + 1j * y[1]
+        cp = y[2] + 1j * y[3]
+        P = y[4] + 1j * y[5]
+        f, g = y[6], y[7]
+        bg = co.rhs(tau, y[6:])
+        Np = bg[2]
+        Qv = Qt0 * math.exp(-y[8])
+        Pp = -Np * P + gpsi * g * c
+        Vp_s = -K1 * f + K2 * f**3
+        cpp = (-3 * Np * cp
+               - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
+               - 2 * W * Vp_s * P + 4 * W * g * Pp)
+        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
+    return rhs
+
+
+def _complex_tensor_rhs(co, Qt0):
+    """The tensor right-hand side in complex form: the oracle for the real pairs."""
+    def rhs(tau, y):
+        d = y[0] + 1j * y[1]
+        dp = y[2] + 1j * y[3]
+        bg = co.rhs(tau, y[4:])
+        Qv = Qt0 * math.exp(-y[6])
+        dpp = -3 * bg[2] * dp - Qv * Qv * d
+        return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
+    return rhs
+
+
+def _closure(fun):
+    """The values fun closes over, by name."""
+    return {name: cell.cell_contents
+            for name, cell in zip(fun.__code__.co_freevars, fun.__closure__)}
+
+
+def test_real_pair_rhs_match_the_complex_form(background, consts, solve_calls, monkeypatch):
+    # the pivot's quantum scalar, classical scalar and tensor right-hand sides
+    # against the complex form on the coefficients each closes over, at finite
+    # states spanning those of the window (mode parts to 1e4, f to 30, g to 5,
+    # n to 12): every output compares equal
+    il.integrate_scalar(background, consts.q_R, consts)
+    il.integrate_scalar(background, consts.q_R, consts, gravity=il.GravityMode.CLASSICAL)
+    il.integrate_tensor(background, consts.q_R, consts)
+    monkeypatch.undo()
+    quantum, classical, tensor = (c.fun for c in solve_calls)
+    assert _closure(quantum)["W"] != 0 and _closure(quantum)["gpsi"] != 0
+    assert _closure(classical)["W"] == _closure(classical)["gpsi"] == 0.0
+    cases = [(quantum, _complex_scalar_rhs(**_closure(quantum)), 6),
+             (classical, _complex_scalar_rhs(**_closure(classical)), 6),
+             (tensor, _complex_tensor_rhs(**_closure(tensor)), 4)]
+
+    @settings(max_examples=200)
+    @given(tau=st.floats(-1e3, 1e3), parts=st.lists(st.floats(-1e4, 1e4), min_size=6, max_size=6),
+           f=st.floats(0, 30), g=st.floats(-5, 5), n=st.floats(0, 12))
+    def check(tau, parts, f, g, n):
+        for fun, oracle, m in cases:
+            y = [*parts[:m], f, g, n]
+            assert fun(tau, y) == oracle(tau, y)
+
+    check()
 
 
 def test_scalar_wkb_envelope_inside_horizon(background, scalar_mode):

@@ -154,31 +154,16 @@ def _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol):
     assert got_fun.calls == want_fun.calls == 2 + 12 * attempts + 3 * (len(want.t) - 1)
 
 
-def _record_solves(monkeypatch):
-    """Record the arguments and result of every _dop853.solve the package makes."""
-    calls = []
-    solve = _dop853.solve
-
-    def recorded(fun, t0, t1, y0, rtol, atol):
-        steps = solve(fun, t0, t1, y0, rtol, atol)
-        calls.append((fun, t0, t1, y0, rtol, atol, steps))
-        return steps
-
-    monkeypatch.setattr(_dop853, "solve", recorded)
-    return calls
-
-
 def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background, consts,
-                                                             monkeypatch):
+                                                             solve_calls, monkeypatch):
     # the default background (f, g, N), the tensor mode with its background
     # and the scalar mode with its background, replayed through the oracle
-    calls = _record_solves(monkeypatch)
     il.integrate(params)
     il.integrate_tensor(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts)
     monkeypatch.undo()
-    assert [len(c[3]) for c in calls] == [3, 7, 9]
-    for fun, t0, t1, y0, rtol, atol, _ in calls:
+    assert [len(c.y0) for c in solve_calls] == [3, 7, 9]
+    for fun, t0, t1, y0, rtol, atol, _ in solve_calls:
         _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol)
 
 
@@ -192,16 +177,15 @@ def test_smooth_solves_match_the_generic_oracle_bit_for_bit(n, seed, t0, span, l
 
 
 def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, consts,
-                                                        monkeypatch):
+                                                        solve_calls):
     # every solve the package makes, replayed through solve_ivp: the
     # background (f, g, N), the tensor mode with its background and the
     # scalar mode with its background
-    calls = _record_solves(monkeypatch)
     il.integrate(params, t_end=-10e-12)
     il.integrate_tensor(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts)
-    assert [len(c[3]) for c in calls] == [3, 7, 9]
-    for fun, t0, t1, y0, rtol, atol, steps in calls:
+    assert [len(c.y0) for c in solve_calls] == [3, 7, 9]
+    for fun, t0, t1, y0, rtol, atol, steps in solve_calls:
         ref = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
                         dense_output=True)
         t = np.linspace(t0, t1, 401)[1:-1]
