@@ -13,8 +13,11 @@ components whose stage sum names the nonzero coefficients of its tableau row,
 left to right.  Skipping the structural zeros drops only 0.0 * k terms, which
 are exact for finite k, so every sum rounds as the full row would.  On the
 3-component background this costs less than one numpy product per stage.
-The three extra dense-output stages are computed with each accepted step;
-the dense-output blocks of all steps are formed at the end, as arrays.
+The three extra dense-output stages serve accepted steps only, so they are
+left out of the step loop: after the last step, each one's input is formed
+for all steps at once, as one numpy expression in its stage line's order
+(elementwise, so it rounds as the float sums do), and the dense-output blocks
+of all steps follow as arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -101,8 +105,6 @@ D = np.array([
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564),
 ])
-N_STAGES = len(C)
-
 # the coefficients by name for the stage lines below, structural zeros as _;
 # the stage lines skip those zeros
 _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = C
@@ -210,22 +212,42 @@ def _step(fun, t: float, y: list, f: list, h: float):
     return y_new, [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, fun(t + h, y_new)]
 
 
-def _dense_stages(fun, t: float, y: list, K: list, h: float) -> None:
-    """Append the three dense-output stages k13 ... k15 of an accepted step to K."""
-    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11, k12 = K
-    k13 = fun(t + c13 * h, [v + (a130 * x0 + a136 * x6 + a137 * x7 + a138 * x8 + a139 * x9
-                                 + a1310 * x10 + a1311 * x11 + a1312 * x12) * h
-                            for v, x0, x6, x7, x8, x9, x10, x11, x12
-                            in zip(y, k0, k6, k7, k8, k9, k10, k11, k12)])
-    k14 = fun(t + c14 * h, [v + (a140 * x0 + a145 * x5 + a146 * x6 + a147 * x7
-                                 + a1410 * x10 + a1411 * x11 + a1412 * x12 + a1413 * x13) * h
-                            for v, x0, x5, x6, x7, x10, x11, x12, x13
-                            in zip(y, k0, k5, k6, k7, k10, k11, k12, k13)])
-    k15 = fun(t + c15 * h, [v + (a150 * x0 + a155 * x5 + a156 * x6 + a157 * x7 + a158 * x8
-                                 + a1512 * x12 + a1513 * x13 + a1514 * x14) * h
-                            for v, x0, x5, x6, x7, x8, x12, x13, x14
-                            in zip(y, k0, k5, k6, k7, k8, k12, k13, k14)])
-    K += k13, k14, k15
+def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray) -> np.ndarray:
+    """The 16 stages (m, n, 16) of m accepted steps from their stages k0 ... k12,
+    K13 (m, n, 13): the dense-output stages k13 ... k15 are appended, each
+    evaluated for all steps in turn, with fun called once per step on floats.
+
+    Raises StepFailure at the start of the step whose stage overflows.
+    """
+    t, h = t_nodes[:-1], np.diff(t_nodes)
+    y, h_col = y_nodes[:, :-1].T, h[:, None]
+    x0, _, _, _, _, x5, x6, x7, x8, x9, x10, x11, x12 = np.moveaxis(K13, 2, 0)
+
+    def stage(c, x):
+        k = []
+        for t_j, h_j, x_j in zip(t.tolist(), h.tolist(), x.tolist()):
+            try:
+                k.append(fun(t_j + c * h_j, x_j))
+            except OverflowError:   # fun raised it, as float ** does past the float range
+                raise StepFailure("a right-hand side value overflows", t_j) from None
+        return np.array(k).reshape(x.shape)
+
+    # an inf or NaN in a stage input passes silently, as in the float sums of
+    # the step loop, and reaches the finite check on the dense output
+    quiet = partial(np.errstate, over="ignore", invalid="ignore")
+    with quiet():
+        x = y + (a130 * x0 + a136 * x6 + a137 * x7 + a138 * x8 + a139 * x9
+                 + a1310 * x10 + a1311 * x11 + a1312 * x12) * h_col
+    x13 = stage(c13, x)
+    with quiet():
+        x = y + (a140 * x0 + a145 * x5 + a146 * x6 + a147 * x7
+                 + a1410 * x10 + a1411 * x11 + a1412 * x12 + a1413 * x13) * h_col
+    x14 = stage(c14, x)
+    with quiet():
+        x = y + (a150 * x0 + a155 * x5 + a156 * x6 + a157 * x7 + a158 * x8
+                 + a1512 * x12 + a1513 * x13 + a1514 * x14) * h_col
+    x15 = stage(c15, x)
+    return np.dstack((K13, x13, x14, x15))
 
 
 def _error_norm(y: list, y_new: list, K: list, h: float, rtol: float, atol: float) -> float:
@@ -265,7 +287,10 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
 
     fun takes a time and a list of floats and returns a list of floats.  The
     times, tolerances and y0 are read as floats, so fun sees plain floats
-    whatever numeric types the caller passes.
+    whatever numeric types the caller passes.  The step loop keeps each
+    accepted step's stages k0 ... k12; the three dense-output stages of every
+    step are evaluated after the last step (_dense_stages), so a failure in
+    one of them is raised only then, still at the start of its step.
     Raises ValueError for a tolerance the error test cannot resolve, and
     StepFailure when a stage is not finite, fun overflows or the step size
     falls below ten float spacings.
@@ -301,7 +326,6 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
                     raise StepFailure("a right-hand side value is not finite", t)
                 h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
                 rejected = True
-            _dense_stages(fun, t, y, K, h)
             for col in zip(*K):
                 ks.extend(col)
             ts.append(t_new)
@@ -311,7 +335,8 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
         raise StepFailure("a right-hand side value overflows", t) from None
 
     t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T
-    F = _dense_output(t_nodes, y_nodes, np.array(ks).reshape(-1, n, N_STAGES))
+    K13 = np.frombuffer(ks).reshape(-1, n, 13)
+    F = _dense_output(t_nodes, y_nodes, _dense_stages(fun, t_nodes, y_nodes, K13))
     finite = np.isfinite(F).all(axis=(0, 1))
     if not finite.all():
         raise StepFailure("a dense-output stage is not finite", t_nodes[np.argmin(finite)])

@@ -188,6 +188,7 @@ class BackgroundSolution:
         if self.coef.shape != (7, 3, len(self.tau) - 1):
             raise IntegrationError(f"dense-output coefficients have shape {self.coef.shape}")
         self._nodes = np.stack((self.f, self.g, self.N))
+        self._N_I = None    # e-folds from the start to t_I, set with t_I
 
     # -- scaled-space evaluation ----------------------------------------------
 
@@ -243,19 +244,24 @@ class BackgroundSolution:
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
     def end_of_inflation(self) -> float:
-        """Time of the end of inflation: the first t with phi(t) = v."""
+        """Time of the end of inflation: the first t with phi(t) = v.
+
+        It is found once and cached in t_I, and the e-fold count there in _N_I.
+        """
         if self.t_I is None:
             self.t_I = self.first_crossing(lambda t: self.phi(t) - self.derived.v,
                                            self.t_start, self.t_end)
         if self.t_I is None:
             raise EndOfInflationNotFound(
                 f"phi never reaches v in [{self.t_start:g}, {self.t_end:g}]")
+        if self._N_I is None:
+            self._N_I = self.efolds_from_start(self.t_I)
         return self.t_I
 
     def efolds_to_end(self, t):
         """Integral of H dt' from t to the end of inflation."""
-        N_I = self.efolds_from_start(self.end_of_inflation())
-        return N_I - self.efolds_from_start(t)
+        self.end_of_inflation()
+        return self._N_I - self.efolds_from_start(t)
 
     # -- serialization ---------------------------------------------------------
 

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -324,6 +323,9 @@ def _scan_row(cfg: RunConfig) -> list:
 
 
 def cmd_scan(cfg: RunConfig, w: Writer) -> int:
+    # imported here: the process pool costs every other subcommand its start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     sc = cfg.scan
     kappas = np.geomspace(sc.kappa_min, sc.kappa_max, sc.kappa_points)
     lams = np.geomspace(sc.lambda_min, sc.lambda_max, sc.lambda_points)

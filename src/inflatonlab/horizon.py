@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .background import BackgroundSolution
-from .constants import MPC_IN_INV_GEV
+from .constants import HUBBLE_UNIT, MPC_IN_INV_GEV
 
 DEFAULT_QR_MPC_INV = 0.05
 DEFAULT_Z_L = 1089.0
@@ -80,8 +80,18 @@ class HorizonExit:
 
 
 def log_q_over_aH(sol: BackgroundSolution, q_over_aI: float, t) -> np.ndarray:
-    """ln of q/(a(t) H(t)); log-space because efolds_to_end reaches ~5000."""
-    return math.log(q_over_aI) + sol.efolds_to_end(t) - np.log(sol.hubble(t))
+    """ln of q/(a(t) H(t)) = ln(q/a_I) + efolds_to_end(t) - ln H(t); log-space
+    because efolds_to_end reaches ~5000.
+
+    Every crossing search calls it at each Brent iteration, so it evaluates
+    the stored dense output once, at t alone: the e-fold count and H both come
+    from that state, and the count at t_I is the one end_of_inflation caches.
+    The value is the one sol.efolds_to_end and sol.hubble give, bit for bit.
+    """
+    sol.end_of_inflation()
+    f, g, N = sol._state(sol._tau_of(t))
+    return (math.log(q_over_aI) + (sol._N_I - N)
+            - np.log(sol._coeffs.hubble(f, g) * HUBBLE_UNIT))
 
 
 def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit:

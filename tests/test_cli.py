@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inflatonlab.cli import REFERENCE_TABLE, _fmt, _scan_row, main
 from inflatonlab.config import load_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -196,3 +202,14 @@ def test_cache_correctness_end_to_end(tmp_path):
     assert run(["observables", "--out", str(cached)]) == 0   # reuses cache
     assert (fresh / "observables.json").read_bytes() == \
         (cached / "observables.json").read_bytes()
+
+
+def test_import_does_not_load_the_process_pool():
+    # only scan runs a process pool, so importing the CLI leaves it unloaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = "import json, sys, inflatonlab.cli; print(json.dumps(sorted(sys.modules)))"
+    modules = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                        capture_output=True, text=True, check=True).stdout)
+    assert "inflatonlab.cli" in modules
+    assert "concurrent.futures.process" not in modules

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import inflatonlab as il
-from inflatonlab.horizon import NoHorizonExit
+from inflatonlab.horizon import NoHorizonExit, log_q_over_aH
 from inflatonlab.perturbations import _window
 
 
@@ -50,6 +50,38 @@ def test_mode_inside_horizon_before_exit(background, exit_point, consts):
     log_ratio = (math.log(consts.q_R_over_aI) + background.efolds_to_end(ts)
                  - np.log(background.hubble(ts)))
     assert np.all(log_ratio > 0)
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+def _log_q_over_aH_by_definition(sol, q_over_aI, t):
+    return math.log(q_over_aI) + sol.efolds_to_end(t) - np.log(sol.hubble(t))
+
+
+def test_log_q_over_aH_is_its_definition_on_arrays(background, consts):
+    # one dense-output evaluation gives the value that efolds_to_end and
+    # hubble give through three, bit for bit, on the storage nodes before t_I
+    # and between them
+    t_I = background.end_of_inflation()
+    nodes = background.grid_times[background.grid_times < t_I]
+    for t in (nodes, np.linspace(background.t_start, t_I, 1001)):
+        _assert_same_bits(log_q_over_aH(background, consts.q_R_over_aI, t),
+                          _log_q_over_aH_by_definition(background, consts.q_R_over_aI, t))
+
+
+@settings(max_examples=100)
+@given(fraction=st.floats(0.0, 1.0), log10_ratio=st.floats(-2.0, 2.0))
+def test_log_q_over_aH_is_its_definition_at_scalar_times(background, consts, fraction,
+                                                         log10_ratio):
+    t_I = background.end_of_inflation()
+    t = background.t_start + fraction * (t_I - background.t_start)
+    q_over_aI = consts.q_R_over_aI * 10.0 ** log10_ratio
+    _assert_same_bits(log_q_over_aH(background, q_over_aI, t),
+                      _log_q_over_aH_by_definition(background, q_over_aI, t))
 
 
 def test_reference_equals_general_at_pivot(background, consts, exit_point):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from operator import mul
 from pathlib import Path
@@ -62,9 +63,9 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
     y_new, K = _dop853._step(fun, t, y, fun(t, y), h)
-    _dop853._dense_stages(fun, t, y, K, h)
-    F = _dop853._dense_output(np.array([t, t + h]), np.array([y, y_new]).T,
-                              np.array(K).T[None])[..., 0]
+    t_nodes, y_nodes = np.array([t, t + h]), np.array([y, y_new]).T
+    stages = _dop853._dense_stages(fun, t_nodes, y_nodes, np.array(K).T[None])
+    F = _dop853._dense_output(t_nodes, y_nodes, stages)[..., 0]
 
     ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
     ref.step()
@@ -157,12 +158,14 @@ def _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol):
 def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background, consts,
                                                              solve_calls, monkeypatch):
     # the default background (f, g, N), the tensor mode with its background
-    # and the scalar mode with its background, replayed through the oracle
+    # and the scalar mode with its background, under quantum and classical
+    # gravity (W = gpsi = 0), replayed through the oracle
     il.integrate(params)
     il.integrate_tensor(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts)
+    il.integrate_scalar(background, consts.q_R, consts, gravity=il.GravityMode.CLASSICAL)
     monkeypatch.undo()
-    assert [len(c.y0) for c in solve_calls] == [3, 7, 9]
+    assert [len(c.y0) for c in solve_calls] == [3, 7, 9, 9]
     for fun, t0, t1, y0, rtol, atol, _ in solve_calls:
         _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol)
 
@@ -245,6 +248,41 @@ def test_overflowing_right_hand_side_raises_with_its_time(params):
     # in its right-hand side overflows
     with pytest.raises(IntegrationError, match="overflows"):
         il.integrate(params, rtol=0.5)
+
+
+def test_a_failing_dense_stage_names_its_step():
+    # c14 = 0.2 is no other stage's node, so the right-hand side fails at
+    # step j's stage k14 alone; the stages of all steps are evaluated after
+    # the step loop, and the failure still names step j, not the first step
+    def decay(t, y):
+        return [-v for v in y]
+
+    clean = _dop853.solve(decay, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+    j = len(clean.t) // 2
+    t_j = clean.t[j].item()
+    t_fail = t_j + _dop853.C[14] * (clean.t[j + 1].item() - t_j)
+
+    def overflowing(t, y):
+        if t == t_fail:
+            raise OverflowError("(1e200 * v) ** 2")
+        return decay(t, y)
+
+    with pytest.raises(_dop853.StepFailure, match="overflows") as info:
+        _dop853.solve(overflowing, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+    assert info.value.t == t_j > 0.0
+
+    # a NaN stage, or one whose stage sums overflow, travels through the sums
+    # as through float sums, without a numpy warning, to the finite check
+    for value in (math.nan, 1e308):
+        def bad_at(t, y):
+            return [value] * len(y) if t == t_fail else decay(t, y)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_dop853.StepFailure, match="dense-output stage is not finite") \
+                    as info:
+                _dop853.solve(bad_at, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+        assert info.value.t == t_j
 
 
 def test_starting_step_underflow_raises():
