@@ -3,6 +3,8 @@
 Run:  python demos/background_evolution.py
 """
 
+import math
+
 import numpy as np
 
 import inflatonlab as il
@@ -42,6 +44,11 @@ print("\npost-inflation: max |phi - v|/v = %.3f, at t = +15e-12 it is %.1e"
 # where the hot phase can sit: a homogeneous constant-density patch has a
 # scale-factor zero only for negative spatial curvature
 for K in (0.0, +1.0, -1.0):
-    res = il.classify_bigbang(K, rho_bar=der.vacuum_energy)
-    extra = "" if res.t_bb is None else " at t = %.3e GeV^-1" % res.t_bb
-    print("curvature K = %+g  ->  %s%s" % (K, res.kind.value, extra))
+    t_bb = il.classify_bigbang(K, rho_bar=der.vacuum_energy)
+    if t_bb is None:
+        kind = "no BB"
+    elif t_bb == -math.inf:
+        kind = "BB at -infinity"
+    else:
+        kind = "BB at finite t at t = %.3e GeV^-1" % t_bb
+    print("curvature K = %+g  ->  %s" % (K, kind))

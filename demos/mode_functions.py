@@ -28,7 +28,7 @@ for x in (30.0, 3.0, 1.0, 0.3, 0.05, 0.01):
 R2 = abs(sc.R_plateau) ** 2
 D2 = abs(tn.D_plateau) ** 2
 sr_R2 = report.NS2 * q**-3
-sr_D2 = params.G * report.H_exit**2 / np.pi**2 * q**-3
+sr_D2 = params.G * exit_.H_exit**2 / np.pi**2 * q**-3
 print("\nfrozen amplitudes against the slow-roll forms:")
 print("  |R0|^2 = %.4e   slow roll %.4e   ratio %.4f" % (R2, sr_R2, R2 / sr_R2))
 print("  |D0|^2 = %.4e   slow roll %.4e   ratio %.4f" % (D2, sr_D2, D2 / sr_D2))

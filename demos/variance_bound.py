@@ -22,7 +22,7 @@ weights = [il.WeightFunction(t_w=rng.normal(), x_w=tuple(rng.normal(size=3)),
                              lambda_t=1.0, lambda_s=1.0) for _ in range(5)]
 cov = il.covariance_matrix(mu, weights)
 print("\n5-window covariance eigenvalues (all nonnegative):")
-print("  " + "  ".join("%.3e" % e for e in cov.eigenvalues))
+print("  " + "  ".join("%.3e" % e for e in np.linalg.eigvalsh(cov)))
 
 # the decay experiment: a particle either reaches the detector or not
 exp = preset_air_mip()

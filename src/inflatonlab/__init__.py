@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .background import (
     BackgroundSolution,
     BackgroundState,
-    BigBangClass,
     classify_bigbang,
     initial_state,
     integrate,
@@ -53,7 +52,6 @@ from .toymodel import (
     two_level_model,
 )
 from .variance import (
-    ClassicalCovariance,
     DecayExperiment,
     WeightFunction,
     classical_variance_00,

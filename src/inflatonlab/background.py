@@ -23,7 +23,6 @@ H/1e14 GeV); the public accessors speak GeV.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -60,16 +59,11 @@ class EndOfInflationNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class BackgroundState:
-    """Instantaneous background state, all in GeV powers.
+    """Instantaneous background state, all in GeV powers."""
 
-    N counts e-folds accumulated since the start of the integration.
-    """
-
-    t: float
     phi: float
     phidot: float
     H: float
-    N: float
 
 
 class _Coeffs:
@@ -308,7 +302,7 @@ def initial_state(params: PotentialParams, t_start: float) -> BackgroundState:
         )
     phidot = der.alpha * phi
     H = math.sqrt(8 * math.pi * params.G / 3 * (0.5 * phidot**2 + potential(params, phi)))
-    return BackgroundState(t=t_start, phi=phi, phidot=phidot, H=H, N=0.0)
+    return BackgroundState(phi=phi, phidot=phidot, H=H)
 
 
 def integrate(params: PotentialParams,
@@ -372,32 +366,32 @@ def _check_midpoint_residual(bg: BackgroundSolution) -> None:
                                f"exceeds {MAX_MIDPOINT_RESIDUAL:g}")
 
 
-class BigBangClass(enum.Enum):
-    BB_AT_MINUS_INFINITY = "BB at -infinity"
-    NO_BB = "no BB"
-    BB_AT_FINITE_TIME = "BB at finite t"
-
-
-@dataclass(frozen=True)
-class BigBangClassification:
-    kind: BigBangClass
-    t_bb: float | None = None     # GeV^-1, only for the finite-time case
-
-
-def classify_bigbang(K: float, rho_bar: float) -> BigBangClassification:
-    """Locate the zero of the constant-density scale factor for curvature K.
+def classify_bigbang(K: float, rho_bar: float) -> float | None:
+    """Time (GeV^-1) of the zero of the constant-density scale factor for curvature K.
 
     The general solution a(t) = e^{Ht} + (K / 4 H^2) e^{-Ht}, normalized to
-    a_bar = 1, with H = sqrt(8 pi G rho_bar / 3) has no zero for K > 0, a zero
-    only at t -> -infinity for K = 0, and a single finite zero for K < 0 at
-    t = ln(-K / (4 H^2)) / (2H).
+    a_bar = 1, with H = sqrt(8 pi G rho_bar / 3) has no zero for K > 0 (None
+    is returned), a zero only at t -> -infinity for K = 0 (-math.inf), and a
+    single finite zero for K < 0 at t = ln(-K / (4 H^2)) / (2H).
+
+    Raises ValueError for a non-finite K, for a rho_bar that is not positive
+    and finite, and for a K < 0 whose zero time is not a finite float (H^2
+    underflowing to zero, or the logarithm's argument leaving the float range).
     """
-    if rho_bar <= 0:
-        raise ValueError("rho_bar must be positive")
-    H = math.sqrt(8 * math.pi * G_NEWTON / 3 * rho_bar)
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K!r}")
+    if not 0 < rho_bar < math.inf:
+        raise ValueError(f"rho_bar must be positive and finite, got {rho_bar!r}")
     if K == 0:
-        return BigBangClassification(BigBangClass.BB_AT_MINUS_INFINITY)
+        return -math.inf
     if K > 0:
-        return BigBangClassification(BigBangClass.NO_BB)
-    t_bb = math.log(-K / (4 * H**2)) / (2 * H)
-    return BigBangClassification(BigBangClass.BB_AT_FINITE_TIME, t_bb=t_bb)
+        return None
+    H = math.sqrt(8 * math.pi * G_NEWTON / 3 * rho_bar)
+    try:
+        t_bb = math.log(-K / (4 * H**2)) / (2 * H)
+    except (ValueError, ZeroDivisionError):     # H^2 or the ratio underflows to zero
+        t_bb = math.nan
+    if not math.isfinite(t_bb):
+        raise ValueError(f"K = {K!r}, rho_bar = {rho_bar!r}: "
+                         "the time of the zero is not a finite float")
+    return t_bb

@@ -100,8 +100,8 @@ def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit
     The bracket is the first sign change of ln(q/(aH)) on the storage grid,
     where the mismatch is smooth and monotone through the crossing.
     """
-    if q_over_aI <= 0:
-        raise ValueError("q_over_aI must be positive")
+    if not 0 < q_over_aI < math.inf:       # also false for NaN
+        raise ValueError(f"q_over_aI must be positive and finite, got {q_over_aI!r}")
     mismatch = partial(log_q_over_aH, sol, q_over_aI)
     t_exit = sol.first_crossing(mismatch, sol.t_start, sol.end_of_inflation())
     if t_exit is None:

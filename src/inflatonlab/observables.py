@@ -49,23 +49,17 @@ def slow_roll_functions(params: PotentialParams, phi: float) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class SlowRollReport:
-    """Spectral observables at one horizon exit; the tilts and r follow from
-    epsilon, delta and the gravity mode."""
+    """Spectral observables at one horizon exit, as spectra_report builds them:
+    epsilon and delta at the exit's field value, and the amplitudes from the
+    exit's H, so NT2 / NS2 = 4 epsilon holds by construction with the tensor
+    sector on.  The tilts and r follow from epsilon, delta and the gravity mode."""
 
     epsilon: float
     delta: float
     NS2: float            # scalar amplitude [N_S]^2
     NT2: float            # tensor amplitude [N_T]^2
-    t_exit: float
-    phi_exit: float
-    H_exit: float
-    gravity: str = GravityMode.QUANTUM.value
-
-    def __post_init__(self):
-        # two independent amplitude formulas must agree; raised, so python -O keeps it
-        if self.gravity == GravityMode.QUANTUM.value:
-            if abs(self.NT2 / self.NS2 - 4 * self.epsilon) > 1e-12 * 4 * self.epsilon:
-                raise ValueError("NT2 / NS2 != 4 epsilon")
+    exit: HorizonExit
+    gravity: GravityMode = GravityMode.QUANTUM
 
     @property
     def n_s(self) -> float:
@@ -78,15 +72,15 @@ class SlowRollReport:
     @property
     def r(self) -> float:
         """Tensor-to-scalar ratio: zero with the tensor sector off (classical gravity)."""
-        return 16 * self.epsilon if self.gravity == GravityMode.QUANTUM.value else 0.0
+        return 16 * self.epsilon if self.gravity is GravityMode.QUANTUM else 0.0
 
     def to_dict(self) -> dict:
         return {
             "epsilon": self.epsilon, "delta": self.delta,
             "n_s": self.n_s, "n_T": self.n_T,
             "NS2": self.NS2, "NT2": self.NT2, "r": self.r,
-            "t_exit_gev_inv": self.t_exit, "phi_exit_gev": self.phi_exit,
-            "H_exit_gev": self.H_exit, "gravity": self.gravity,
+            "t_exit_gev_inv": self.exit.t_exit, "phi_exit_gev": self.exit.phi_exit,
+            "H_exit_gev": self.exit.H_exit, "gravity": self.gravity.value,
         }
 
 
@@ -100,11 +94,8 @@ def spectra_report(params: PotentialParams, exit: HorizonExit,
     eps, delta = slow_roll_functions(params, exit.phi_exit)
     NS2 = params.G * exit.H_exit**2 / (4 * np.pi**2 * eps)
     NT2 = 0.0 if gravity is GravityMode.CLASSICAL else params.G * exit.H_exit**2 / np.pi**2
-    return SlowRollReport(
-        epsilon=eps, delta=delta, NS2=NS2, NT2=NT2,
-        t_exit=exit.t_exit, phi_exit=exit.phi_exit, H_exit=exit.H_exit,
-        gravity=gravity.value,
-    )
+    return SlowRollReport(epsilon=eps, delta=delta, NS2=NS2, NT2=NT2, exit=exit,
+                          gravity=gravity)
 
 
 # survey values the report is graded against: (target, sigma) per observable

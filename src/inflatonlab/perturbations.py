@@ -89,6 +89,8 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Windo
     """Times at which q/(aH) crosses X_START and X_END, and the data at the first;
     q is read as a float, so every number in the window is one."""
     q = float(q)
+    if not 0 < q < math.inf:                # also false for NaN
+        raise ValueError(f"q must be positive and finite, got {q!r}")
     q_over_aI = q / consts.a_L
     t_I = sol.end_of_inflation()
 

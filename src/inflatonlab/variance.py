@@ -104,22 +104,12 @@ def _metric_factor(ci: tuple[int, int], cj: tuple[int, int]) -> float:
     return _METRIC_SIGN[mu] * _METRIC_SIGN[nu]
 
 
-@dataclass(frozen=True)
-class ClassicalCovariance:
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    mu: float
-
-    @property
-    def is_psd(self) -> bool:
-        floor = -1e-10 * max(float(np.trace(self.matrix)), 1e-300)
-        return bool(np.all(self.eigenvalues >= floor))
-
-
-def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> ClassicalCovariance:
-    """Pairwise-overlap covariance matrix with metric factors; PSD-checked.
+def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> np.ndarray:
+    """Pairwise-overlap covariance matrix with metric factors, returned once its
+    eigenvalues are checked against the PSD floor -1e-10 tr M.
 
     Uses the flat convention a(t) = 1, so every entry is a closed-form overlap.
+    A weight set whose matrix falls below the floor raises PSDViolation.
     """
     _checked_mu(mu)
     if len(weights) == 0:
@@ -133,13 +123,12 @@ def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> Classical
             if sign == 0.0:
                 continue
             M[i, j] = M[j, i] = 0.5 * mu**4 * sign * weight_overlap(wi, wj)
-    eig = np.linalg.eigvalsh(M)
-    cov = ClassicalCovariance(matrix=M, eigenvalues=eig, mu=mu)
-    if not cov.is_psd:
+    lowest = np.linalg.eigvalsh(M).min()
+    if not lowest >= -1e-10 * max(float(np.trace(M)), 1e-300):
         raise PSDViolation(
-            f"covariance matrix has eigenvalue {eig.min():.3e} below the PSD floor; "
+            f"covariance matrix has eigenvalue {lowest:.3e} below the PSD floor; "
             "the chosen weight set is invalid")
-    return cov
+    return M
 
 
 # --- decay experiment --------------------------------------------------------

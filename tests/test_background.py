@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import inflatonlab as il
-from inflatonlab.background import BigBangClass, EndOfInflationNotFound, classify_bigbang
+from inflatonlab.background import EndOfInflationNotFound, classify_bigbang
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import FIELD_UNIT, G_NEWTON, TIME_UNIT
 
@@ -19,7 +19,6 @@ def test_initial_state_matches_asymptotic_form(params, derived):
     assert st.phi == pytest.approx(2.66e19, rel=0.05)
     # construction: phidot/phi = alpha to 1e-12
     assert st.phidot / st.phi == pytest.approx(derived.alpha, rel=1e-12)
-    assert st.N == 0.0
 
 
 def test_initial_state_approaches_limits_far_in_past(params, derived):
@@ -241,29 +240,64 @@ def test_serialization_round_trip(background):
 
 
 def test_classify_bigbang_flat_curvature():
-    res = classify_bigbang(0.0, 1e60)
-    assert res.kind is BigBangClass.BB_AT_MINUS_INFINITY
-    assert res.t_bb is None
+    assert classify_bigbang(0.0, 1e60) == -math.inf
 
 
 def test_classify_bigbang_positive_curvature():
-    assert classify_bigbang(+1.0, 1e60).kind is BigBangClass.NO_BB
+    assert classify_bigbang(+1.0, 1e60) is None
 
 
 def test_classify_bigbang_negative_curvature():
     # closed form t = ln(-K/(4 H^2))/(2H), checked against a numeric
     # root of the two-branch scale factor
     rho = 3 / (8 * math.pi * G_NEWTON)        # makes H = 1 GeV
-    res = classify_bigbang(-1.0, rho)
-    assert res.kind is BigBangClass.BB_AT_FINITE_TIME
+    t_bb = classify_bigbang(-1.0, rho)
     H = 1.0
-    assert res.t_bb == pytest.approx(math.log(1.0 / (4 * H**2)) / (2 * H), rel=1e-12)
+    assert t_bb == pytest.approx(math.log(1.0 / (4 * H**2)) / (2 * H), rel=1e-12)
 
     def a(t):
         return math.exp(H * t) + (-1.0 / (4 * H**2)) * math.exp(-H * t)
 
-    assert a(res.t_bb) == pytest.approx(0.0, abs=1e-12)
-    assert a(res.t_bb + 1e-3) > 0
+    assert a(t_bb) == pytest.approx(0.0, abs=1e-12)
+    assert a(t_bb + 1e-3) > 0
 
     with pytest.raises(ValueError):
         classify_bigbang(0.0, -1.0)
+
+
+@settings(max_examples=400)
+@given(K=st.floats(), rho_bar=st.floats())
+@example(K=-1.0, rho_bar=math.nan)
+@example(K=math.nan, rho_bar=1e60)
+@example(K=-math.inf, rho_bar=1e60)
+@example(K=-1.0, rho_bar=math.inf)
+@example(K=-1e300, rho_bar=1e-300)       # H^2 underflows to zero
+@example(K=-5e-324, rho_bar=1e300)       # -K / (4 H^2) underflows to zero
+@example(K=-1e10, rho_bar=1e-283)        # -K / (4 H^2) overflows
+def test_classify_bigbang_names_bad_inputs(K, rho_bar):
+    # every input either classifies or raises a ValueError naming what is
+    # wrong; none returns nan, +inf as a "finite" time, or a bare math error
+    if not math.isfinite(K):
+        with pytest.raises(ValueError, match="K must be finite"):
+            classify_bigbang(K, rho_bar)
+        return
+    if not 0 < rho_bar < math.inf:
+        with pytest.raises(ValueError, match="rho_bar must be positive and finite"):
+            classify_bigbang(K, rho_bar)
+        return
+    if K >= 0:
+        assert classify_bigbang(K, rho_bar) == (-math.inf if K == 0 else None)
+        return
+    H2 = 8 * math.pi * G_NEWTON / 3 * rho_bar
+    ratio = -K / (4 * H2) if H2 > 1e-300 else math.inf
+    if 1e-300 < ratio < 1e300:
+        # inside the float range the closed form is a finite time
+        t_bb = classify_bigbang(K, rho_bar)
+        assert 2 * math.sqrt(H2) * t_bb == pytest.approx(math.log(ratio), rel=1e-12, abs=1e-12)
+        return
+    try:
+        t_bb = classify_bigbang(K, rho_bar)
+    except ValueError as exc:
+        assert "the time of the zero is not a finite float" in str(exc)
+    else:
+        assert math.isfinite(t_bb)

@@ -154,20 +154,21 @@ def test_toy_battery_command(tmp_path):
     assert all(p["passed"] for p in data["properties"])
 
 
-def test_scan_rows_and_consistency(outdir, tmp_path):
+def test_scan_rows_and_consistency(tmp_path):
     cfg = tmp_path / "scan.json"
     cfg.write_text(json.dumps({"scan": {
         "kappa_min": 8.38e12, "kappa_max": 8.38e12, "kappa_points": 1,
         "lambda_min": 1.05e-15, "lambda_max": 1.26e-15, "lambda_points": 2,
     }}))
-    assert run(["scan", "--config", str(cfg), "--out", str(outdir),
-                "--no-cache"]) == 0
-    lines = (outdir / "scan.csv").read_text().splitlines()
+    out = tmp_path / "scan"
+    assert run(["scan", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
+    lines = (out / "scan.csv").read_text().splitlines()
     assert len(lines) == 1 + 2           # header + one row per grid point
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert first["status"] == "ok"
     # the default-coupling row reproduces the observables pipeline
-    obs = json.loads((outdir / "observables.json").read_text())["report"]
+    assert run(["observables", "--out", str(out), "--no-cache"]) == 0
+    obs = json.loads((out / "observables.json").read_text())["report"]
     assert float(first["n_s"]) == pytest.approx(obs["n_s"], rel=1e-5)
     assert float(first["r"]) == pytest.approx(obs["r"], rel=1e-4)
     # the process pool's rows are the in-process rows of the same jobs, in job order
@@ -187,12 +188,22 @@ def test_scan_rows_and_consistency(outdir, tmp_path):
     assert rows[1][-1].startswith("NoHorizonExit: q/a_I = 3.485e-37 GeV")
 
 
+DATA_FILES = sorted(["table1.csv", "fig1_phi.csv", "fig1_phi.svg", "fig2_hubble.csv",
+                     "fig2_hubble.svg", "fig3_exit.csv", "fig3_exit.svg", "observables.json",
+                     "observables.csv", "modes_summary.json", "mode_scalar.csv",
+                     "mode_tensor.csv", "mubound.json"])
+
+
 def test_deterministic_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["observables", "--out", str(a), "--no-cache"]) == 0
-    assert run(["observables", "--out", str(b), "--no-cache"]) == 0
-    assert (a / "observables.json").read_bytes() == (b / "observables.json").read_bytes()
-    assert (a / "observables.csv").read_bytes() == (b / "observables.csv").read_bytes()
+    # two fresh runs of the paper-output commands write byte-identical data files
+    written = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        for command in ("table1", "figs", "observables", "modes", "mubound"):
+            assert run([command, "--out", str(run_dir), "--no-cache"]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+                        if p.suffix in (".csv", ".json", ".svg")})
+    assert sorted(written[0]) == DATA_FILES
+    assert written[0] == written[1]
 
 
 def test_cache_correctness_end_to_end(tmp_path):

@@ -209,7 +209,7 @@ def test_tensor_plateau_matches_slow_roll(tensor_mode, report, consts):
 def params_free_tensor_amp(report, consts):
     # G H^2/pi^2 q^-3 with the report's exit rate
     G = il.PotentialParams().G
-    return G * report.H_exit**2 / math.pi**2 * consts.q_R**-3
+    return G * report.exit.H_exit**2 / math.pi**2 * consts.q_R**-3
 
 
 def test_tensor_to_scalar_ratio_consistency(scalar_mode, tensor_mode, report):
@@ -262,6 +262,17 @@ def test_extreme_small_q_is_a_mode_error(background, consts, log10_q):
     for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
         with pytest.raises(ModeError, match="GeV is too small"):
             integrate_mode(background, 10.0**log10_q, consts)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_wavenumber_is_named(background, consts, bad):
+    # NaN passes a `<= 0` test and q = inf reaches the window search, so the
+    # exit and mode solvers check 0 < q < inf first and name the wavenumber
+    with pytest.raises(ValueError, match="q_over_aI must be positive and finite"):
+        il.solve_exit_general(background, bad)
+    for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            integrate_mode(background, bad, consts)
 
 
 def test_classical_mode_scalar(background, consts, scalar_mode):

@@ -372,6 +372,22 @@ def test_moments_against_quantum_expectation():
     assert ds.mean()[0] == pytest.approx(mean_d[0], abs=1e-6)
 
 
+def test_cf_moments_of_a_commuting_two_observable_model():
+    # H = 0 with diagonal A_j, C_j and W = diag(w): Phi(k) is a weighted sum of
+    # Gaussians, so the mean is sum w a_j, the cross moment sum w a_1 a_2 and
+    # the diagonal moment sum w (a_j^2 + mu^4 c_j); the cross moment is the
+    # only check of the mixed-derivative stencil
+    a = np.array([[0.7, -0.4, 1.1], [-0.9, 0.5, 0.3]])
+    c = np.array([[0.6, 1.2, 0.8], [1.0, 0.4, 1.5]])
+    w = np.array([0.5, 0.3, 0.2])
+    model = tm.ToyModel(hamiltonian=np.zeros((3, 3)), observables=tuple(map(np.diag, a)),
+                        weight_ops=tuple(map(np.diag, c)), mu=0.9, initial_state=np.diag(w))
+    mean, second = tm.cf_moments(model)
+    assert np.allclose(mean, a @ w, rtol=0, atol=1e-6)
+    expected = (a * w) @ a.T + np.diag(model.mu4 * c @ w)
+    assert np.allclose(second, expected, rtol=0, atol=1e-6)
+
+
 def test_marginalize_order_independence():
     model = tm.random_model(seed=31, dim=2, n_obs=2)
     grids = tm.auto_k_grid(model, max_points=256)
