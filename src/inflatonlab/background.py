@@ -148,14 +148,19 @@ def _brentq(fn, xpre: float, xcur: float) -> float:
 
 @dataclass
 class BackgroundSolution:
-    """Integrated background: the solver's accepted steps and dense output.
+    """Integrated background: the solver's accepted steps and dense output,
+    held as _dop853.solve returned them.
 
-    tau, f, g, N hold the state at the accepted steps (the storage nodes).
-    coef[:, :, i], of shape (7, 3), is step i's DOP853 dense-output
-    coefficient block for (f, g, N), in the layout of _dop853.Steps.F
-    (scipy's): with x the fraction of the step, the state is
+    tau holds the accepted steps (the storage nodes) and y[:, i] the scaled
+    state (f, g, N) there: f = phi / field_unit, g = df/dtau, N the e-folds
+    from the start.  coef[:, :, i], of shape (7, 3), is step i's DOP853
+    dense-output coefficient block for (f, g, N), in the layout of
+    _dop853.Steps.F (scipy's): with x the fraction of the step, the state is
     y_i + x (F0 + (1 - x) (F1 + x (F2 + ...))).
     Arrays live in scaled units; accessor methods take/return GeV.
+
+    The solution is finished when built: the end of inflation t_I is found
+    once, unless it was given, together with the e-fold count there.
     """
 
     params: PotentialParams
@@ -164,13 +169,12 @@ class BackgroundSolution:
     rtol: float
     atol: float
     tau: np.ndarray                   # scaled times, strictly increasing
-    f: np.ndarray                     # phi / field_unit
-    g: np.ndarray                     # dphi/dtau (scaled)
-    N: np.ndarray                     # e-folds from start
+    y: np.ndarray                     # (3, nodes) scaled (f, g, N)
     coef: np.ndarray                  # (7, 3, steps) dense-output coefficients
-    t_I: float | None = None          # end of inflation (GeV^-1)
+    t_I: float | None = None          # end of inflation (GeV^-1); None if not in range
     derived: DerivedConstants = field(init=False)             # from params
     _coeffs: _Coeffs = field(init=False, repr=False)          # from params
+    _N_I: float | None = field(init=False, repr=False)        # e-folds from start to t_I
 
     # -- construction helpers -------------------------------------------------
 
@@ -181,8 +185,10 @@ class BackgroundSolution:
             raise IntegrationError("time grid is not strictly increasing")
         if self.coef.shape != (7, 3, len(self.tau) - 1):
             raise IntegrationError(f"dense-output coefficients have shape {self.coef.shape}")
-        self._nodes = np.stack((self.f, self.g, self.N))
-        self._N_I = None    # e-folds from the start to t_I, set with t_I
+        if self.t_I is None:
+            self.t_I = self.first_crossing(lambda t: self.phi(t) - self.derived.v,
+                                           self.t_start, self.t_end)
+        self._N_I = None if self.t_I is None else self.efolds_from_start(self.t_I)
 
     # -- scaled-space evaluation ----------------------------------------------
 
@@ -197,7 +203,7 @@ class BackgroundSolution:
         """(f, g, N) at scaled times, shape (3,) + tau.shape, from the dense
         output of the step holding each time; every node but the last is
         reproduced exactly."""
-        return _dop853.evaluate(self.tau, self._nodes, self.coef, tau)
+        return _dop853.evaluate(self.tau, self.y, self.coef, tau)
 
     # -- public accessors (GeV in, GeV out) -----------------------------------
 
@@ -238,18 +244,10 @@ class BackgroundSolution:
     # -- end of inflation and e-fold bookkeeping ------------------------------
 
     def end_of_inflation(self) -> float:
-        """Time of the end of inflation: the first t with phi(t) = v.
-
-        It is found once and cached in t_I, and the e-fold count there in _N_I.
-        """
-        if self.t_I is None:
-            self.t_I = self.first_crossing(lambda t: self.phi(t) - self.derived.v,
-                                           self.t_start, self.t_end)
+        """Time of the end of inflation: the first t with phi(t) = v."""
         if self.t_I is None:
             raise EndOfInflationNotFound(
                 f"phi never reaches v in [{self.t_start:g}, {self.t_end:g}]")
-        if self._N_I is None:
-            self._N_I = self.efolds_from_start(self.t_I)
         return self.t_I
 
     def efolds_to_end(self, t):
@@ -257,9 +255,23 @@ class BackgroundSolution:
         self.end_of_inflation()
         return self._N_I - self.efolds_from_start(t)
 
+    def log_q_over_aH(self, q_over_aI: float, t):
+        """ln of q/(a(t) H(t)) = ln(q/a_I) + efolds_to_end(t) - ln H(t); log-space
+        because efolds_to_end reaches ~5000.
+
+        Every crossing search calls it at each Brent iteration, so it evaluates
+        the stored dense output once, at t alone: the e-fold count and H both
+        come from that state, and the count at t_I is the one cached with t_I.
+        The value is the one efolds_to_end and hubble give, bit for bit.
+        """
+        self.end_of_inflation()
+        f, g, N = self._state(self._tau_of(t))
+        return (math.log(q_over_aI) + (self._N_I - N)
+                - np.log(self._coeffs.hubble(f, g) * HUBBLE_UNIT))
+
     # -- serialization ---------------------------------------------------------
 
-    CACHE_FORMAT = 4
+    CACHE_FORMAT = 5
 
     def to_arrays(self) -> dict:
         return {
@@ -267,8 +279,7 @@ class BackgroundSolution:
             "meta": np.array([self.params.kappa, self.params.lam, self.params.G,
                               self.t_start, self.t_end, self.rtol, self.atol,
                               np.nan if self.t_I is None else self.t_I]),
-            "tau": self.tau, "f": self.f, "g": self.g, "N": self.N,
-            "coef": self.coef,
+            "tau": self.tau, "y": self.y, "coef": self.coef,
         }
 
     @classmethod
@@ -281,7 +292,7 @@ class BackgroundSolution:
         return cls(
             params=params, t_start=float(meta[3]), t_end=float(meta[4]),
             rtol=float(meta[5]), atol=float(meta[6]),
-            tau=d["tau"], f=d["f"], g=d["g"], N=d["N"], coef=d["coef"], t_I=t_I,
+            tau=d["tau"], y=d["y"], coef=d["coef"], t_I=t_I,
         )
 
 
@@ -329,16 +340,11 @@ def integrate(params: PotentialParams,
     except _dop853.StepFailure as exc:
         raise IntegrationError(f"solver failed near t = {exc.t * TIME_UNIT:g}: {exc}") from None
 
-    f, g, N = steps.y
     bg = BackgroundSolution(
         params=params, t_start=t_start, t_end=t_end, rtol=rtol, atol=atol,
-        tau=steps.t, f=f, g=g, N=N, coef=steps.F,
+        tau=steps.t, y=steps.y, coef=steps.F,
     )
     _check_midpoint_residual(bg)
-    try:
-        bg.end_of_inflation()
-    except EndOfInflationNotFound:
-        pass
     return bg
 
 
@@ -351,7 +357,7 @@ def _check_midpoint_residual(bg: BackgroundSolution) -> None:
     downstream consumer (horizon exit, modes, e-fold count).
     """
     vbar = bg.derived.v / FIELD_UNIT
-    inside = bg.f < vbar
+    inside = bg.y[0] < vbar
     last = len(bg.tau) - 1 if np.all(inside) else int(np.argmax(~inside))
     mid = 0.5 * (bg.tau[: last - 1] + bg.tau[1:last])
     mid = mid[:: max(1, len(mid) // 200)]
@@ -359,7 +365,7 @@ def _check_midpoint_residual(bg: BackgroundSolution) -> None:
     # d(f)/dtau must equal g; compare the central-difference slope of f with g
     eps = 1e-7
     slope = (bg._state(mid + eps)[0] - bg._state(mid - eps)[0]) / (2 * eps)
-    scale = np.maximum(np.abs(g), np.max(np.abs(bg.g[:last])) * 1e-3)
+    scale = np.maximum(np.abs(g), np.max(np.abs(bg.y[1, :last])) * 1e-3)
     worst = float(np.max(np.abs(slope - g) / scale))
     if worst > MAX_MIDPOINT_RESIDUAL:
         raise IntegrationError(f"dense-output residual {worst:.2e} "

@@ -30,8 +30,10 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
 
 
 def save_background(sol: BackgroundSolution, cache_dir: str | Path) -> Path:
-    """Write the solution atomically: a temp file in the same directory,
-    renamed into place, so a reader never sees a partial file.
+    """Write the solution's to_arrays members (format, meta, tau, y, coef)
+    atomically: a temp file in the same directory, renamed into place, so a
+    reader never sees a partial file.  The format is part of the key, so a
+    file of an older format is never read.
 
     The npz is stored uncompressed: deflate saves 13% of the bytes at about
     twenty times the write time.  Its members keep the ZIP CRC-32, which

@@ -72,10 +72,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.6g}"
 
 
@@ -88,8 +84,6 @@ def _round_floats(obj):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _round_floats(float(obj))
     return obj
 
 

@@ -17,10 +17,8 @@ import math
 from dataclasses import astuple, dataclass
 from functools import partial
 
-import numpy as np
-
 from .background import BackgroundSolution
-from .constants import HUBBLE_UNIT, MPC_IN_INV_GEV
+from .constants import MPC_IN_INV_GEV
 
 DEFAULT_QR_MPC_INV = 0.05
 DEFAULT_Z_L = 1089.0
@@ -79,21 +77,6 @@ class HorizonExit:
     q_over_aI: float       # GeV
 
 
-def log_q_over_aH(sol: BackgroundSolution, q_over_aI: float, t) -> np.ndarray:
-    """ln of q/(a(t) H(t)) = ln(q/a_I) + efolds_to_end(t) - ln H(t); log-space
-    because efolds_to_end reaches ~5000.
-
-    Every crossing search calls it at each Brent iteration, so it evaluates
-    the stored dense output once, at t alone: the e-fold count and H both come
-    from that state, and the count at t_I is the one end_of_inflation caches.
-    The value is the one sol.efolds_to_end and sol.hubble give, bit for bit.
-    """
-    sol.end_of_inflation()
-    f, g, N = sol._state(sol._tau_of(t))
-    return (math.log(q_over_aI) + (sol._N_I - N)
-            - np.log(sol._coeffs.hubble(f, g) * HUBBLE_UNIT))
-
-
 def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit:
     """Find t with efolds_to_end(t) = ln(H(t)/(q/a_I)) by bracketed refinement.
 
@@ -102,7 +85,7 @@ def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit
     """
     if not 0 < q_over_aI < math.inf:       # also false for NaN
         raise ValueError(f"q_over_aI must be positive and finite, got {q_over_aI!r}")
-    mismatch = partial(log_q_over_aH, sol, q_over_aI)
+    mismatch = partial(sol.log_q_over_aH, q_over_aI)
     t_exit = sol.first_crossing(mismatch, sol.t_start, sol.end_of_inflation())
     if t_exit is None:
         raise NoHorizonExit(

@@ -33,12 +33,9 @@ def slow_roll_functions(params: PotentialParams, phi: float) -> tuple[float, flo
     numerically indistinguishable from) the minimum, where V'/V diverges.
     """
     V = potential(params, phi)
-    v2 = params.kappa**2 / params.lam
-    floor = 1e-13 * 0.25 * params.lam * np.asarray(phi * phi + v2) ** 2
-    outside = np.asarray(V) <= floor
-    if np.any(outside):
-        at = np.asarray(phi, dtype=float)[outside][0]
-        raise SlowRollDomainError(f"V(phi) vanishes at phi = {at:g}")
+    floor = 1e-13 * 0.25 * params.lam * (phi * phi + params.kappa**2 / params.lam) ** 2
+    if V <= floor:
+        raise SlowRollDomainError(f"V(phi) vanishes at phi = {phi:g}")
     Vp = potential_d1(params, phi)
     Vpp = potential_d2(params, phi)
     pref = 1.0 / (16 * np.pi * params.G)

@@ -54,7 +54,7 @@ import numpy as np
 from . import _dop853
 from .background import BackgroundSolution
 from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
-from .horizon import DEFAULT_CONSTANTS, CosmoConstants, log_q_over_aH
+from .horizon import DEFAULT_CONSTANTS, CosmoConstants
 
 X_START = 100.0   # q/(aH) at which WKB data is imposed
 X_END = 0.01      # q/(aH) at which the mode is declared frozen
@@ -97,7 +97,7 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Windo
     def crossing(level):
         # ln(q/(aH)) - ln(level) changes sign
         log_level = math.log(level)
-        t = sol.first_crossing(lambda t: log_q_over_aH(sol, q_over_aI, t) - log_level,
+        t = sol.first_crossing(lambda t: sol.log_q_over_aH(q_over_aI, t) - log_level,
                                sol.t_start, t_I)
         if t is None:
             raise ModeError(
@@ -321,7 +321,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     if gravity is GravityMode.CLASSICAL:
         t = np.linspace(w.t_a / T0, w.t_b / T0, N_OUTPUT) * T0
         zeros = np.zeros(N_OUTPUT, dtype=complex)
-        x_t = np.exp(log_q_over_aH(sol, q / consts.a_L, t))
+        x_t = np.exp(sol.log_q_over_aH(q / consts.a_L, t))
         return TensorMode(q=q, t=t, D=zeros, Ddot=zeros, q_over_aH=x_t,
                           D_plateau=0j, wronskian_drift=0.0,
                           t_start=w.t_a, t_end=w.t_b)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import inflatonlab as il
-from inflatonlab.background import EndOfInflationNotFound, classify_bigbang
+from inflatonlab import _dop853
+from inflatonlab.background import EndOfInflationNotFound, IntegrationError, classify_bigbang
+from inflatonlab.cache import load_background, save_background
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import FIELD_UNIT, G_NEWTON, TIME_UNIT
 
@@ -84,13 +86,13 @@ def test_hubble_rate_identity_vs_finite_differences(background, params):
 
 def test_interpolation_reproduces_grid_nodes(background):
     t = background.grid_times[100:2000:97]
-    f_direct = background.f[100:2000:97] * FIELD_UNIT
+    f_direct = background.y[0, 100:2000:97] * FIELD_UNIT
     assert np.allclose(background.phi(t), f_direct, rtol=1e-14)
 
 
 def test_grid_strictly_increasing_and_N_nondecreasing(background):
     assert np.all(np.diff(background.tau) > 0)
-    assert np.all(np.diff(background.N) >= 0)
+    assert np.all(np.diff(background.y[2]) >= 0)
 
 
 def test_efold_additivity(background):
@@ -129,8 +131,11 @@ def test_end_criterion_epsilon_unity(background):
     # vanishes
     t_I = background.end_of_inflation()
 
+    # slow_roll_functions takes one field value; first_crossing passes arrays
+    epsilon = np.vectorize(lambda phi: il.slow_roll_functions(background.params, phi)[0])
+
     def eps_minus_one(t):
-        return il.slow_roll_functions(background.params, background.phi(t))[0] - 1.0
+        return epsilon(background.phi(t)) - 1.0
 
     t_eps = background.first_crossing(eps_minus_one, background.t_start, t_I - 0.01e-12)
     # shape functions hit unity shortly before the field reaches the minimum
@@ -144,6 +149,53 @@ def test_end_of_inflation_not_found(params):
     assert sol.t_I is None
     with pytest.raises(EndOfInflationNotFound):
         sol.end_of_inflation()
+
+
+def test_solution_is_finished_when_built(background, consts, tmp_path, monkeypatch):
+    # built without t_I, the solution finds it (and the e-fold count there) at
+    # construction, so no query searches again: with the search broken, the
+    # end of inflation, the e-folds left and the exit mismatch still answer,
+    # on the built solution and on one read back from the cache
+    sol = il.BackgroundSolution(params=background.params, t_start=background.t_start,
+                                t_end=background.t_end, rtol=background.rtol,
+                                atol=background.atol, tau=background.tau, y=background.y,
+                                coef=background.coef)
+    assert sol.t_I == background.t_I
+
+    def no_search(*args):
+        raise AssertionError("a query searched for the end of inflation")
+
+    monkeypatch.setattr(il.BackgroundSolution, "first_crossing", no_search)
+    save_background(sol, tmp_path)
+    loaded = load_background(sol.params, sol.t_start, sol.t_end, sol.rtol, sol.atol, tmp_path)
+    t = np.linspace(-20e-12, background.t_I, 7)
+    for s in (sol, loaded):
+        assert s.end_of_inflation() == background.t_I
+        assert np.array_equal(s.efolds_to_end(t), background.efolds_to_end(t))
+        assert np.array_equal(s.log_q_over_aH(consts.q_R_over_aI, t),
+                              background.log_q_over_aH(consts.q_R_over_aI, t))
+
+
+def test_midpoint_residual_check_rejects_a_blind_solve():
+    # lambda = 1e-10 starts the field at 3.1e-61 GeV, 1e-80 in scaled units:
+    # far below atol, so the steps never resolve it and the dense output's
+    # slope of f misses g by order one
+    with pytest.raises(IntegrationError, match=r"dense-output residual 9\.96e-01 exceeds 1e-06"):
+        il.integrate(il.PotentialParams(lam=1e-10))
+
+
+def test_midpoint_residual_check_rejects_a_misread_coefficient_layout(params, monkeypatch):
+    # the f and g rows of every dense-output block swapped: the nodes are
+    # right, the polynomials between them are not
+    solve = _dop853.solve
+
+    def swapped(*args):
+        steps = solve(*args)
+        return steps._replace(F=steps.F[:, [1, 0, 2]])
+
+    monkeypatch.setattr(_dop853, "solve", swapped)
+    with pytest.raises(IntegrationError, match=r"dense-output residual 6\.0\de\+00 exceeds"):
+        il.integrate(params)
 
 
 def test_late_end_time_insensitivity(background):
@@ -177,9 +229,8 @@ def test_stored_dense_output_matches_solver(background):
                for k, lam in ((_BOX.kappa_min, _BOX.lambda_max),
                               (_BOX.kappa_max, _BOX.lambda_min))]
     for sol in (background, *corners):
-        nodes = np.stack((sol.f, sol.g, sol.N))
-        assert np.array_equal(sol._state(sol.tau[:-1]), nodes[:, :-1])
-        np.testing.assert_allclose(sol._state(sol.tau[-1]), nodes[:, -1], rtol=1e-15, atol=0)
+        assert np.array_equal(sol._state(sol.tau[:-1]), sol.y[:, :-1])
+        np.testing.assert_allclose(sol._state(sol.tau[-1]), sol.y[:, -1], rtol=1e-15, atol=0)
         ini = il.initial_state(sol.params, sol.t_start)
         y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
         ref = solve_ivp(sol._coeffs.rhs, (sol.t_start / TIME_UNIT, sol.t_end / TIME_UNIT), y0,

@@ -52,6 +52,19 @@ def test_contract_violation_exit_code(tmp_path, capsys):
     assert "error: ModeError:" in capsys.readouterr().err
 
 
+BLIND_SOLVE = "IntegrationError: dense-output residual 9.96e-01 exceeds 1e-06"
+
+
+def test_blind_background_solve_is_a_contract_violation(tmp_path, capsys):
+    # lambda = 1e-10 starts the field far below the solver's atol: the
+    # midpoint-residual check rejects the solve, and table1 names it
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda": 1e-10}))
+    capsys.readouterr()
+    assert run(["table1", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 1
+    assert f"error: {BLIND_SOLVE}" in capsys.readouterr().err
+
+
 def test_table1_layout_and_footer(outdir):
     assert run(["table1", "--out", str(outdir)]) == 0
     lines = (outdir / "table1.csv").read_text().splitlines()
@@ -186,6 +199,22 @@ def test_scan_rows_and_consistency(tmp_path):
     rows = list(csv.reader((tmp_path / "scan.csv").read_text().splitlines()))
     assert [len(r) for r in rows] == [7, 7]
     assert rows[1][-1].startswith("NoHorizonExit: q/a_I = 3.485e-37 GeV")
+
+
+def test_failed_scan_point_keeps_the_others(tmp_path):
+    # one point's IntegrationError fills its row with empty cells and its
+    # status; the default point beside it is still solved, and scan exits 0
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"scan": {
+        "kappa_min": 8.38e12, "kappa_max": 8.38e12, "kappa_points": 1,
+        "lambda_min": 1.05e-15, "lambda_max": 1e-10, "lambda_points": 2,
+    }}))
+    blind = replace(load_config(cfg), lam=1e-10)
+    assert _scan_row(blind) == [8.38e12, 1e-10, None, None, None, None, BLIND_SOLVE]
+    assert run(["scan", "--config", str(cfg), "--out", str(tmp_path), "--no-cache"]) == 0
+    rows = list(csv.reader((tmp_path / "scan.csv").read_text().splitlines()))
+    assert [r[-1] for r in rows[1:]] == ["ok", BLIND_SOLVE]
+    assert rows[2][2:6] == ["", "", "", ""]
 
 
 DATA_FILES = sorted(["table1.csv", "fig1_phi.csv", "fig1_phi.svg", "fig2_hubble.csv",

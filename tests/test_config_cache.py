@@ -130,6 +130,15 @@ def test_invalid_values_rejected(tmp_path, capsys):
     assert len(message) < 200
 
 
+def test_null_cache_dir_puts_the_cache_under_the_output(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"cache_dir": None}))
+    assert load_config(p).cache_dir is None
+    out = tmp_path / "out"
+    assert main(["table1", "--config", str(p), "--out", str(out)]) == 0
+    assert [f.suffix for f in (out / "cache").iterdir()] == [".npz"]
+
+
 def test_toy_model_from_config(tmp_path):
     p = tmp_path / "toy.json"
     p.write_text(json.dumps({"toy": {

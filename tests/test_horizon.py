@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import inflatonlab as il
-from inflatonlab.horizon import NoHorizonExit, log_q_over_aH
+from inflatonlab.horizon import NoHorizonExit
 from inflatonlab.perturbations import _window
 
 
@@ -69,7 +69,7 @@ def test_log_q_over_aH_is_its_definition_on_arrays(background, consts):
     t_I = background.end_of_inflation()
     nodes = background.grid_times[background.grid_times < t_I]
     for t in (nodes, np.linspace(background.t_start, t_I, 1001)):
-        _assert_same_bits(log_q_over_aH(background, consts.q_R_over_aI, t),
+        _assert_same_bits(background.log_q_over_aH(consts.q_R_over_aI, t),
                           _log_q_over_aH_by_definition(background, consts.q_R_over_aI, t))
 
 
@@ -80,7 +80,7 @@ def test_log_q_over_aH_is_its_definition_at_scalar_times(background, consts, fra
     t_I = background.end_of_inflation()
     t = background.t_start + fraction * (t_I - background.t_start)
     q_over_aI = consts.q_R_over_aI * 10.0 ** log10_ratio
-    _assert_same_bits(log_q_over_aH(background, q_over_aI, t),
+    _assert_same_bits(background.log_q_over_aH(q_over_aI, t),
                       _log_q_over_aH_by_definition(background, q_over_aI, t))
 
 

@@ -264,6 +264,13 @@ def test_extreme_small_q_is_a_mode_error(background, consts, log10_q):
             integrate_mode(background, 10.0**log10_q, consts)
 
 
+def test_mode_still_inside_the_horizon_at_the_end_is_a_mode_error(background, consts):
+    # q = 1e10 GeV is still far inside the horizon when inflation ends
+    for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
+        with pytest.raises(ModeError, match="q/\\(aH\\) never reaches 0.01 before the end"):
+            integrate_mode(background, 1e10, consts)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_bad_wavenumber_is_named(background, consts, bad):
     # NaN passes a `<= 0` test and q = inf reaches the window search, so the

@@ -123,6 +123,24 @@ def test_covariance_gram_psd_property():
         assert np.linalg.eigvalsh(cov).min() >= -1e-10 * np.trace(cov)
 
 
+def test_covariance_of_different_components_is_block_diagonal():
+    # a 00-selector and an 11-selector share no metric factor, so their
+    # covariance vanishes however much the windows overlap; within each block
+    # the entries are the metric-signed overlaps, both signs +1 here
+    mu = 0.6
+    weights = [il.WeightFunction(component=(0, 0)),
+               il.WeightFunction(component=(0, 0), t_w=0.5),
+               il.WeightFunction(component=(1, 1)),
+               il.WeightFunction(component=(1, 1), lambda_s=2.0)]
+    cov = il.covariance_matrix(mu, weights)
+    assert np.all(cov[:2, 2:] == 0) and np.all(cov[2:, :2] == 0)
+    for block in ((0, 1), (2, 3)):
+        for i in block:
+            for j in block:
+                want = 0.5 * mu**4 * il.weight_overlap(weights[i], weights[j])
+                assert cov[i, j] == pytest.approx(want, rel=1e-15) and want > 0
+
+
 def test_covariance_mixed_time_space_component_fails_psd():
     # a 0i-selector carries a negative metric sign: such a weight set is
     # rejected, mirroring the positivity requirement on admissible windows
