@@ -36,6 +36,7 @@ SAFETY = 0.9           # step-size control, as in scipy
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 8   # the error estimate is of order 7
+MAX_STEPS = 100_000       # step attempts per solve, accepted or rejected: Hairer's NMAX
 
 # the tableau of scipy.integrate._ivp.dop853_coefficients, bit for bit:
 # C[s] and A[s] (the first s coefficients of row s) for the 16 stages, of
@@ -292,8 +293,9 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     step are evaluated after the last step (_dense_stages), so a failure in
     one of them is raised only then, still at the start of its step.
     Raises ValueError for a tolerance the error test cannot resolve, and
-    StepFailure when a stage is not finite, fun overflows or the step size
-    falls below ten float spacings.
+    StepFailure when a stage is not finite, fun overflows, the step size
+    falls below ten float spacings or the solve would take more than
+    MAX_STEPS step attempts.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
@@ -303,6 +305,7 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
+    budget = MAX_STEPS
     try:
         f = fun(t, y)
         h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
@@ -313,6 +316,10 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
             while True:
                 if h_abs < min_step:
                     raise StepFailure("the step size fell below ten float spacings", t)
+                budget -= 1
+                if budget < 0:
+                    raise StepFailure(f"the step budget MAX_STEPS = {MAX_STEPS} attempts "
+                                      "is spent", t)
                 t_new = min(t + h_abs, t1)
                 h = h_abs = t_new - t
                 y_new, K = _step(fun, t, y, f, h)

@@ -28,7 +28,11 @@ is taken at once by scaling and squaring with the [13/13] Pade approximant
 (Higham, SIAM J. Matrix Anal. Appl. 26(4):1179, 2005), batched over the
 stack in blocks of EXPM_BLOCK matrices.  The scaling is Higham's 1-norm
 rule; the refinement of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl.
-31(3):970, 2009), which can save squarings, is not used.
+31(3):970, 2009), which can save squarings, is not used.  Each product of
+two stacks is one np.matvec call over the columns of its right factor
+(_matmul), with no per-matrix BLAS dispatch as `@` makes: the matrices are
+small (N <= 4 in the battery and the CLI's default model) and the stacks
+long, so that dispatch would cost more than the arithmetic.
 
 Most of a k-grid need not be exponentiated at all.  The generators of both
 factors of a slice map have the Hermitian part -(mu^4/4) sum_j xi_j^2 C_j,
@@ -263,6 +267,12 @@ def _expm(A) -> np.ndarray:
     return out.reshape(A.shape)
 
 
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over stacks of matrices, broadcast as `@` broadcasts, in one
+    np.matvec call: A times each column of B."""
+    return np.swapaxes(np.matvec(A[..., None, :, :], np.swapaxes(B, -1, -2)), -1, -2)
+
+
 def _expm_block(A: np.ndarray) -> np.ndarray:
     """_expm of a flat stack, shape (M, N, N)."""
     norm = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -272,38 +282,41 @@ def _expm_block(A: np.ndarray) -> np.ndarray:
     A = A * np.ldexp(1.0, -s)[:, None, None]
     b = _PADE13
     ident = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    A2 = _matmul(A, A)
+    A4 = _matmul(A2, A2)
+    A6 = _matmul(A4, A2)
+    U = _matmul(A, _matmul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
+                + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (_matmul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     # r = (V - U)^-1 (V + U), written so that a zero generator gives I exactly
     E = ident + 2 * np.linalg.solve(V - U, U)
     for j in range(int(s.max(initial=0))):
         more = np.flatnonzero(s > j)
-        E[more] = E[more] @ E[more]
+        Em = E[more]
+        E[more] = _matmul(Em, Em)
     return E
 
 
 def _slice_factors(model: ToyModel, xi, dt: float):
-    """(E_left, E_right) with W -> E_left W E_right for one constant slice.
+    """(E_left, E_right), stacked on a leading axis of two, with
+    W -> E_left W E_right for one constant slice.
 
     The generator splits into commuting left- and right-multiplication parts,
     so the slice map is exactly a two-sided matrix exponential; no Trotter
     error is incurred within a constant-coupling slice.  A stack of couplings
-    xi, shape (..., n_obs), gives stacks of factors, shape (..., N, N), each
-    from one call of _expm, the Pade-13 scaling-and-squaring exponential,
-    which takes the stack EXPM_BLOCK matrices at a time.  The two factors
-    are not stacked into one call: that holds one more k-stack in memory
-    and saves no time.
+    xi, shape (..., n_obs), gives stacks of factors, shape (..., N, N).  Both
+    generators go through one call of _expm, the Pade-13 scaling-and-squaring
+    exponential, which takes the stack EXPM_BLOCK matrices at a time: for
+    small matrices each of its products costs mostly per call, so one call
+    on both factors costs less than two, and a matrix's result does not
+    depend on the stack it sits in.
     """
     if dt <= 0:
         raise ValueError("slice durations must be positive")
     H = model.hamiltonian
     Y = _coupling_operator(model, xi)
-    return _expm(dt * (-1j * H + 0.5 * Y)), _expm(dt * (1j * H + 0.5 * Y))
+    return _expm(dt * np.stack((-1j * H + 0.5 * Y, 1j * H + 0.5 * Y)))
 
 
 def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) -> np.ndarray:
@@ -321,7 +334,7 @@ def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) ->
     W = np.asarray(W, dtype=complex)
     for dt, wrow in template:
         El, Er = _slice_factors(model, kvecs * np.asarray(wrow, dtype=float), dt)
-        W = El @ W @ Er
+        W = _matmul(_matmul(El, W), Er)
     if not np.all(np.isfinite(W)):
         raise FloatingPointError("non-finite entries during propagation")
     return W

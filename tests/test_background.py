@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,25 @@ def test_midpoint_residual_check_rejects_a_blind_solve():
     # slope of f misses g by order one
     with pytest.raises(IntegrationError, match=r"dense-output residual 9\.96e-01 exceeds 1e-06"):
         il.integrate(il.PotentialParams(lam=1e-10))
+
+
+def test_step_budget_stops_an_over_long_solve(params, monkeypatch):
+    # the default background takes about 3,000 steps: on a budget of 1,000
+    # the solve stops by name, long before it would finish
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 1000)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="step budget MAX_STEPS = 1000 attempts is spent"):
+        il.integrate(params)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_step_budget_binds_nowhere_in_the_scan_box(monkeypatch):
+    # the box's costliest corner, 1.2 kappa and 0.8 lambda (4,673 step
+    # attempts, 4,467 of them accepted), solves on half the budget
+    box = ScanConfig()
+    monkeypatch.setattr(_dop853, "MAX_STEPS", _dop853.MAX_STEPS // 2)
+    sol = il.integrate(il.PotentialParams(kappa=box.kappa_max, lam=box.lambda_min))
+    assert sol.t_I is not None
 
 
 def test_midpoint_residual_check_rejects_a_misread_coefficient_layout(params, monkeypatch):

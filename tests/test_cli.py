@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from inflatonlab import _dop853
 from inflatonlab.cli import REFERENCE_TABLE, _fmt, _scan_row, main
 from inflatonlab.config import load_config
 
@@ -215,6 +217,22 @@ def test_failed_scan_point_keeps_the_others(tmp_path):
     rows = list(csv.reader((tmp_path / "scan.csv").read_text().splitlines()))
     assert [r[-1] for r in rows[1:]] == ["ok", BLIND_SOLVE]
     assert rows[2][2:6] == ["", "", "", ""]
+
+
+def test_over_budget_solve_exits_one_by_name(tmp_path, capsys, monkeypatch):
+    # a background past the solver's step budget is a named IntegrationError:
+    # table1 exits 1 with it within a second, and a scan records it in its row
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 1000)
+    budget = "step budget MAX_STEPS = 1000 attempts is spent"
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["table1", "--out", str(tmp_path), "--no-cache"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: IntegrationError: solver failed near t = ") and budget in err
+    row = _scan_row(load_config(None, {"out_dir": str(tmp_path)}))
+    assert row[2:6] == [None] * 4
+    assert row[-1].startswith("IntegrationError: ") and row[-1].endswith(budget)
 
 
 DATA_FILES = sorted(["table1.csv", "fig1_phi.csv", "fig1_phi.svg", "fig2_hubble.csv",

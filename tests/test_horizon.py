@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import inflatonlab as il
-from inflatonlab.horizon import NoHorizonExit
+from inflatonlab.config import ScanConfig
+from inflatonlab.horizon import NoHorizonExit, solve_exit_general
 from inflatonlab.perturbations import _window
+
+SCAN_BOX = ScanConfig()
+SYMMETRY_TOL = 1e-10
 
 
 def test_constants_invariants(consts):
@@ -134,3 +138,26 @@ def test_config_overridable_constants():
     c = il.CosmoConstants.from_physical(q_R_mpc_inv=0.10, z_L=1100.0)
     assert c.q_R == pytest.approx(2 * il.DEFAULT_CONSTANTS.q_R, rel=1e-12)
     assert c.a_L == pytest.approx(1 / 1101, rel=1e-12)
+
+
+@settings(max_examples=10)
+@given(kappa=st.floats(SCAN_BOX.kappa_min, SCAN_BOX.kappa_max),
+       lam=st.floats(SCAN_BOX.lambda_min, SCAN_BOX.lambda_max), c=st.floats(0.8, 1.25))
+def test_kappa_at_fixed_v_is_a_pure_time_scale(kappa, lam, c, consts):
+    # (c kappa, c^2 lambda) keeps v and runs the same background c times
+    # faster: phi_c(t) = phi(ct), N_c(t) = N(ct), t_I,c = t_I/c, and the mode
+    # c q leaves the horizon at t_exit(q)/c with the same e-folds to go.  The
+    # starts are matched (t_start/c and t_end/c), so only the two solves'
+    # step sequences differ
+    slow = il.integrate(il.PotentialParams(kappa=kappa, lam=lam))
+    fast = il.integrate(il.PotentialParams(kappa=c * kappa, lam=c * c * lam),
+                        t_start=slow.t_start / c, t_end=slow.t_end / c)
+    # t_I lies within 1e-13 GeV^-1 of the clock's origin, where v e^{alpha t}
+    # would reach v, so its error is taken relative to the time from the start
+    assert abs(c * fast.t_I - slow.t_I) <= SYMMETRY_TOL * (slow.t_I - slow.t_start)
+    t = slow.grid_times
+    assert np.max(np.abs(fast.phi(t / c) / slow.phi(t) - 1)) <= SYMMETRY_TOL
+    q = consts.q_R_over_aI
+    slow_exit, fast_exit = solve_exit_general(slow, q), solve_exit_general(fast, c * q)
+    assert abs(c * fast_exit.t_exit / slow_exit.t_exit - 1) <= SYMMETRY_TOL
+    assert abs(fast_exit.efolds_to_end - slow_exit.efolds_to_end) <= SYMMETRY_TOL

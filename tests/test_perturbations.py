@@ -271,6 +271,14 @@ def test_mode_still_inside_the_horizon_at_the_end_is_a_mode_error(background, co
             integrate_mode(background, 1e10, consts)
 
 
+def test_mode_past_the_step_budget_is_a_mode_error(background, consts, monkeypatch):
+    # a pivot mode takes about 360 steps; on a budget of 100 it stops by name
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 100)
+    for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
+        with pytest.raises(ModeError, match="step budget MAX_STEPS = 100 attempts is spent"):
+            integrate_mode(background, consts.q_R, consts)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_bad_wavenumber_is_named(background, consts, bad):
     # NaN passes a `<= 0` test and q = inf reaches the window search, so the

@@ -176,7 +176,7 @@ def _expm_error(A):
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4), n_obs=st.integers(1, 2),
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8), n_obs=st.integers(1, 2),
        xi=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
        dt=st.floats(0.01, 2.0))
 def test_expm_matches_scipy_on_toy_generators(seed, dim, n_obs, xi, dt):
@@ -222,10 +222,11 @@ def test_expm_keeps_the_input_shape(dim, a, b):
 
 
 @settings(max_examples=3)
-@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4))
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8))
 def test_expm_stack_is_bitwise_the_single_matrices(seed, dim):
     # a stack one block and three matrices long: the blocking and the
-    # neighbours in the stack leave every result bit unchanged
+    # neighbours in the stack leave every result bit unchanged, also past
+    # the dims the battery uses, which a user's toy.hamiltonian can reach
     model = tm.random_model(seed=seed, dim=dim, n_obs=2)
     xi = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(tm.EXPM_BLOCK + 3, 2))
     A = _toy_generators(model, xi, 0.9)[0]
