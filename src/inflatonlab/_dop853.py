@@ -7,12 +7,14 @@ runs it: the same tableau, initial-step rule, error norm, step-size control
 and minimum-step test.  Only forward integration and scalar tolerances are
 supported, which is all the package uses.
 
-The right-hand side takes and returns plain Python floats, and each stage is
-written out as one statement, as in Hairer's dop853.f: a comprehension over the
-components whose stage sum names the nonzero coefficients of its tableau row,
-left to right.  Skipping the structural zeros drops only 0.0 * k terms, which
-are exact for finite k, so every sum rounds as the full row would.  On the
-3-component background this costs less than one numpy product per stage.
+The right-hand side takes and returns plain Python floats, and a step
+attempt is straight-line code written out per component, as in Hairer's
+dop853.f: _attempt generates it from the tableau once per state size.  Each
+stage sum names the nonzero coefficients of its tableau row, left to right,
+as float literals.  Skipping the structural zeros drops only 0.0 * k terms,
+which are exact for finite k, so every sum rounds as the full row would.  On
+the 3-component background this costs less than one numpy product per stage.
+
 The three extra dense-output stages serve accepted steps only, so they are
 left out of the step loop: after the last step, each one's input is formed
 for all steps at once, as one numpy expression in its stage line's order
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -106,26 +108,12 @@ D = np.array([
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564),
 ])
-# the coefficients by name for the stage lines below, structural zeros as _;
-# the stage lines skip those zeros
-_, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = C
-a10, = A[1]
-a20, a21 = A[2]
-a30, _, a32 = A[3]
-a40, _, a42, a43 = A[4]
-a50, _, _, a53, a54 = A[5]
-a60, _, _, a63, a64, a65 = A[6]
-a70, _, _, a73, a74, a75, a76 = A[7]
-a80, _, _, a83, a84, a85, a86, a87 = A[8]
-a90, _, _, a93, a94, a95, a96, a97, a98 = A[9]
-a100, _, _, a103, a104, a105, a106, a107, a108, a109 = A[10]
-a110, _, _, a113, a114, a115, a116, a117, a118, a119, a1110 = A[11]
+# the dense-output stages' coefficients by name, structural zeros as _; their
+# stage lines in _dense_stages skip those zeros
+c13, c14, c15 = C[13:]
 a130, _, _, _, _, _, a136, a137, a138, a139, a1310, a1311, a1312 = A[13]
 a140, _, _, _, _, a145, a146, a147, _, _, a1410, a1411, a1412, a1413 = A[14]
 a150, _, _, _, _, a155, a156, a157, a158, _, _, _, a1512, a1513, a1514 = A[15]
-b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = B
-e50, _, _, _, _, e55, e56, e57, e58, e59, e510, e511, _ = E5
-e30, _, _, _, _, e35, e36, e37, e38, e39, e310, e311, _ = E3
 
 
 class StepFailure(ArithmeticError):
@@ -173,44 +161,64 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
     return min(100 * h0, h1, span)
 
 
-def _step(fun, t: float, y: list, f: list, h: float):
-    """One step of size h from y, with f = fun(t, y).
+def _attempt_source(n: int) -> str:
+    """The source of attempt(fun, t, y, f, h, rtol, atol) for n components.
 
-    Returns y_new and the list K of the stages k0 ... k12, each a list over
-    the components; k0 is f and k12 = fun(t + h, y_new).
+    attempt makes one step of size h from y, with f = fun(t, y), and returns
+    y_new, the stages K and the step's error relative to the tolerances:
+    DOP853's 5th-order estimate, damped by its 3rd-order one.  K holds the
+    stages k0 ... k12 of component 0, then those of component 1 and so on, as
+    solve stores them; k0 is f and k12 = fun(t + h, y_new).  The code is
+    straight-line, one scalar per component and stage.  Each stage, update
+    and error sum names the nonzero entries of its tableau row, left to right,
+    as float literals; the squares of the error norm are summed left to right,
+    so they round as a += loop from 0.0 does.  Nothing but n and the
+    tableau enters the source.
     """
-    k0 = f
-    k1 = fun(t + c1 * h, [v + (a10 * x0) * h for v, x0 in zip(y, k0)])
-    k2 = fun(t + c2 * h, [v + (a20 * x0 + a21 * x1) * h for v, x0, x1 in zip(y, k0, k1)])
-    k3 = fun(t + c3 * h, [v + (a30 * x0 + a32 * x2) * h for v, x0, x2 in zip(y, k0, k2)])
-    k4 = fun(t + c4 * h, [v + (a40 * x0 + a42 * x2 + a43 * x3) * h
-                          for v, x0, x2, x3 in zip(y, k0, k2, k3)])
-    k5 = fun(t + c5 * h, [v + (a50 * x0 + a53 * x3 + a54 * x4) * h
-                          for v, x0, x3, x4 in zip(y, k0, k3, k4)])
-    k6 = fun(t + c6 * h, [v + (a60 * x0 + a63 * x3 + a64 * x4 + a65 * x5) * h
-                          for v, x0, x3, x4, x5 in zip(y, k0, k3, k4, k5)])
-    k7 = fun(t + c7 * h, [v + (a70 * x0 + a73 * x3 + a74 * x4 + a75 * x5 + a76 * x6) * h
-                          for v, x0, x3, x4, x5, x6 in zip(y, k0, k3, k4, k5, k6)])
-    k8 = fun(t + c8 * h, [v + (a80 * x0 + a83 * x3 + a84 * x4 + a85 * x5 + a86 * x6
-                               + a87 * x7) * h
-                          for v, x0, x3, x4, x5, x6, x7 in zip(y, k0, k3, k4, k5, k6, k7)])
-    k9 = fun(t + c9 * h, [v + (a90 * x0 + a93 * x3 + a94 * x4 + a95 * x5 + a96 * x6
-                               + a97 * x7 + a98 * x8) * h
-                          for v, x0, x3, x4, x5, x6, x7, x8
-                          in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-    k10 = fun(t + c10 * h, [v + (a100 * x0 + a103 * x3 + a104 * x4 + a105 * x5 + a106 * x6
-                                 + a107 * x7 + a108 * x8 + a109 * x9) * h
-                            for v, x0, x3, x4, x5, x6, x7, x8, x9
-                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-    k11 = fun(t + c11 * h, [v + (a110 * x0 + a113 * x3 + a114 * x4 + a115 * x5 + a116 * x6
-                                 + a117 * x7 + a118 * x8 + a119 * x9 + a1110 * x10) * h
-                            for v, x0, x3, x4, x5, x6, x7, x8, x9, x10
-                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-    y_new = [v + h * (b0 * x0 + b5 * x5 + b6 * x6 + b7 * x7 + b8 * x8 + b9 * x9
-                      + b10 * x10 + b11 * x11)
-             for v, x0, x5, x6, x7, x8, x9, x10, x11
-             in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
-    return y_new, [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, fun(t + h, y_new)]
+    comps = range(n)
+
+    def row_sum(row, i):
+        return " + ".join(f"{a!r} * k{s}_{i}" for s, a in enumerate(row) if a)
+
+    def targets(name):      # trailing commas, so that one component unpacks too
+        return "".join(f"{name}_{i}, " for i in comps)
+
+    def squares(name):
+        return " + ".join(f"{name}_{i} * {name}_{i}" for i in comps)
+
+    lines = ["def attempt(fun, t, y, f, h, rtol, atol):",
+             f"    {targets('y')}= y",
+             f"    {targets('k0')}= f"]
+    for s in range(1, 12):
+        stage = ", ".join(f"y_{i} + ({row_sum(A[s], i)}) * h" for i in comps)
+        lines.append(f"    {targets(f'k{s}')}= fun(t + {C[s]!r} * h, [{stage}])")
+    lines += [f"    u_{i} = y_{i} + h * ({row_sum(B, i)})" for i in comps]
+    lines.append(f"    y_new = [{targets('u')}]")
+    for i in comps:
+        lines += [f"    scale = atol + max(abs(y_{i}), abs(u_{i})) * rtol",
+                  f"    r5_{i} = ({row_sum(E5, i)}) / scale",
+                  f"    r3_{i} = ({row_sum(E3, i)}) / scale"]
+    K = "".join(f"k{s}_{i}, " for i in comps for s in range(13))
+    lines += [f"    e5 = {squares('r5')}",
+              f"    e3 = {squares('r3')}",
+              f"    error = 0.0 if e5 == 0 and e3 == 0 else h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+              f"    {targets('k12')}= fun(t + h, y_new)",
+              f"    return y_new, ({K}), error"]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _attempt(n: int):
+    """The step attempt of _attempt_source for n components, compiled.
+
+    Generating and compiling it takes a few milliseconds, so it is made on
+    the first solve of each state size and kept.  The cache holds code that
+    depends on n alone, not results: a solve returns the same bits whether
+    the attempt was compiled for it or before it.
+    """
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_attempt_source(n), f"<_dop853 attempt n={n}>", "exec"), namespace)
+    return namespace["attempt"]
 
 
 def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray) -> np.ndarray:
@@ -251,25 +259,6 @@ def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray
     return np.dstack((K13, x13, x14, x15))
 
 
-def _error_norm(y: list, y_new: list, K: list, h: float, rtol: float, atol: float) -> float:
-    """The step's error relative to the tolerances: DOP853's 5th-order
-    estimate, damped by its 3rd-order one."""
-    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11, _ = K
-    e5 = e3 = 0.0
-    for v, v_new, x0, x5, x6, x7, x8, x9, x10, x11 in zip(y, y_new, k0, k5, k6, k7, k8,
-                                                           k9, k10, k11):
-        scale = atol + max(abs(v), abs(v_new)) * rtol
-        r5 = (e50 * x0 + e55 * x5 + e56 * x6 + e57 * x7 + e58 * x8 + e59 * x9
-              + e510 * x10 + e511 * x11) / scale
-        r3 = (e30 * x0 + e35 * x5 + e36 * x6 + e37 * x7 + e38 * x8 + e39 * x9
-              + e310 * x10 + e311 * x11) / scale
-        e5 += r5 * r5
-        e3 += r3 * r3
-    if e5 == 0 and e3 == 0:
-        return 0.0
-    return h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
-
-
 def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) -> np.ndarray:
     """The dense-output blocks F (7, n, m) of m steps from their 16 stages (m, n, 16)."""
     h = np.diff(t_nodes)
@@ -288,11 +277,13 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
 
     fun takes a time and a list of floats and returns a list of floats.  The
     times, tolerances and y0 are read as floats, so fun sees plain floats
-    whatever numeric types the caller passes.  The step loop keeps each
-    accepted step's stages k0 ... k12; the three dense-output stages of every
-    step are evaluated after the last step (_dense_stages), so a failure in
-    one of them is raised only then, still at the start of its step.
-    Raises ValueError for a tolerance the error test cannot resolve, and
+    whatever numeric types the caller passes.  Each step attempt is the
+    generated code of _attempt for len(y0) components.  The step loop keeps
+    each accepted step's stages k0 ... k12; the three dense-output stages of
+    every step are evaluated after the last step (_dense_stages), so a
+    failure in one of them is raised only then, still at the start of its
+    step.  Raises ValueError for a tolerance the error test cannot resolve,
+    an empty y0, or a first fun value whose length is not len(y0), and
     StepFailure when a stage is not finite, fun overflows, the step size
     falls below ten float spacings or the solve would take more than
     MAX_STEPS step attempts.
@@ -302,12 +293,17 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     if not atol > 0:
         raise ValueError(f"atol must be positive, got {atol!r}")
     n = len(y0)
+    if not n:
+        raise ValueError("y0 must have at least one component")
     t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
+    attempt = _attempt(n)
     budget = MAX_STEPS
     try:
         f = fun(t, y)
+        if len(f) != n:
+            raise ValueError(f"fun returns {len(f)} components for a state of {n}")
         h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
         while t < t1:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -322,8 +318,7 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
                                       "is spent", t)
                 t_new = min(t + h_abs, t1)
                 h = h_abs = t_new - t
-                y_new, K = _step(fun, t, y, f, h)
-                error = _error_norm(y, y_new, K, h, rtol, atol)
+                y_new, K, error = attempt(fun, t, y, f, h, rtol, atol)
                 if error < 1:
                     factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
                                                                SAFETY * error ** ERROR_EXPONENT)
@@ -333,11 +328,10 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
                     raise StepFailure("a right-hand side value is not finite", t)
                 h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
                 rejected = True
-            for col in zip(*K):
-                ks.extend(col)
+            ks.extend(K)
             ts.append(t_new)
             ys.extend(y_new)
-            t, y, f = t_new, y_new, K[12]
+            t, y, f = t_new, y_new, K[12::13]
     except OverflowError:   # fun raised it, as float ** does past the float range
         raise StepFailure("a right-hand side value overflows", t) from None
 

@@ -22,10 +22,13 @@ from .constants import MPC_IN_INV_GEV
 
 DEFAULT_QR_MPC_INV = 0.05
 DEFAULT_Z_L = 1089.0
+EXIT_RESIDUAL_MAX = 1e-6    # |residual| of a solved exit stays below it
 
 
 class NoHorizonExit(RuntimeError):
-    """The exit condition has no sign change: not enough inflation in range."""
+    """No exit is found: the exit condition has no sign change (not enough
+    inflation in range), or the refined root leaves a residual of at least
+    EXIT_RESIDUAL_MAX."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class HorizonExit:
     """Solved exit point for one mode.
 
     residual is efolds_to_end(t_exit) - ln(H(t_exit)/(q/a_I)), which the
-    solver drives below 1e-6.
+    solver drives below EXIT_RESIDUAL_MAX in magnitude.
     """
 
     t_exit: float          # GeV^-1
@@ -81,7 +84,9 @@ def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit
     """Find t with efolds_to_end(t) = ln(H(t)/(q/a_I)) by bracketed refinement.
 
     The bracket is the first sign change of ln(q/(aH)) on the storage grid,
-    where the mismatch is smooth and monotone through the crossing.
+    where the mismatch is smooth and monotone through the crossing.  Raises
+    NoHorizonExit when there is no sign change, or when the root leaves a
+    residual of EXIT_RESIDUAL_MAX or more.
     """
     if not 0 < q_over_aI < math.inf:       # also false for NaN
         raise ValueError(f"q_over_aI must be positive and finite, got {q_over_aI!r}")
@@ -91,11 +96,16 @@ def solve_exit_general(sol: BackgroundSolution, q_over_aI: float) -> HorizonExit
         raise NoHorizonExit(
             f"q/a_I = {q_over_aI:.3e} GeV never satisfies the exit condition; "
             "parameters produce insufficient inflation in range")
+    residual = float(mismatch(t_exit))
+    if not abs(residual) < EXIT_RESIDUAL_MAX:      # also true for NaN
+        raise NoHorizonExit(
+            f"q/a_I = {q_over_aI:.3e} GeV: the exit at t = {t_exit:.6e} GeV^-1 leaves "
+            f"a residual of {residual:.3e}, not below {EXIT_RESIDUAL_MAX:g}")
     return HorizonExit(
         t_exit=float(t_exit),
         phi_exit=float(sol.phi(t_exit)),
         H_exit=float(sol.hubble(t_exit)),
-        residual=float(mismatch(t_exit)),
+        residual=residual,
         efolds_to_end=float(sol.efolds_to_end(t_exit)),
         q_over_aI=float(q_over_aI),
     )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import inflatonlab as il
+from inflatonlab import background as background_module
 from inflatonlab.config import ScanConfig
 from inflatonlab.horizon import NoHorizonExit, solve_exit_general
 from inflatonlab.perturbations import _window
@@ -132,6 +133,15 @@ def test_no_exit_raises(background):
     # the whole inflationary era: no sign change, no exit
     with pytest.raises(NoHorizonExit):
         il.solve_exit_general(background, 1e15)
+
+
+def test_exit_with_a_large_residual_raises(background, consts, monkeypatch):
+    # a root finder that returns its bracket's left end leaves the mismatch
+    # of a storage node; patched after the build, since t_I is found by the
+    # same search
+    monkeypatch.setattr(background_module, "_brentq", lambda fn, a, b: a)
+    with pytest.raises(NoHorizonExit, match="leaves a residual of"):
+        il.solve_exit_general(background, consts.q_R_over_aI)
 
 
 def test_config_overridable_constants():

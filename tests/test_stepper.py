@@ -1,6 +1,7 @@
 """The in-house DOP853 stepper and Brent root finder, with scipy as the
 oracle: scipy is a test dependency only, and the package never imports it."""
 
+import ast
 import gc
 import json
 import math
@@ -62,9 +63,9 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     fun = _smooth_rhs(n, seed)
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
-    y_new, K = _dop853._step(fun, t, y, fun(t, y), h)
+    y_new, K, _ = _dop853._attempt(n)(fun, t, y, fun(t, y), h, 1e-2, 1e-2)
     t_nodes, y_nodes = np.array([t, t + h]), np.array([y, y_new]).T
-    stages = _dop853._dense_stages(fun, t_nodes, y_nodes, np.array(K).T[None])
+    stages = _dop853._dense_stages(fun, t_nodes, y_nodes, np.array(K).reshape(1, n, 13))
     F = _dop853._dense_output(t_nodes, y_nodes, stages)[..., 0]
 
     ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
@@ -76,6 +77,66 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     F_ref = ref.dense_output().F
     assert np.all(np.abs(F[:3] - F_ref[:3]) <= 1e-14 * state_scale)
     assert np.all(np.abs(F[3:] - F_ref[3:]) <= 1e-14 * h * (np.abs(_dop853.D) @ np.abs(K_ref)))
+
+
+def test_attempt_is_compiled_once_per_state_size():
+    for n in (1, 3, 9):
+        attempt = _dop853._attempt(n)
+        assert _dop853._attempt(n) is attempt
+        assert attempt.__code__.co_filename == f"<_dop853 attempt n={n}>"
+
+
+def _operand(node):
+    """A name's id, or the value of a float literal (a negative one is a unary minus)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    value = ast.literal_eval(node)
+    assert type(value) is float, ast.unparse(node)
+    return value
+
+
+def _terms(node):
+    """The (left, right) operands of the products of a sum, left to right; the
+    sum must nest to the left, so that it adds them in that order."""
+    terms = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        terms.append(node.right)
+        node = node.left
+    terms.append(node)
+    for term in terms:
+        assert isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult), ast.unparse(term)
+    return [(_operand(term.left), _operand(term.right)) for term in reversed(terms)]
+
+
+def _row(coefficients, i):
+    """The nonzero entries of a tableau row with the stages of component i they weight."""
+    return [(a, f"k{s}_{i}") for s, a in enumerate(coefficients) if a]
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_generated_sums_name_the_nonzero_tableau_entries_in_order(n):
+    # each stage input is y_i + (sum) * h, each update y_i + h * (sum), each
+    # error term (sum) / scale, and each error norm the squares in component order
+    values = {}
+    for node in ast.parse(_dop853._attempt_source(n)).body[0].body:
+        if isinstance(node, ast.Assign):
+            target = node.targets[0]
+            values[(target.elts[0] if isinstance(target, ast.Tuple) else target).id] = node.value
+    for s in range(1, 12):
+        call = values[f"k{s}_0"]
+        assert _terms(call.args[0].right) == [(_dop853.C[s], "h")]
+        assert len(call.args[1].elts) == n
+        for i, arg in enumerate(call.args[1].elts):
+            assert (arg.left.id, arg.right.right.id) == (f"y_{i}", "h")
+            assert _terms(arg.right.left) == _row(_dop853.A[s], i)
+    for i in range(n):
+        update = values[f"u_{i}"]
+        assert (update.left.id, update.right.left.id) == (f"y_{i}", "h")
+        assert _terms(update.right.right) == _row(_dop853.B, i)
+        assert _terms(values[f"r5_{i}"].left) == _row(_dop853.E5, i)
+        assert _terms(values[f"r3_{i}"].left) == _row(_dop853.E3, i)
+    for e, r in (("e5", "r5"), ("e3", "r3")):
+        assert _terms(values[e]) == [(f"{r}_{i}", f"{r}_{i}") for i in range(n)]
 
 
 def _generic_stages(fun, t, y, K, h, rows):
@@ -200,6 +261,23 @@ def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, cons
         assert np.max(np.abs(got[-1] - want[-1])) < 2e-10
         err = np.max(np.abs(got[:-3] - want[:-3]), axis=1)
         assert np.all(err < 5e-12 * np.max(np.abs(want[:-3]), axis=1))
+
+
+def test_right_hand_side_of_the_wrong_length_is_named():
+    # the first call is checked, before any step; the package's own solves
+    # pass the check (test_package_solves_match_the_generic_oracle_bit_for_bit)
+    for m in (2, 4):
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return [-v for v in y][:m] + [0.0] * (m - len(y))
+
+        with pytest.raises(ValueError, match=f"fun returns {m} components for a state of 3"):
+            _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0, 3.0], 1e-10, 1e-12)
+        assert calls == [0.0]
+    with pytest.raises(ValueError, match="at least one component"):
+        _dop853.solve(lambda t, y: y, 0.0, 1.0, [], 1e-10, 1e-12)
 
 
 def _time_in(message):
