@@ -7,13 +7,17 @@ runs it: the same tableau, initial-step rule, error norm, step-size control
 and minimum-step test.  Only forward integration and scalar tolerances are
 supported, which is all the package uses.
 
-The right-hand side takes and returns plain Python floats, and a step
-attempt is straight-line code written out per component, as in Hairer's
-dop853.f: _attempt generates it from the tableau once per state size.  Each
-stage sum names the nonzero coefficients of its tableau row, left to right,
-as float literals.  Skipping the structural zeros drops only 0.0 * k terms,
-which are exact for finite k, so every sum rounds as the full row would.  On
-the 3-component background this costs less than one numpy product per stage.
+A right-hand side is a system written once, as straight-line Python
+statements over named state components and named constants (see
+_system_source), and system() compiles two functions from that one text:
+the plain fun(t, y), on lists of floats, and the step attempt, straight-line
+code written out per component with the statements inlined at every stage,
+as Hairer's dop853.f does its stage arithmetic.  Each stage sum names the
+nonzero coefficients of its tableau row, left to right, as float literals.
+Skipping the structural zeros drops only 0.0 * k terms, which are exact for
+finite k, so every sum rounds as the full row would; a stage input the
+statements never read is not formed.  A plain callable is the one-statement
+system that calls it, so every solve takes the same path.
 
 The three extra dense-output stages serve accepted steps only, so they are
 left out of the step loop: after the last step, each one's input is formed
@@ -24,11 +28,14 @@ of all steps follow as arrays.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 import sys
 from array import array
+from collections import Counter
 from functools import cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -161,64 +168,200 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
     return min(100 * h0, h1, span)
 
 
-def _attempt_source(n: int) -> str:
-    """The source of attempt(fun, t, y, f, h, rtol, atol) for n components.
+class Rhs(NamedTuple):
+    """A right-hand side in the two forms solve uses: fun(t, y) returns the
+    derivatives at one state as a list of floats, and attempt(t, y, f, h,
+    rtol, atol) makes one step with fun's statements written into it (see
+    _system_source)."""
 
-    attempt makes one step of size h from y, with f = fun(t, y), and returns
-    y_new, the stages K and the step's error relative to the tolerances:
-    DOP853's 5th-order estimate, damped by its 3rd-order one.  K holds the
-    stages k0 ... k12 of component 0, then those of component 1 and so on, as
-    solve stores them; k0 is f and k12 = fun(t + h, y_new).  The code is
-    straight-line, one scalar per component and stage.  Each stage, update
-    and error sum names the nonzero entries of its tableau row, left to right,
-    as float literals; the squares of the error norm are summed left to right,
-    so they round as a += loop from 0.0 does.  Nothing but n and the
-    tableau enters the source.
+    fun: Callable
+    attempt: Callable
+
+
+# the names the generated code binds or calls: no constant may take them and
+# no statement may assign them
+_GENERATED = re.compile(r"t|y|f|h|rtol|atol|y_new|scale|e5|e3|error|make|rhs|attempt|Rhs"
+                        r"|sqrt|exp|abs|max|(y|u|x|r5|r3|k\d+)_\d+")
+
+
+def _assigned(node: ast.Assign):
+    """The names an assignment binds; a statement binds names only."""
+    for target in node.targets:
+        for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+            if not isinstance(name, ast.Name):
+                raise ValueError(f"a statement may assign names only: {ast.unparse(node)!r}")
+            yield name.id
+
+
+def _parse(components: tuple, statements: str, constants: tuple):
+    """The statements' syntax trees and how often each name is read.
+
+    Raises ValueError unless every statement is an assignment, every name is
+    read after it is bound (as t, a component, a constant, sqrt, exp, abs,
+    max or by an earlier statement), no statement assigns t, a component, a
+    constant or a name of _GENERATED, and every derivative d_<component> is
+    assigned.
     """
-    comps = range(n)
+    if len(set(components)) < len(components) or "t" in components:
+        raise ValueError(f"the components {components} must be distinct and not t")
+    for name in constants:
+        if name in components or _GENERATED.fullmatch(name):
+            raise ValueError(f"the constant {name!r} is a component or a name the generated "
+                             "code uses")
+    body = ast.parse(statements).body
+    bound = {"t", *components, *constants, "sqrt", "exp", "abs", "max"}
+    reads = Counter()
+    for node in body:
+        if not isinstance(node, ast.Assign):
+            raise ValueError(f"a statement must be an assignment: {ast.unparse(node)!r}")
+        for name in ast.walk(node.value):
+            if isinstance(name, ast.Name):
+                if name.id not in bound:
+                    raise ValueError(f"the statements read {name.id!r} before assigning it")
+                reads[name.id] += 1
+        for name in _assigned(node):
+            if name == "t" or name in components or name in constants \
+                    or _GENERATED.fullmatch(name):
+                raise ValueError(f"the statements assign {name!r}, a name the generated "
+                                 "code uses")
+            bound.add(name)
+    unassigned = [f"d_{c}" for c in components if f"d_{c}" not in bound]
+    if unassigned:
+        raise ValueError(f"the statements leave {', '.join(unassigned)} unassigned")
+    return body, reads
+
+
+def _system_source(components: tuple, statements: str, constants: tuple) -> str:
+    """The source of make(*constants) -> Rhs for a system of ODEs.
+
+    The system is written once, as assignment statements over t, the
+    components and the constants: each assigns a local or the derivative
+    d_<component> of a component.  make binds the constants (closure cells)
+    and returns the Rhs of two functions.  rhs(t, y) unpacks y into the
+    components, runs the statements and returns the derivatives in
+    component order.  attempt(t, y, f, h, rtol, atol) makes one step of size
+    h from y, with f = rhs(t, y), and returns y_new, the stages K and the
+    step's error relative to the tolerances: DOP853's 5th-order estimate,
+    damped by its 3rd-order one.  K holds the stages k0 ... k12 of component
+    0, then those of component 1 and so on, as solve stores them; k0 is f
+    and k12 the derivative at (t + h, y_new).
+
+    The attempt is straight-line code, one scalar per component and stage,
+    with the statements written out at stages 1-11 and at k12.  There they
+    are renamed at the positions of their names in the syntax tree, so
+    nothing else in them changes: d_<c> becomes k<s>_<i>, t the stage time
+    (t + C[s] * h) and a component its stage input (y_i + (sum) * h).  A
+    stage input is formed only for the components the statements read; one
+    read once is formed where it is read, one read more often is assigned to
+    x_i first, and the stage time is formed only where t is read.  Each
+    stage, update and error sum names the nonzero entries of its tableau
+    row, left to right, as float literals; the squares of the error norm
+    are summed left to right, so they round as a += loop from 0.0 does.
+    Only the system and the tableau enter the source.
+    """
+    body, reads = _parse(components, statements, constants)
+    comps = range(len(components))
+    text = statements.encode()      # the tree's column offsets count bytes
+    line_starts = [0]
+    for line in text.splitlines(keepends=True):
+        line_starts.append(line_starts[-1] + len(line))
+
+    def offset(line, col):
+        return line_starts[line - 1] + col
+
+    # each statement's span in text and the spans of the names it holds
+    spans = [(offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset),
+              sorted((offset(name.lineno, name.col_offset),
+                      offset(name.end_lineno, name.end_col_offset), name.id)
+                     for name in ast.walk(node) if isinstance(name, ast.Name)))
+             for node in body]
+
+    def written(names):
+        """The statements' lines with each name of names replaced by its text."""
+        lines = []
+        for start, end, holes in spans:
+            parts, at = [], start
+            for hole_start, hole_end, name in holes:
+                parts += [text[at:hole_start].decode(), names.get(name, name)]
+                at = hole_end
+            parts.append(text[at:end].decode())
+            lines.append("        " + "".join(parts))
+        return lines
+
+    def stage(s, inputs, time):
+        names = {f"d_{c}": f"k{s}_{i}" for i, c in enumerate(components)}
+        names.update(inputs, t=f"({time})")
+        return written(names)
 
     def row_sum(row, i):
         return " + ".join(f"{a!r} * k{s}_{i}" for s, a in enumerate(row) if a)
 
-    def targets(name):      # trailing commas, so that one component unpacks too
-        return "".join(f"{name}_{i}, " for i in comps)
+    def targets(names):     # trailing commas, so that one component unpacks too
+        return "".join(f"{name}, " for name in names)
 
     def squares(name):
         return " + ".join(f"{name}_{i} * {name}_{i}" for i in comps)
 
-    lines = ["def attempt(fun, t, y, f, h, rtol, atol):",
-             f"    {targets('y')}= y",
-             f"    {targets('k0')}= f"]
+    lines = [f"def make({', '.join(constants)}):",
+             "    def rhs(t, y):",
+             f"        {targets(components)}= y",
+             *written({}),
+             f"        return [{', '.join(f'd_{c}' for c in components)}]",
+             "",
+             "    def attempt(t, y, f, h, rtol, atol):",
+             f"        {targets(f'y_{i}' for i in comps)}= y",
+             f"        {targets(f'k0_{i}' for i in comps)}= f"]
     for s in range(1, 12):
-        stage = ", ".join(f"y_{i} + ({row_sum(A[s], i)}) * h" for i in comps)
-        lines.append(f"    {targets(f'k{s}')}= fun(t + {C[s]!r} * h, [{stage}])")
-    lines += [f"    u_{i} = y_{i} + h * ({row_sum(B, i)})" for i in comps]
-    lines.append(f"    y_new = [{targets('u')}]")
+        inputs = {}
+        for i, c in enumerate(components):
+            stage_input = f"y_{i} + ({row_sum(A[s], i)}) * h"
+            if reads[c] == 1:
+                inputs[c] = f"({stage_input})"
+            elif reads[c] > 1:
+                lines.append(f"        x_{i} = {stage_input}")
+                inputs[c] = f"x_{i}"
+        lines += stage(s, inputs, f"t + {C[s]!r} * h")
+    lines += [f"        u_{i} = y_{i} + h * ({row_sum(B, i)})" for i in comps]
+    lines.append(f"        y_new = [{targets(f'u_{i}' for i in comps)}]")
     for i in comps:
-        lines += [f"    scale = atol + max(abs(y_{i}), abs(u_{i})) * rtol",
-                  f"    r5_{i} = ({row_sum(E5, i)}) / scale",
-                  f"    r3_{i} = ({row_sum(E3, i)}) / scale"]
+        lines += [f"        scale = atol + max(abs(y_{i}), abs(u_{i})) * rtol",
+                  f"        r5_{i} = ({row_sum(E5, i)}) / scale",
+                  f"        r3_{i} = ({row_sum(E3, i)}) / scale"]
     K = "".join(f"k{s}_{i}, " for i in comps for s in range(13))
-    lines += [f"    e5 = {squares('r5')}",
-              f"    e3 = {squares('r3')}",
-              f"    error = 0.0 if e5 == 0 and e3 == 0 else h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
-              f"    {targets('k12')}= fun(t + h, y_new)",
-              f"    return y_new, ({K}), error"]
+    lines += [f"        e5 = {squares('r5')}",
+              f"        e3 = {squares('r3')}",
+              "        error = 0.0 if e5 == 0 and e3 == 0 else "
+              f"h * e5 / sqrt((e5 + 0.01 * e3) * {len(components)})",
+              *stage(12, {c: f"u_{i}" for i, c in enumerate(components)}, "t + h"),
+              f"        return y_new, ({K}), error",
+              "",
+              "    return Rhs(rhs, attempt)"]
     return "\n".join(lines) + "\n"
 
 
 @cache
-def _attempt(n: int):
-    """The step attempt of _attempt_source for n components, compiled.
+def system(components: tuple, statements: str, constants: tuple):
+    """The factory make(*constants) -> Rhs of _system_source, compiled.
 
-    Generating and compiling it takes a few milliseconds, so it is made on
-    the first solve of each state size and kept.  The cache holds code that
-    depends on n alone, not results: a solve returns the same bits whether
-    the attempt was compiled for it or before it.
+    Generating and compiling takes a few milliseconds, so it is done on the
+    first solve of each system and kept; a solve binds its own constants by
+    calling the factory, which takes microseconds.  The cache holds code
+    that depends on the system's text alone, never a result: a solve
+    returns the same bits whether the code was compiled for it or before it.
     """
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_attempt_source(n), f"<_dop853 attempt n={n}>", "exec"), namespace)
-    return namespace["attempt"]
+    namespace = {"sqrt": math.sqrt, "exp": math.exp, "Rhs": Rhs}
+    source = _system_source(components, statements, constants)
+    exec(compile(source, f"<_dop853 system {', '.join(components)}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _callable_system(n: int) -> tuple:
+    """The system of a plain callable fun(t, y) of n components: the one
+    statement d_y_0, ..., d_y_<n-1>, = fun(t, [y_0, ..., y_<n-1>]), with
+    fun its constant."""
+    components = tuple(f"y_{i}" for i in range(n))
+    derivatives = "".join(f"d_{c}, " for c in components)
+    return components, f"{derivatives}= fun(t, [{', '.join(components)}])", ("fun",)
 
 
 def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray) -> np.ndarray:
@@ -272,21 +415,23 @@ def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) 
     return F
 
 
-def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
+def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     """Integrate y' = fun(t, y) from t0 to t1 > t0.
 
-    fun takes a time and a list of floats and returns a list of floats.  The
-    times, tolerances and y0 are read as floats, so fun sees plain floats
-    whatever numeric types the caller passes.  Each step attempt is the
-    generated code of _attempt for len(y0) components.  The step loop keeps
-    each accepted step's stages k0 ... k12; the three dense-output stages of
-    every step are evaluated after the last step (_dense_stages), so a
-    failure in one of them is raised only then, still at the start of its
-    step.  Raises ValueError for a tolerance the error test cannot resolve,
-    an empty y0, or a first fun value whose length is not len(y0), and
-    StepFailure when a stage is not finite, fun overflows, the step size
-    falls below ten float spacings or the solve would take more than
-    MAX_STEPS step attempts.
+    rhs is an Rhs, made by a system's factory (see system), or a plain
+    callable fun, which goes through the one-statement system of
+    _callable_system: its attempt calls fun once per stage.  fun takes a
+    time and a list of floats and returns a list of floats.  The times,
+    tolerances and y0 are read as floats, so fun sees plain floats whatever
+    numeric types the caller passes.  The step loop keeps each accepted
+    step's stages k0 ... k12; the three dense-output stages of every step
+    are evaluated after the last step (_dense_stages), so a failure in one
+    of them is raised only then, still at the start of its step.  Raises
+    ValueError for a tolerance the error test cannot resolve, an empty y0,
+    or a first fun value whose length is not len(y0), and StepFailure when a
+    stage is not finite, the right-hand side overflows, the step size falls
+    below ten float spacings or the solve would take more than MAX_STEPS
+    step attempts.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
@@ -298,7 +443,9 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
-    attempt = _attempt(n)
+    if not isinstance(rhs, Rhs):
+        rhs = Rhs(rhs, system(*_callable_system(n))(rhs).attempt)
+    fun, attempt = rhs
     budget = MAX_STEPS
     try:
         f = fun(t, y)
@@ -318,7 +465,7 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
                                       "is spent", t)
                 t_new = min(t + h_abs, t1)
                 h = h_abs = t_new - t
-                y_new, K, error = attempt(fun, t, y, f, h, rtol, atol)
+                y_new, K, error = attempt(t, y, f, h, rtol, atol)
                 if error < 1:
                     factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
                                                                SAFETY * error ** ERROR_EXPONENT)
@@ -332,7 +479,7 @@ def solve(fun, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
             ts.append(t_new)
             ys.extend(y_new)
             t, y, f = t_new, y_new, K[12::13]
-    except OverflowError:   # fun raised it, as float ** does past the float range
+    except OverflowError:   # the right-hand side raised it, as float ** does past the float range
         raise StepFailure("a right-hand side value overflows", t) from None
 
     t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T

@@ -18,13 +18,23 @@ sec. II.6).  Every query between steps evaluates that polynomial, and
 crossings are refined by Brent's method on it.
 
 Internally everything is scaled (time/1e-12 GeV^-1, field/1e19 GeV,
-H/1e14 GeV); the public accessors speak GeV.
+H/1e14 GeV); the public accessors speak GeV.  With f the scaled field,
+g = df/dtau and N the e-fold count, the system is
+
+    H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2),
+    f' = g,   g' = -3 (100 H) g + k1 f - k2 f^3,   N' = 100 H,
+
+written once, as the statements EQUATIONS: the stepper inlines them into
+its step, and the mode systems of perturbations run them first, on the
+background each mode carries.  The factored potential keeps H^2
+nonnegative and cancellation-free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,29 +76,55 @@ class BackgroundState:
     H: float
 
 
-class _Coeffs:
-    """Scaled ODE coefficients for one parameter set."""
+# the scaled background equations of the module docstring, one statement
+# each, as _dop853.system reads them, with the coefficients of _Coeffs
+EQUATIONS = """\
+H = sqrt(kin * g * g + v4 * (f * f - vbar2) ** 2)
+d_f = g
+d_g = -3 * efold * H * g + k1 * f - k2 * f**3
+d_N = efold * H
+"""
 
-    def __init__(self, params: PotentialParams):
+
+class _Coeffs(NamedTuple):
+    """Scaled ODE coefficients for one parameter set, named as EQUATIONS reads them."""
+
+    kin: float
+    v4: float
+    vbar2: float      # (v/F0)^2
+    k1: float
+    k2: float
+    efold: float      # 100
+
+    @classmethod
+    def of(cls, params: PotentialParams) -> "_Coeffs":
         T0, F0, HU = TIME_UNIT, FIELD_UNIT, HUBBLE_UNIT
         pref = 8 * math.pi * params.G / 3
-        self.kin = pref * F0**2 / (2 * T0**2 * HU**2)
-        self.v4 = pref * (params.lam * F0**4 / 4) / HU**2
-        self.vbar2 = params.kappa**2 / params.lam / F0**2    # (v/F0)^2
-        self.k1 = params.kappa**2 * T0**2
-        self.k2 = params.lam * F0**2 * T0**2
-        self.efold = EFOLD_RATE  # 100
+        return cls(kin=pref * F0**2 / (2 * T0**2 * HU**2),
+                   v4=pref * (params.lam * F0**4 / 4) / HU**2,
+                   vbar2=params.kappa**2 / params.lam / F0**2,
+                   k1=params.kappa**2 * T0**2,
+                   k2=params.lam * F0**2 * T0**2,
+                   efold=EFOLD_RATE)
 
     def hubble(self, f, g):
-        """Scaled H at arrays of (f, g)."""
-        # factored potential keeps h^2 nonnegative and cancellation-free
+        """Scaled H at arrays of (f, g), as EQUATIONS computes it."""
         return np.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
 
-    def rhs(self, tau, y):
-        """Scaled (f', g', N') at one state: plain floats in and out, for the stepper."""
-        f, g = y[0], y[1]
-        h = math.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
-        return [g, -3 * self.efold * h * g + self.k1 * f - self.k2 * f**3, self.efold * h]
+    def bind(self, system: tuple, *constants) -> _dop853.Rhs:
+        """The right-hand side of a system of with_background, such as SYSTEM,
+        with these coefficients and then constants bound."""
+        return _dop853.system(*system)(*self, *constants)
+
+
+def with_background(components: tuple, equations: str, constants: tuple) -> tuple:
+    """The _dop853 system of equations over components carried ahead of the
+    background (f, g, N), which EQUATIONS advance first; the constants
+    follow _Coeffs's."""
+    return components + ("f", "g", "N"), EQUATIONS + equations, _Coeffs._fields + constants
+
+
+SYSTEM = with_background((), "", ())      # the background alone
 
 
 def _brentq(fn, xpre: float, xcur: float) -> float:
@@ -180,7 +216,7 @@ class BackgroundSolution:
 
     def __post_init__(self):
         self.derived = derive_constants(self.params)
-        self._coeffs = _Coeffs(self.params)
+        self._coeffs = _Coeffs.of(self.params)
         if np.any(np.diff(self.tau) <= 0):
             raise IntegrationError("time grid is not strictly increasing")
         if self.coef.shape != (7, 3, len(self.tau) - 1):
@@ -332,11 +368,11 @@ def integrate(params: PotentialParams,
     if not t_start < t_end:         # also false when either end is NaN
         raise ValueError("t_end must exceed t_start")
     ini = initial_state(params, t_start)
-    co = _Coeffs(params)
+    rhs = _Coeffs.of(params).bind(SYSTEM)
     y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
 
     try:
-        steps = _dop853.solve(co.rhs, t_start / TIME_UNIT, t_end / TIME_UNIT, y0, rtol, atol)
+        steps = _dop853.solve(rhs, t_start / TIME_UNIT, t_end / TIME_UNIT, y0, rtol, atol)
     except _dop853.StepFailure as exc:
         raise IntegrationError(f"solver failed near t = {exc.t * TIME_UNIT:g}: {exc}") from None
 

@@ -21,21 +21,24 @@ Classical gravity is zero metric coupling: Psi's couplings vanish, so Psi
 stays zero and the field equation loses its source, which leaves the frozen
 curvature amplitude essentially unchanged; tensor amplitudes are zero.
 
-Each mode carries its own background: (phi, phidot) and the e-folds n since
+Each mode carries its own background: (phi, phidot) and the e-folds N since
 the window start t_a ride along in the mode's ODE state.  They are seeded
 once from the stored solution at t_a and advanced by the same equations the
 background solve uses, so the coefficients a mode sees solve the background
-ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-n} needs no lookup.
-Modes and background go through the same DOP853 stepper (_dop853), whose
-right-hand sides take and return plain floats; the stored trajectory is
-sampled from the mode's own dense output.  Modes solve at their background's
-tolerances (sol.rtol, sol.atol) over q/(aH) from X_START to X_END.
+ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-N} needs no lookup.
+Each mode's right-hand side is a system of straight-line statements
+(_SCALAR, _TENSOR), written once after the background's own
+(background.EQUATIONS, which it reads through their derivatives), and goes
+through the same DOP853 stepper (_dop853) as the background: the stepper
+inlines the statements into its step and samples the stored trajectory from
+the mode's own dense output.  Modes solve at their background's tolerances
+(sol.rtol, sol.atol) over q/(aH) from X_START to X_END.
 
-The mode right-hand sides close over Python floats only (q is read as a
-float, whatever its type) and carry each complex mode variable as a (real,
-imaginary) pair: the coefficients are real, so both parts obey the same real
-equations, written with the operation order of the complex form and so
-rounded as it rounds them.
+The mode statements read Python floats only (q is read as a float, whatever
+its type, and the coefficients are bound as floats) and carry each complex
+mode variable as a (real, imaginary) pair: the coefficients are real, so
+both parts obey the same real equations, written with the operation order of
+the complex form and so rounded as it rounds them.
 
 Modes are integrated in normalized variables (initial amplitude 1) with the
 exact WKB prefactors reattached afterwards, so the stored trajectories carry
@@ -52,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _dop853
-from .background import BackgroundSolution
+from .background import SYSTEM, BackgroundSolution, with_background
 from .constants import FIELD_UNIT, TIME_UNIT, TWO_PI
 from .horizon import DEFAULT_CONSTANTS, CosmoConstants
 
@@ -78,8 +81,8 @@ class _Window(NamedTuple):
 
     t_a: float          # GeV^-1
     t_b: float
-    seed: list          # scaled (f, g, n = 0) at t_a
-    rates: list         # scaled background rates (f', g', n') at t_a
+    seed: list          # scaled (f, g, N = 0) at t_a
+    rates: list         # scaled background rates (f', g', N') at t_a
     Qt0: float          # (q/a) * time_unit at t_a
     a0: float           # a(t_a), with a(t_I) = a_L
     wkb: complex        # c'/c = -(H + i q/a) at t_a, scaled; read by both modes
@@ -115,8 +118,8 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Windo
                         f"q = {q:g} GeV is too small") from None
     f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
-    # background derivatives (f', g', n') = (g, phi double-dot, 100 h), scaled
-    rates = sol._coeffs.rhs(t_a / TIME_UNIT, seed)
+    # background derivatives (f', g', N') = (g, phi double-dot, 100 H), scaled
+    rates = sol._coeffs.bind(SYSTEM).fun(t_a / TIME_UNIT, seed)
     Qt0 = q_over_a * TIME_UNIT
     return _Window(t_a, t_b, seed, rates, Qt0, q / q_over_a, -(rates[2] + 1j * Qt0))
 
@@ -126,20 +129,21 @@ class _Run(NamedTuple):
 
     taus: np.ndarray    # scaled sample times
     z: np.ndarray       # complex mode variables, one row each
-    bg: np.ndarray      # carried background rows (f, g, n)
-    rates: np.ndarray   # background rate rows (f', g', n')
+    bg: np.ndarray      # carried background rows (f, g, N)
+    rates: np.ndarray   # background rate rows (f', g', N')
     x: np.ndarray       # q/(aH)
-    z_nodes: np.ndarray  # z and n at the solver's accepted steps
+    z_nodes: np.ndarray  # z and N at the solver's accepted steps
     n_nodes: np.ndarray
 
 
-def _evolve(sol: BackgroundSolution, rhs, w: _Window, z0: list, what: str) -> _Run:
+def _evolve(sol: BackgroundSolution, rhs: _dop853.Rhs, w: _Window, z0: list, what: str) -> _Run:
     """Integrate one mode with its background across the scaled window, at
     the tolerances the background was solved with.
 
     The mode variables z0 start complex and travel as (real, imaginary)
-    float pairs ahead of the background (f, g, n); rhs works on that state
-    and closes over floats only, so every number it reads is a float.
+    float pairs ahead of the background (f, g, N); rhs, the mode's system
+    bound to its float constants, works on that state, so every number it
+    reads is a float.
     """
     tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
     y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
@@ -156,7 +160,8 @@ def _evolve(sol: BackgroundSolution, rhs, w: _Window, z0: list, what: str) -> _R
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
     z, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
     z_nodes, bg_nodes = split(steps.y)
-    rates = np.array([sol._coeffs.rhs(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
+    fun = sol._coeffs.bind(SYSTEM).fun
+    rates = np.array([fun(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
     return _Run(taus, z, bg, rates, w.Qt0 * np.exp(-bg[2]) / rates[2], z_nodes, bg_nodes[2])
 
 
@@ -183,6 +188,26 @@ def _check_frozen(amplitude: np.ndarray, run: _Run, limit: float, what: str) -> 
 
 
 # --- scalar mode ----------------------------------------------------------------
+
+# (c, c', P) as real pairs ahead of the background, with Qt0 = (q/a)(t_a)
+# times the time unit; the complex form is
+# P' = -N' P + gpsi g c,  c'' = -3 N' c' - m c - 2 W V' P + 4 W g P'
+_SCALAR = with_background(("c_r", "c_i", "cp_r", "cp_i", "P_r", "P_i"), """\
+Qv = Qt0 * exp(-N)
+src = gpsi * g
+d_P_r = -d_N * P_r + src * c_r
+d_P_i = -d_N * P_i + src * c_i
+Vp_s = -k1 * f + k2 * f**3
+damp = -3 * d_N
+mass = -k1 + 3 * k2 * f * f + Qv * Qv
+k_P = 2 * W * Vp_s
+k_Pp = 4 * W * g
+d_c_r = cp_r
+d_c_i = cp_i
+d_cp_r = damp * cp_r - mass * c_r - k_P * P_r + k_Pp * d_P_r
+d_cp_i = damp * cp_i - mass * c_i - k_P * P_i + k_Pp * d_P_i
+""", ("Qt0", "W", "gpsi"))
+
 
 @dataclass
 class ScalarMode:
@@ -216,8 +241,6 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     Psi's couplings are zero: Psi stays zero and the field equation is source-free.
     """
     T0, F0 = TIME_UNIT, FIELD_UNIT
-    co = sol._coeffs
-    K1, K2 = co.k1, co.k2
     FOURPIG_F2 = 4 * math.pi * sol.params.G * F0**2
 
     w = _window(sol, q, consts)
@@ -227,29 +250,10 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     W = FOURPIG_F2 * g_a / Qt0 if quantum else 0.0    # eta * F0, dimensionless
     gpsi = Qt0 / g_a if quantum else 0.0             # source coefficient of the Psi equation
 
-    def rhs(tau, y):
-        # (c, c', P) as real pairs; the complex form is
-        # P' = -N' P + gpsi g c,  c'' = -3 N' c' - m c - 2 W V' P + 4 W g P'
-        c_r, c_i, cp_r, cp_i, P_r, P_i, f, g, n = y
-        bg = co.rhs(tau, y[6:])
-        Np = bg[2]
-        Qv = Qt0 * math.exp(-n)
-        src = gpsi * g
-        Pp_r = -Np * P_r + src * c_r
-        Pp_i = -Np * P_i + src * c_i
-        Vp_s = -K1 * f + K2 * f**3
-        damp = -3 * Np
-        mass = -K1 + 3 * K2 * f * f + Qv * Qv
-        k_P = 2 * W * Vp_s
-        k_Pp = 4 * W * g
-        return [cp_r, cp_i,
-                damp * cp_r - mass * c_r - k_P * P_r + k_Pp * Pp_r,
-                damp * cp_i - mass * c_i - k_P * P_i + k_Pp * Pp_i,
-                Pp_r, Pp_i, *bg]
-
     # normalized initial data: c = 1, c' = WKB start, P from the constraint
     P0 = gpsi * (w.rates[1] - g_a * w.wkb) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
-    run = _evolve(sol, rhs, w, [1.0 + 0j, w.wkb, P0], "scalar")
+    run = _evolve(sol, sol._coeffs.bind(_SCALAR, Qt0, W, gpsi), w, [1.0 + 0j, w.wkb, P0],
+                  "scalar")
     c, cp, P = run.z
     g_t = run.bg[1]
     _, gp_t, Np_t = run.rates
@@ -291,6 +295,18 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
 
 # --- tensor mode -----------------------------------------------------------------
 
+# (d, d') as real pairs of d'' = -3 N' d' - Qv^2 d, ahead of the background
+_TENSOR = with_background(("d_r", "d_i", "dp_r", "dp_i"), """\
+Qv = Qt0 * exp(-N)
+damp = -3 * d_N
+mass = Qv * Qv
+d_d_r = dp_r
+d_d_i = dp_i
+d_dp_r = damp * dp_r - mass * d_r
+d_dp_i = damp * dp_i - mass * d_i
+""", ("Qt0",))
+
+
 @dataclass
 class TensorMode:
     """Tensor mode trajectory with frozen amplitude and Wronskian drift."""
@@ -315,7 +331,6 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
     and the returned mode is identically zero.
     """
     T0 = TIME_UNIT
-    co = sol._coeffs
     w = _window(sol, q, consts)
 
     if gravity is GravityMode.CLASSICAL:
@@ -326,18 +341,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
                           D_plateau=0j, wronskian_drift=0.0,
                           t_start=w.t_a, t_end=w.t_b)
 
-    Qt0 = w.Qt0
-
-    def rhs(tau, y):
-        # (d, d') as real pairs of d'' = -3 N' d' - Qv^2 d
-        d_r, d_i, dp_r, dp_i, _, _, n = y
-        bg = co.rhs(tau, y[4:])
-        Qv = Qt0 * math.exp(-n)
-        damp = -3 * bg[2]
-        mass = Qv * Qv
-        return [dp_r, dp_i, damp * dp_r - mass * d_r, damp * dp_i - mass * d_i, *bg]
-
-    run = _evolve(sol, rhs, w, [1.0 + 0j, w.wkb], "tensor")
+    run = _evolve(sol, sol._coeffs.bind(_TENSOR, w.Qt0), w, [1.0 + 0j, w.wkb], "tensor")
     d, dp = run.z
 
     # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),

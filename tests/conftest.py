@@ -133,8 +133,10 @@ def tensor_mode(background, consts):
     return il.integrate_tensor(background, consts.q_R, consts)
 
 
-# one recorded _dop853.solve: its arguments and the Steps it returned
-Solve = namedtuple("Solve", "fun t0 t1 y0 rtol atol steps")
+# one recorded _dop853.solve: its arguments and the Steps it returned; the
+# package passes each system bound to its constants as an _dop853.Rhs, whose
+# fun is the plain right-hand side
+Solve = namedtuple("Solve", "rhs t0 t1 y0 rtol atol steps")
 
 
 @pytest.fixture
@@ -144,9 +146,9 @@ def solve_calls(monkeypatch):
     calls = []
     solve = _dop853.solve
 
-    def recorded(fun, t0, t1, y0, rtol, atol):
-        steps = solve(fun, t0, t1, y0, rtol, atol)
-        calls.append(Solve(fun, t0, t1, y0, rtol, atol, steps))
+    def recorded(rhs, t0, t1, y0, rtol, atol):
+        steps = solve(rhs, t0, t1, y0, rtol, atol)
+        calls.append(Solve(rhs, t0, t1, y0, rtol, atol, steps))
         return steps
 
     monkeypatch.setattr(_dop853, "solve", recorded)

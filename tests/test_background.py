@@ -238,6 +238,17 @@ def test_start_time_robustness(params):
 _BOX = ScanConfig()
 
 
+def _scaled_background(kin, v4, vbar2, k1, k2, efold):
+    """The scaled background equations, written as in the background module's
+    docstring: H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2), f' = g,
+    g' = -3 (efold H) g + k1 f - k2 f^3 and N' = efold H."""
+    def rhs(tau, y):
+        f, g = y[0], y[1]
+        H = math.sqrt(kin * g * g + v4 * (f * f - vbar2) ** 2)
+        return [g, -3 * efold * H * g + k1 * f - k2 * f**3, efold * H]
+    return rhs
+
+
 def test_stored_dense_output_matches_solver(background):
     # pins the method against scipy's DOP853 over whole solves, at the default
     # point and at two corners of the scan box.  The stage sums add in another
@@ -253,7 +264,8 @@ def test_stored_dense_output_matches_solver(background):
         np.testing.assert_allclose(sol._state(sol.tau[-1]), sol.y[:, -1], rtol=1e-15, atol=0)
         ini = il.initial_state(sol.params, sol.t_start)
         y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]
-        ref = solve_ivp(sol._coeffs.rhs, (sol.t_start / TIME_UNIT, sol.t_end / TIME_UNIT), y0,
+        ref = solve_ivp(_scaled_background(*sol._coeffs),
+                        (sol.t_start / TIME_UNIT, sol.t_end / TIME_UNIT), y0,
                         method="DOP853", rtol=sol.rtol, atol=sol.atol, dense_output=True)
         assert abs(len(sol.tau) - len(ref.t)) <= 0.01 * len(ref.t)
         tau = np.linspace(sol.tau[0], sol.tau[-1], 2001)[1:-1]       # off-node

@@ -96,39 +96,55 @@ def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_
             return out
         return checked
 
-    for fun, t0, t1, y0, rtol, atol, _ in solve_calls:
-        assert all(type(v) is float for v in fun(t0, y0))
-        _dop853.solve(floats_only(fun), t0, t1, y0, rtol, atol)
+    def floats_in_and_out(attempt):
+        def checked(t, y, f, h, rtol, atol):
+            y_new, K, error = attempt(t, y, f, h, rtol, atol)
+            assert all(type(v) is float for v in (t, *y, *f, h, rtol, atol, *y_new, *K, error))
+            return y_new, K, error
+        return checked
+
+    # the attempt writes the right-hand side into its stages, all of which it returns in K
+    for rhs, t0, t1, y0, rtol, atol, _ in solve_calls:
+        assert all(type(v) is float for v in rhs.fun(t0, y0))
+        _dop853.solve(_dop853.Rhs(floats_only(rhs.fun), floats_in_and_out(rhs.attempt)),
+                      t0, t1, y0, rtol, atol)
     for got, want in zip(modes, (scalar_mode, tensor_mode)):
         for a, b in zip(astuple(got), astuple(want)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def _complex_scalar_rhs(co, K1, K2, Qt0, W, gpsi):
+def _background_rates(kin, v4, vbar2, k1, k2, efold, f, g):
+    """The scaled background equations (f', g', N'), written as in the
+    background module's docstring: H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2)."""
+    H = math.sqrt(kin * g * g + v4 * (f * f - vbar2) ** 2)
+    return [g, -3 * efold * H * g + k1 * f - k2 * f**3, efold * H]
+
+
+def _complex_scalar_rhs(kin, v4, vbar2, k1, k2, efold, Qt0, W, gpsi):
     """The scalar right-hand side in complex form: the oracle for the real pairs."""
     def rhs(tau, y):
         c = y[0] + 1j * y[1]
         cp = y[2] + 1j * y[3]
         P = y[4] + 1j * y[5]
         f, g = y[6], y[7]
-        bg = co.rhs(tau, y[6:])
+        bg = _background_rates(kin, v4, vbar2, k1, k2, efold, f, g)
         Np = bg[2]
         Qv = Qt0 * math.exp(-y[8])
         Pp = -Np * P + gpsi * g * c
-        Vp_s = -K1 * f + K2 * f**3
+        Vp_s = -k1 * f + k2 * f**3
         cpp = (-3 * Np * cp
-               - (-K1 + 3 * K2 * f * f + Qv * Qv) * c
+               - (-k1 + 3 * k2 * f * f + Qv * Qv) * c
                - 2 * W * Vp_s * P + 4 * W * g * Pp)
         return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
     return rhs
 
 
-def _complex_tensor_rhs(co, Qt0):
+def _complex_tensor_rhs(kin, v4, vbar2, k1, k2, efold, Qt0):
     """The tensor right-hand side in complex form: the oracle for the real pairs."""
     def rhs(tau, y):
         d = y[0] + 1j * y[1]
         dp = y[2] + 1j * y[3]
-        bg = co.rhs(tau, y[4:])
+        bg = _background_rates(kin, v4, vbar2, k1, k2, efold, y[4], y[5])
         Qv = Qt0 * math.exp(-y[6])
         dpp = -3 * bg[2] * dp - Qv * Qv * d
         return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
@@ -150,7 +166,7 @@ def test_real_pair_rhs_match_the_complex_form(background, consts, solve_calls, m
     il.integrate_scalar(background, consts.q_R, consts, gravity=il.GravityMode.CLASSICAL)
     il.integrate_tensor(background, consts.q_R, consts)
     monkeypatch.undo()
-    quantum, classical, tensor = (c.fun for c in solve_calls)
+    quantum, classical, tensor = (c.rhs.fun for c in solve_calls)
     assert _closure(quantum)["W"] != 0 and _closure(quantum)["gpsi"] != 0
     assert _closure(classical)["W"] == _closure(classical)["gpsi"] == 0.0
     cases = [(quantum, _complex_scalar_rhs(**_closure(quantum)), 6),
@@ -240,6 +256,30 @@ def test_mode_tilts_match_slow_roll_across_scan_box(kappa, lam, consts):
     n_T = (ld[1] - ld[0]) / (lq[1] - lq[0]) + 3
     assert abs(n_s - report.n_s) < TILT_TOL
     assert abs(n_T - report.n_T) < TILT_TOL
+
+
+SYMMETRY_TOL = 1e-10    # measured at most 5.6e-12 at the box's corners, c = 0.8 and 1.25
+
+
+@settings(max_examples=5)
+@given(kappa=st.floats(_BOX.kappa_min, _BOX.kappa_max),
+       lam=st.floats(_BOX.lambda_min, _BOX.lambda_max), c=st.floats(0.8, 1.25))
+def test_kappa_at_fixed_v_scales_the_modes(kappa, lam, c, consts):
+    # (c kappa, c^2 lambda) runs the same background c times faster
+    # (test_horizon.py's pure-time-scale check), so the mode c q there obeys
+    # mode q's normalized equations on a clock c times faster: q/a and H
+    # both gain c, and W, gpsi and N' / g keep their values.  The WKB
+    # prefactors carry 1 / sqrt(2 q) at the same a, so |R|^2 and |D|^2 gain
+    # 1/c.  The starts are matched (t_start/c and t_end/c)
+    slow = il.integrate(il.PotentialParams(kappa=kappa, lam=lam))
+    fast = il.integrate(il.PotentialParams(kappa=c * kappa, lam=c * c * lam),
+                        t_start=slow.t_start / c, t_end=slow.t_end / c)
+    q = consts.q_R
+    for integrate_mode, plateau in ((il.integrate_scalar, "R_plateau"),
+                                    (il.integrate_tensor, "D_plateau")):
+        want, got = (abs(getattr(integrate_mode(sol, k, consts), plateau)) ** 2
+                     for sol, k in ((slow, q), (fast, c * q)))
+        assert abs(c * got / want - 1) <= SYMMETRY_TOL
 
 
 def test_mode_start_threshold_insensitivity(background, consts, scalar_mode, monkeypatch):

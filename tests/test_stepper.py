@@ -24,9 +24,8 @@ from scipy.integrate._ivp.rk import DOP853
 from scipy.optimize import brentq
 
 import inflatonlab as il
-from inflatonlab import _dop853
-from inflatonlab.background import (CROSSING_RTOL, CROSSING_XTOL, IntegrationError, _brentq,
-                                    _Coeffs)
+from inflatonlab import _dop853, background, perturbations
+from inflatonlab.background import CROSSING_RTOL, CROSSING_XTOL, IntegrationError, _brentq
 from inflatonlab.constants import TIME_UNIT
 from inflatonlab.perturbations import ModeError
 
@@ -63,7 +62,8 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     fun = _smooth_rhs(n, seed)
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
-    y_new, K, _ = _dop853._attempt(n)(fun, t, y, fun(t, y), h, 1e-2, 1e-2)
+    attempt = _dop853.system(*_dop853._callable_system(n))(fun).attempt
+    y_new, K, _ = attempt(t, y, fun(t, y), h, 1e-2, 1e-2)
     t_nodes, y_nodes = np.array([t, t + h]), np.array([y, y_new]).T
     stages = _dop853._dense_stages(fun, t_nodes, y_nodes, np.array(K).reshape(1, n, 13))
     F = _dop853._dense_output(t_nodes, y_nodes, stages)[..., 0]
@@ -80,10 +80,18 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
 
 
 def test_attempt_is_compiled_once_per_state_size():
+    # a plain callable's system per state size, and each package system once:
+    # a solve binds its constants to code compiled before it
     for n in (1, 3, 9):
-        attempt = _dop853._attempt(n)
-        assert _dop853._attempt(n) is attempt
-        assert attempt.__code__.co_filename == f"<_dop853 attempt n={n}>"
+        make = _dop853.system(*_dop853._callable_system(n))
+        assert _dop853.system(*_dop853._callable_system(n)) is make
+        names = ", ".join(f"y_{i}" for i in range(n))
+        assert make.__code__.co_filename == f"<_dop853 system {names}>"
+    kappa = il.PotentialParams().kappa
+    slow, fast = (background._Coeffs.of(il.PotentialParams(kappa=c * kappa))
+                  .bind(background.SYSTEM) for c in (0.9, 1.1))
+    assert slow.attempt.__code__ is fast.attempt.__code__
+    assert slow.fun(0.0, [0.1, 0.2, 0.0]) != fast.fun(0.0, [0.1, 0.2, 0.0])
 
 
 def _operand(node):
@@ -113,22 +121,83 @@ def _row(coefficients, i):
     return [(a, f"k{s}_{i}") for s, a in enumerate(coefficients) if a]
 
 
-@pytest.mark.parametrize("n", [1, 3, 9])
-def test_generated_sums_name_the_nonzero_tableau_entries_in_order(n):
-    # each stage input is y_i + (sum) * h, each update y_i + h * (sum), each
-    # error term (sum) / scale, and each error norm the squares in component order
-    values = {}
-    for node in ast.parse(_dop853._attempt_source(n)).body[0].body:
-        if isinstance(node, ast.Assign):
-            target = node.targets[0]
-            values[(target.elts[0] if isinstance(target, ast.Tuple) else target).id] = node.value
-    for s in range(1, 12):
-        call = values[f"k{s}_0"]
-        assert _terms(call.args[0].right) == [(_dop853.C[s], "h")]
-        assert len(call.args[1].elts) == n
-        for i, arg in enumerate(call.args[1].elts):
-            assert (arg.left.id, arg.right.right.id) == (f"y_{i}", "h")
-            assert _terms(arg.right.left) == _row(_dop853.A[s], i)
+def _stage_input(node, s):
+    """i if node is component i's stage input y_i + (sum) * h at stage s,
+    its sum naming the nonzero entries of row A[s] in order; else None."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Name) and node.left.id.startswith("y_")):
+        return None
+    i = int(node.left.id[2:])
+    assert isinstance(node.right.op, ast.Mult) and node.right.right.id == "h"
+    assert _terms(node.right.left) == _row(_dop853.A[s], i)
+    return i
+
+
+class _Unwritten(ast.NodeTransformer):
+    """Maps the statements as written at stage s of an attempt back to the
+    system's: k<s>_<i> to d_<c>, x_i and component i's stage input (u_i at
+    k12) to c, the stage time t + C[s] * h (t + h at k12) to t."""
+
+    def __init__(self, components, s):
+        self.components, self.s = components, s
+
+    def visit_Name(self, node):
+        name = re.fullmatch(r"k(\d+)_(\d+)|([xu])_(\d+)", node.id)
+        if name is None:
+            return node
+        if name[1]:
+            assert int(name[1]) == self.s, node.id
+            return ast.Name(f"d_{self.components[int(name[2])]}", node.ctx)
+        assert name[3] == ("u" if self.s == 12 else "x"), node.id
+        return ast.Name(self.components[int(name[4])], node.ctx)
+
+    def visit_BinOp(self, node):
+        if isinstance(node.left, ast.Name) and node.left.id == "t":
+            if self.s == 12:
+                assert node.right.id == "h"
+            else:
+                assert _terms(node.right) == [(_dop853.C[self.s], "h")]
+            return ast.Name("t", ast.Load())
+        i = None if self.s == 12 else _stage_input(node, self.s)
+        return self.generic_visit(node) if i is None else ast.Name(self.components[i], ast.Load())
+
+
+# plain callables by their state size, and the package's systems
+_SYSTEMS = {**{str(n): _dop853._callable_system(n) for n in (1, 3, 9)},
+            "background": background.SYSTEM, "scalar": perturbations._SCALAR,
+            "tensor": perturbations._TENSOR}
+
+
+@pytest.mark.parametrize("system", _SYSTEMS)
+def test_generated_sums_name_the_nonzero_tableau_entries_in_order(system):
+    # the statements are written out at stages 1-11 and k12, each stage input
+    # is y_i + (sum) * h (assigned to x_i first, or where it is read), each
+    # update y_i + h * (sum), each error term (sum) / scale, and each error
+    # norm the squares in component order
+    components, statements, constants = _SYSTEMS[system]
+    n = len(components)
+    written = [ast.dump(node) for node in ast.parse(statements).body]
+    read = {node.id for node in ast.walk(ast.parse(statements))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    rhs, attempt = ast.parse(_dop853._system_source(*_SYSTEMS[system])).body[0].body[:2]
+    assert [ast.dump(node) for node in rhs.body[1:-1]] == written
+    nodes, at, values, formed = attempt.body[2:], 0, {}, set()
+    for s in range(1, 13):
+        if s == 12:     # the update and the error norm come before k12
+            for node in nodes[at:at + 4 * n + 4]:
+                target = node.targets[0]
+                values[target.id] = node.value
+            at += 4 * n + 4
+        while isinstance(nodes[at].targets[0], ast.Name) and nodes[at].targets[0].id[:2] == "x_":
+            # a stage input, formed only for a component the statements read
+            i = _stage_input(nodes[at].value, s)
+            assert nodes[at].targets[0].id == f"x_{i}" and components[i] in read
+            formed.add(components[i])
+            at += 1
+        stage = nodes[at:at + len(written)]
+        at += len(written)
+        assert [ast.dump(_Unwritten(components, s).visit(node)) for node in stage] == written
+    assert at == len(nodes) - 1 and isinstance(nodes[at], ast.Return)
     for i in range(n):
         update = values[f"u_{i}"]
         assert (update.left.id, update.right.left.id) == (f"y_{i}", "h")
@@ -137,6 +206,30 @@ def test_generated_sums_name_the_nonzero_tableau_entries_in_order(n):
         assert _terms(values[f"r3_{i}"].left) == _row(_dop853.E3, i)
     for e, r in (("e5", "r5"), ("e3", "r3")):
         assert _terms(values[e]) == [(f"{r}_{i}", f"{r}_{i}") for i in range(n)]
+    calls = {node.func.id for node in ast.walk(attempt) if isinstance(node, ast.Call)}
+    if constants == ("fun",):
+        # a plain callable is called once per stage, with its stage inputs
+        # formed in the call
+        assert calls == {"fun", "sqrt", "abs", "max"} and not formed
+    else:   # the package's systems are inlined whole
+        assert calls <= {"sqrt", "exp", "abs", "max"}
+    if system == "background":      # N is never read, so no N stage input is formed
+        assert "N" not in read
+
+
+@pytest.mark.parametrize("statements, constants, message", [
+    ("d_a = b", ("w",), "leave d_b unassigned"),
+    ("h = w * a\nd_a = h\nd_b = a", ("w",), "assign 'h', a name the generated code uses"),
+    ("k3_0 = a\nd_a = b\nd_b = a", ("w",), "assign 'k3_0'"),
+    ("error = a\nd_a = b\nd_b = a", ("w",), "assign 'error'"),
+    ("a = w\nd_a = b\nd_b = a", ("w",), "assign 'a'"),
+    ("d_a = c\nd_b = a\nc = w", ("w",), "read 'c' before assigning it"),
+    ("d_a = b\nd_b = a\nd_b += w", ("w",), "must be an assignment"),
+    ("d_a = b\nd_b = h * a", ("h",), "the constant 'h'"),
+])
+def test_malformed_systems_are_named(statements, constants, message):
+    with pytest.raises(ValueError, match=message):
+        _dop853.system(("a", "b"), statements, constants)
 
 
 def _generic_stages(fun, t, y, K, h, rows):
@@ -199,21 +292,29 @@ def _generic_solve(fun, t0, t1, y0, rtol, atol):
 
 def _counted(fun):
     """fun with a count of its calls in counted.calls."""
-    def counted(t, y):
+    def counted(*args):
         counted.calls += 1
-        return fun(t, y)
+        return fun(*args)
     counted.calls = 0
     return counted
 
 
-def _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol):
-    got_fun, want_fun = _counted(fun), _counted(fun)
-    got = _dop853.solve(got_fun, t0, t1, y0, rtol, atol)
+def _assert_same_bits_as_the_oracle(rhs, t0, t1, y0, rtol, atol):
+    # rhs is a system's Rhs or a plain callable, which is replayed through
+    # the system that solve makes of it
+    if not isinstance(rhs, _dop853.Rhs):
+        rhs = _dop853.system(*_dop853._callable_system(len(y0)))(rhs)
+    got_fun, got_attempt, want_fun = _counted(rhs.fun), _counted(rhs.attempt), _counted(rhs.fun)
+    got = _dop853.solve(_dop853.Rhs(got_fun, got_attempt), t0, t1, y0, rtol, atol)
     want, attempts = _generic_solve(want_fun, t0, t1, y0, rtol, atol)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    # 2 calls to start, 12 per attempted step, 3 dense-output stages per accepted one
-    assert got_fun.calls == want_fun.calls == 2 + 12 * attempts + 3 * (len(want.t) - 1)
+    # the same attempts; fun is called twice to start and for the 3
+    # dense-output stages of each accepted step, and the oracle's also for
+    # the 12 stages of each attempt
+    assert got_attempt.calls == attempts
+    assert got_fun.calls == 2 + 3 * (len(want.t) - 1)
+    assert want_fun.calls == got_fun.calls + 12 * attempts
 
 
 def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background, consts,
@@ -227,8 +328,8 @@ def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background,
     il.integrate_scalar(background, consts.q_R, consts, gravity=il.GravityMode.CLASSICAL)
     monkeypatch.undo()
     assert [len(c.y0) for c in solve_calls] == [3, 7, 9, 9]
-    for fun, t0, t1, y0, rtol, atol, _ in solve_calls:
-        _assert_same_bits_as_the_oracle(fun, t0, t1, y0, rtol, atol)
+    for rhs, t0, t1, y0, rtol, atol, _ in solve_calls:
+        _assert_same_bits_as_the_oracle(rhs, t0, t1, y0, rtol, atol)
 
 
 @settings(max_examples=40)
@@ -249,8 +350,8 @@ def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, cons
     il.integrate_tensor(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts)
     assert [len(c.y0) for c in solve_calls] == [3, 7, 9]
-    for fun, t0, t1, y0, rtol, atol, steps in solve_calls:
-        ref = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+    for rhs, t0, t1, y0, rtol, atol, steps in solve_calls:
+        ref = solve_ivp(rhs.fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
                         dense_output=True)
         t = np.linspace(t0, t1, 401)[1:-1]
         got, want = _dop853.evaluate(steps.t, steps.y, steps.F, t), ref.sol(t)
@@ -284,10 +385,21 @@ def _time_in(message):
     return float(re.search(r"near t = (\S+):", message).group(1))
 
 
+def _nan_after(tau, monkeypatch):
+    """Every system compiled from now on ends with a statement that turns the
+    derivative of its last component into NaN at times above tau."""
+    system = _dop853.system
+
+    def with_nan(components, statements, constants):
+        d = f"d_{components[-1]}"
+        return system(components, f"{statements}{d} = {d} if t <= {tau!r} else 1e309 * 0.0\n",
+                      constants)
+
+    monkeypatch.setattr(_dop853, "system", with_nan)
+
+
 def test_nan_right_hand_side_raises_with_its_time(params, monkeypatch):
-    rhs = _Coeffs.rhs
-    monkeypatch.setattr(_Coeffs, "rhs", lambda self, tau, y:
-                        [math.nan] * 3 if tau > -10.0 else rhs(self, tau, y))
+    _nan_after(-10.0, monkeypatch)
     with pytest.raises(IntegrationError) as info:
         il.integrate(params)
     # the failing step starts within one step (below 0.01 scaled) of the NaNs
@@ -373,10 +485,7 @@ def test_starting_step_underflow_raises():
 
 def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_point,
                                                        monkeypatch):
-    rhs = _Coeffs.rhs
-    tau_nan = exit_point.t_exit / TIME_UNIT
-    monkeypatch.setattr(_Coeffs, "rhs", lambda self, tau, y:
-                        [math.nan] * 3 if tau > tau_nan else rhs(self, tau, y))
+    _nan_after(exit_point.t_exit / TIME_UNIT, monkeypatch)
     for integrate_mode in (il.integrate_scalar, il.integrate_tensor):
         with pytest.raises(ModeError, match="mode solver failed") as info:
             integrate_mode(background, consts.q_R, consts)
