@@ -9,26 +9,34 @@ supported, which is all the package uses.
 
 A right-hand side is a system written once, as straight-line Python
 statements over named state components and named constants (see
-_system_source), and system() compiles two functions from that one text:
-the plain fun(t, y), on lists of floats, and the step attempt, straight-line
+_system_source), and system() compiles three functions from that one text:
+the plain fun(t, y), on lists of floats; the step attempt, straight-line
 code written out per component with the statements inlined at every stage,
-as Hairer's dop853.f does its stage arithmetic.  Each stage sum names the
-nonzero coefficients of its tableau row, left to right, as float literals.
-Skipping the structural zeros drops only 0.0 * k terms, which are exact for
-finite k, so every sum rounds as the full row would; a stage input the
-statements never read is not formed.  A plain callable is the one-statement
+as Hairer's dop853.f does its stage arithmetic; and the array form
+stages(t, Y), the statements over arrays of states.  Each stage sum of the
+attempt names the nonzero coefficients of its tableau row, left to right, as
+float literals.  Skipping the structural zeros drops only 0.0 * k terms,
+which are exact for finite k, so every sum rounds as the full row would; a
+stage input the statements never read is not formed.  A plain callable is the one-statement
 system that calls it, so every solve takes the same path.
 
 The three extra dense-output stages serve accepted steps only, so they are
 left out of the step loop: after the last step, each one's input is formed
 for all steps at once, as one numpy expression in its stage line's order
-(elementwise, so it rounds as the float sums do), and the dense-output blocks
-of all steps follow as arrays.
+(elementwise, so it rounds as the float sums do), and the stage itself is
+one call of the array form.  That rounds each operation as fun does: +, -,
+*, /, unary minus, sqrt and abs are correctly rounded in numpy as on
+floats, and numpy makes no fused multiply-add across separate operations,
+while ** and exp call Python's pow and math.exp once per element, because
+numpy's own power and exp round differently from libm's.  So every stage
+has the bits fun would give it, and the dense-output blocks of all steps
+follow as arrays.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import math
 import re
 import sys
@@ -169,19 +177,46 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
 
 
 class Rhs(NamedTuple):
-    """A right-hand side in the two forms solve uses: fun(t, y) returns the
-    derivatives at one state as a list of floats, and attempt(t, y, f, h,
-    rtol, atol) makes one step with fun's statements written into it (see
-    _system_source)."""
+    """A right-hand side in the three forms solve uses: fun(t, y) returns the
+    derivatives at one state as a list of floats, attempt(t, y, f, h, rtol,
+    atol) makes one step with fun's statements written into it, and
+    stages(t, Y) returns the derivatives (n, m) at the m states of the
+    columns of Y (n, m) and the times t (m,), each bit as fun returns it
+    (see _system_source)."""
 
     fun: Callable
     attempt: Callable
+    stages: Callable
 
 
 # the names the generated code binds or calls: no constant may take them and
 # no statement may assign them
-_GENERATED = re.compile(r"t|y|f|h|rtol|atol|y_new|scale|e5|e3|error|make|rhs|attempt|Rhs"
-                        r"|sqrt|exp|abs|max|(y|u|x|r5|r3|k\d+)_\d+")
+_GENERATED = re.compile(r"t|y|f|h|rtol|atol|y_new|scale|e5|e3|error|make|rhs|attempt|stages|Rhs"
+                        r"|Y|out|quiet|each|sqrt|exp|abs|max|np_sqrt|np_abs|np_empty|libm_pow"
+                        r"|libm_exp|(y|u|x|r5|r3|k\d+)_\d+")
+
+# numpy's errstate for the array form and the dense-stage sums: an inf or NaN
+# passes silently, as through float arithmetic, to the finite check
+_quiet = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
+
+# numpy's power and exp round differently from libm's pow and exp, which
+# Python's ** and math.exp call, so the array form calls those per element
+_POW, _EXP = np.frompyfunc(pow, 2, 1), np.frompyfunc(math.exp, 1, 1)
+
+
+def _libm_pow(a, b):
+    return np.asarray(_POW(a, b), dtype=float)
+
+
+def _libm_exp(a):
+    return np.asarray(_EXP(a), dtype=float)
+
+
+def _each(fun, t, y):
+    """The values (n, m) of a plain callable fun at times t (m,) and
+    component rows y (n of (m,)), with fun called once per state on floats."""
+    states = np.transpose(y).tolist()
+    return np.array([fun(t_j, y_j) for t_j, y_j in zip(t.tolist(), states)], dtype=float).T
 
 
 def _assigned(node: ast.Assign):
@@ -197,8 +232,8 @@ def _parse(components: tuple, statements: str, constants: tuple):
     """The statements' syntax trees and how often each name is read.
 
     Raises ValueError unless every statement is an assignment, every name is
-    read after it is bound (as t, a component, a constant, sqrt, exp, abs,
-    max or by an earlier statement), no statement assigns t, a component, a
+    read after it is bound (as t, a component, a constant, sqrt, exp, abs or
+    by an earlier statement), no statement assigns t, a component, a
     constant or a name of _GENERATED, and every derivative d_<component> is
     assigned.
     """
@@ -209,7 +244,7 @@ def _parse(components: tuple, statements: str, constants: tuple):
             raise ValueError(f"the constant {name!r} is a component or a name the generated "
                              "code uses")
     body = ast.parse(statements).body
-    bound = {"t", *components, *constants, "sqrt", "exp", "abs", "max"}
+    bound = {"t", *components, *constants, "sqrt", "exp", "abs"}
     reads = Counter()
     for node in body:
         if not isinstance(node, ast.Assign):
@@ -231,13 +266,42 @@ def _parse(components: tuple, statements: str, constants: tuple):
     return body, reads
 
 
+class _ArrayForm(ast.NodeTransformer):
+    """Rewrites a statement to run over arrays of states, each operation
+    rounded as on floats: a ** b becomes libm_pow(a, b), sqrt, exp and abs
+    become np_sqrt, libm_exp and np_abs, and a call of a constant (a plain
+    callable's fun) becomes each(fun, ...), which calls it once per state.
+    The arithmetic operators stay: numpy's are IEEE correctly rounded, as
+    Python's are."""
+
+    _NAMES = {"sqrt": "np_sqrt", "exp": "libm_exp", "abs": "np_abs"}
+
+    def __init__(self, constants: tuple):
+        self.constants = constants
+
+    def visit_Name(self, node):
+        return ast.Name(self._NAMES.get(node.id, node.id), node.ctx)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("libm_pow", ast.Load()), [node.left, node.right], [])
+        return node
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id in self.constants:
+            node.args.insert(0, node.func)
+            node.func = ast.Name("each", ast.Load())
+        return self.generic_visit(node)
+
+
 def _system_source(components: tuple, statements: str, constants: tuple) -> str:
     """The source of make(*constants) -> Rhs for a system of ODEs.
 
     The system is written once, as assignment statements over t, the
     components and the constants: each assigns a local or the derivative
     d_<component> of a component.  make binds the constants (closure cells)
-    and returns the Rhs of two functions.  rhs(t, y) unpacks y into the
+    and returns the Rhs of three functions.  rhs(t, y) unpacks y into the
     components, runs the statements and returns the derivatives in
     component order.  attempt(t, y, f, h, rtol, atol) makes one step of size
     h from y, with f = rhs(t, y), and returns y_new, the stages K and the
@@ -257,7 +321,13 @@ def _system_source(components: tuple, statements: str, constants: tuple) -> str:
     stage, update and error sum names the nonzero entries of its tableau
     row, left to right, as float literals; the squares of the error norm
     are summed left to right, so they round as a += loop from 0.0 does.
-    Only the system and the tableau enter the source.
+
+    stages(t, Y) is the array form: it unpacks the rows of Y into the
+    components and runs the statements as _ArrayForm rewrites them, so every
+    value at each state has the bits rhs gives it.  It differs only where
+    rhs raises on floats: a zero divisor or the square root of a negative
+    number gives an inf or NaN instead, quietly.  Only the system and the
+    tableau enter the source.
     """
     body, reads = _parse(components, statements, constants)
     comps = range(len(components))
@@ -335,7 +405,16 @@ def _system_source(components: tuple, statements: str, constants: tuple) -> str:
               *stage(12, {c: f"u_{i}" for i, c in enumerate(components)}, "t + h"),
               f"        return y_new, ({K}), error",
               "",
-              "    return Rhs(rhs, attempt)"]
+              "    def stages(t, Y):",
+              "        out = np_empty(Y.shape)",
+              "        with quiet():",
+              f"            {targets(components)}= Y"]
+    array_form = _ArrayForm(constants)
+    lines += [f"            {ast.unparse(array_form.visit(copy.deepcopy(node)))}" for node in body]
+    lines += [f"            out[{i}] = d_{c}" for i, c in enumerate(components)]
+    lines += ["        return out",
+              "",
+              "    return Rhs(rhs, attempt, stages)"]
     return "\n".join(lines) + "\n"
 
 
@@ -349,7 +428,9 @@ def system(components: tuple, statements: str, constants: tuple):
     that depends on the system's text alone, never a result: a solve
     returns the same bits whether the code was compiled for it or before it.
     """
-    namespace = {"sqrt": math.sqrt, "exp": math.exp, "Rhs": Rhs}
+    namespace = {"sqrt": math.sqrt, "exp": math.exp, "Rhs": Rhs, "quiet": _quiet,
+                 "np_sqrt": np.sqrt, "np_abs": np.abs, "np_empty": np.empty,
+                 "libm_pow": _libm_pow, "libm_exp": _libm_exp, "each": _each}
     source = _system_source(components, statements, constants)
     exec(compile(source, f"<_dop853 system {', '.join(components)}>", "exec"), namespace)
     return namespace["make"]
@@ -364,10 +445,11 @@ def _callable_system(n: int) -> tuple:
     return components, f"{derivatives}= fun(t, [{', '.join(components)}])", ("fun",)
 
 
-def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray) -> np.ndarray:
+def _dense_stages(stages, t_nodes: np.ndarray, y_nodes: np.ndarray,
+                  K13: np.ndarray) -> np.ndarray:
     """The 16 stages (m, n, 16) of m accepted steps from their stages k0 ... k12,
     K13 (m, n, 13): the dense-output stages k13 ... k15 are appended, each
-    evaluated for all steps in turn, with fun called once per step on floats.
+    one call of the array form stages (see Rhs) for all steps at once.
 
     Raises StepFailure at the start of the step whose stage overflows.
     """
@@ -376,29 +458,29 @@ def _dense_stages(fun, t_nodes: np.ndarray, y_nodes: np.ndarray, K13: np.ndarray
     x0, _, _, _, _, x5, x6, x7, x8, x9, x10, x11, x12 = np.moveaxis(K13, 2, 0)
 
     def stage(c, x):
-        k = []
-        for t_j, h_j, x_j in zip(t.tolist(), h.tolist(), x.tolist()):
-            try:
-                k.append(fun(t_j + c * h_j, x_j))
-            except OverflowError:   # fun raised it, as float ** does past the float range
-                raise StepFailure("a right-hand side value overflows", t_j) from None
-        return np.array(k).reshape(x.shape)
+        times = t + c * h
+        try:
+            return stages(times, x.T).T
+        except OverflowError:   # ** or exp raised it past the float range
+            for j in range(len(t)):     # the failing step, found state by state
+                try:
+                    stages(times[j:j + 1], x[j:j + 1].T)
+                except OverflowError:
+                    raise StepFailure("a right-hand side value overflows", t[j].item()) from None
+            raise
 
     # an inf or NaN in a stage input passes silently, as in the float sums of
     # the step loop, and reaches the finite check on the dense output
-    quiet = partial(np.errstate, over="ignore", invalid="ignore")
-    with quiet():
+    with _quiet():
         x = y + (a130 * x0 + a136 * x6 + a137 * x7 + a138 * x8 + a139 * x9
                  + a1310 * x10 + a1311 * x11 + a1312 * x12) * h_col
-    x13 = stage(c13, x)
-    with quiet():
+        x13 = stage(c13, x)
         x = y + (a140 * x0 + a145 * x5 + a146 * x6 + a147 * x7
                  + a1410 * x10 + a1411 * x11 + a1412 * x12 + a1413 * x13) * h_col
-    x14 = stage(c14, x)
-    with quiet():
+        x14 = stage(c14, x)
         x = y + (a150 * x0 + a155 * x5 + a156 * x6 + a157 * x7 + a158 * x8
                  + a1512 * x12 + a1513 * x13 + a1514 * x14) * h_col
-    x15 = stage(c15, x)
+        x15 = stage(c15, x)
     return np.dstack((K13, x13, x14, x15))
 
 
@@ -420,18 +502,19 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
 
     rhs is an Rhs, made by a system's factory (see system), or a plain
     callable fun, which goes through the one-statement system of
-    _callable_system: its attempt calls fun once per stage.  fun takes a
-    time and a list of floats and returns a list of floats.  The times,
-    tolerances and y0 are read as floats, so fun sees plain floats whatever
-    numeric types the caller passes.  The step loop keeps each accepted
-    step's stages k0 ... k12; the three dense-output stages of every step
-    are evaluated after the last step (_dense_stages), so a failure in one
-    of them is raised only then, still at the start of its step.  Raises
-    ValueError for a tolerance the error test cannot resolve, an empty y0,
-    or a first fun value whose length is not len(y0), and StepFailure when a
-    stage is not finite, the right-hand side overflows, the step size falls
-    below ten float spacings or the solve would take more than MAX_STEPS
-    step attempts.
+    _callable_system: its attempt calls fun once per stage, and its array
+    form once per state.  fun takes a time and a list of floats and returns
+    a list of floats.  The times, tolerances and y0 are read as floats, so
+    fun sees plain floats whatever numeric types the caller passes.  The
+    step loop keeps each accepted step's stages k0 ... k12; the three
+    dense-output stages of every step are evaluated after the last step
+    (_dense_stages), so a failure in one of them is raised only then, still
+    at the start of its step.  Raises ValueError unless t0 and t1 are
+    finite with t0 < t1, for a tolerance the error test cannot resolve, an
+    empty y0, or a first fun value whose length is not len(y0), all before
+    fun is called; and StepFailure when a stage is not finite, the
+    right-hand side overflows, the step size falls below ten float spacings
+    or the solve would take more than MAX_STEPS step attempts.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
@@ -441,11 +524,13 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     if not n:
         raise ValueError("y0 must have at least one component")
     t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
+    if not (math.isfinite(t) and math.isfinite(t1) and t < t1):
+        raise ValueError(f"the interval must have finite ends t0 < t1, got {t!r} and {t1!r}")
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
-    if not isinstance(rhs, Rhs):
-        rhs = Rhs(rhs, system(*_callable_system(n))(rhs).attempt)
-    fun, attempt = rhs
+    if not isinstance(rhs, Rhs):    # fun stays itself, so that its length is checked
+        rhs = system(*_callable_system(n))(rhs)._replace(fun=rhs)
+    fun, attempt, stages = rhs
     budget = MAX_STEPS
     try:
         f = fun(t, y)
@@ -484,7 +569,7 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
 
     t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T
     K13 = np.frombuffer(ks).reshape(-1, n, 13)
-    F = _dense_output(t_nodes, y_nodes, _dense_stages(fun, t_nodes, y_nodes, K13))
+    F = _dense_output(t_nodes, y_nodes, _dense_stages(stages, t_nodes, y_nodes, K13))
     finite = np.isfinite(F).all(axis=(0, 1))
     if not finite.all():
         raise StepFailure("a dense-output stage is not finite", t_nodes[np.argmin(finite)])

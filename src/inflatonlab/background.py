@@ -108,7 +108,10 @@ class _Coeffs(NamedTuple):
                    efold=EFOLD_RATE)
 
     def hubble(self, f, g):
-        """Scaled H at arrays of (f, g), as EQUATIONS computes it."""
+        """Scaled H at arrays of (f, g), by EQUATIONS's formula.  numpy
+        rounds the square as a product, where EQUATIONS's ** calls libm's
+        pow, so at 2 of the 3,046 default nodes it differs from the
+        stepper's H in the last bit."""
         return np.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
 
     def bind(self, system: tuple, *constants) -> _dop853.Rhs:

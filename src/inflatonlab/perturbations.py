@@ -143,7 +143,9 @@ def _evolve(sol: BackgroundSolution, rhs: _dop853.Rhs, w: _Window, z0: list, wha
     The mode variables z0 start complex and travel as (real, imaginary)
     float pairs ahead of the background (f, g, N); rhs, the mode's system
     bound to its float constants, works on that state, so every number it
-    reads is a float.
+    reads is a float.  The background rates at the N_OUTPUT samples are one
+    call of the background system's array form, with the bits its fun would
+    give each sample.
     """
     tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
     y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
@@ -160,8 +162,7 @@ def _evolve(sol: BackgroundSolution, rhs: _dop853.Rhs, w: _Window, z0: list, wha
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
     z, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
     z_nodes, bg_nodes = split(steps.y)
-    fun = sol._coeffs.bind(SYSTEM).fun
-    rates = np.array([fun(tau, y) for tau, y in zip(taus.tolist(), bg.T.tolist())]).T
+    rates = sol._coeffs.bind(SYSTEM).stages(taus, bg)
     return _Run(taus, z, bg, rates, w.Qt0 * np.exp(-bg[2]) / rates[2], z_nodes, bg_nodes[2])
 
 

@@ -103,10 +103,19 @@ def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_
             return y_new, K, error
         return checked
 
-    # the attempt writes the right-hand side into its stages, all of which it returns in K
+    def float_arrays(stages):
+        def checked(t, Y):
+            out = stages(t, Y)
+            assert t.dtype == Y.dtype == out.dtype == np.float64
+            return out
+        return checked
+
+    # the attempt writes the right-hand side into its stages, all of which it
+    # returns in K; the dense-output stages go through the array form
     for rhs, t0, t1, y0, rtol, atol, _ in solve_calls:
         assert all(type(v) is float for v in rhs.fun(t0, y0))
-        _dop853.solve(_dop853.Rhs(floats_only(rhs.fun), floats_in_and_out(rhs.attempt)),
+        _dop853.solve(_dop853.Rhs(floats_only(rhs.fun), floats_in_and_out(rhs.attempt),
+                                  float_arrays(rhs.stages)),
                       t0, t1, y0, rtol, atol)
     for got, want in zip(modes, (scalar_mode, tensor_mode)):
         for a, b in zip(astuple(got), astuple(want)):

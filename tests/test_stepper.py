@@ -62,10 +62,10 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     fun = _smooth_rhs(n, seed)
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
-    attempt = _dop853.system(*_dop853._callable_system(n))(fun).attempt
-    y_new, K, _ = attempt(t, y, fun(t, y), h, 1e-2, 1e-2)
+    rhs = _dop853.system(*_dop853._callable_system(n))(fun)
+    y_new, K, _ = rhs.attempt(t, y, fun(t, y), h, 1e-2, 1e-2)
     t_nodes, y_nodes = np.array([t, t + h]), np.array([y, y_new]).T
-    stages = _dop853._dense_stages(fun, t_nodes, y_nodes, np.array(K).reshape(1, n, 13))
+    stages = _dop853._dense_stages(rhs.stages, t_nodes, y_nodes, np.array(K).reshape(1, n, 13))
     F = _dop853._dense_output(t_nodes, y_nodes, stages)[..., 0]
 
     ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
@@ -232,6 +232,44 @@ def test_malformed_systems_are_named(statements, constants, message):
         _dop853.system(("a", "b"), statements, constants)
 
 
+def _magnitudes(low, high):
+    """Zero and floats of both signs with decimal exponents from low to high."""
+    def value(sign, mantissa, exponent):
+        return sign * mantissa * 10.0**exponent
+    return st.one_of(st.just(0.0), st.builds(value, st.sampled_from([-1.0, 1.0]),
+                                             st.floats(1, 10, exclude_max=True),
+                                             st.integers(low, high)))
+
+
+@settings(max_examples=200)
+@given(system=st.sampled_from(["background", "scalar", "tensor"]), data=st.data(),
+       constants=st.lists(_magnitudes(-30, 30), min_size=3, max_size=3))
+def test_array_form_is_the_scalar_form_bit_for_bit(system, data, constants):
+    # states spanning many magnitudes and signs, with e-fold counts that
+    # overflow exp and fields whose powers overflow ** or whose products run
+    # to inf and NaN: at each state the array form returns fun's bytes, or
+    # raises OverflowError where fun raises it
+    components, _, names = _SYSTEMS[system]
+    coeffs = background._Coeffs.of(il.PotentialParams())
+    rhs = coeffs.bind(_SYSTEMS[system], *constants[:len(names) - len(coeffs)])
+    state = st.tuples(_magnitudes(-30, 30),
+                      *[_magnitudes(-300, 300)] * (len(components) - 1), _magnitudes(-300, 3))
+    samples = data.draw(st.lists(state, min_size=1, max_size=20))
+    times, states, want = [], [], []
+    for t, *y in samples:
+        try:
+            want.append(rhs.fun(t, y))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rhs.stages(np.array([t]), np.array([y]).T)
+        else:
+            times.append(t)
+            states.append(y)
+    if states:
+        got = rhs.stages(np.array(times), np.array(states).T)
+        assert got.T.tobytes() == np.array(want).tobytes()
+
+
 def _generic_stages(fun, t, y, K, h, rows):
     """Evaluate the stages of rows, appending each to its component's column of K."""
     for s in rows:
@@ -304,17 +342,19 @@ def _assert_same_bits_as_the_oracle(rhs, t0, t1, y0, rtol, atol):
     # the system that solve makes of it
     if not isinstance(rhs, _dop853.Rhs):
         rhs = _dop853.system(*_dop853._callable_system(len(y0)))(rhs)
-    got_fun, got_attempt, want_fun = _counted(rhs.fun), _counted(rhs.attempt), _counted(rhs.fun)
-    got = _dop853.solve(_dop853.Rhs(got_fun, got_attempt), t0, t1, y0, rtol, atol)
+    got_fun, got_attempt, got_stages = map(_counted, rhs)
+    want_fun = _counted(rhs.fun)
+    got = _dop853.solve(_dop853.Rhs(got_fun, got_attempt, got_stages), t0, t1, y0, rtol, atol)
     want, attempts = _generic_solve(want_fun, t0, t1, y0, rtol, atol)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    # the same attempts; fun is called twice to start and for the 3
-    # dense-output stages of each accepted step, and the oracle's also for
-    # the 12 stages of each attempt
+    # the same attempts; fun is called twice to start and the array form once
+    # for each of the 3 dense-output stages of all accepted steps, where the
+    # oracle calls fun for those stages of each accepted step and for the 12
+    # stages of each attempt
     assert got_attempt.calls == attempts
-    assert got_fun.calls == 2 + 3 * (len(want.t) - 1)
-    assert want_fun.calls == got_fun.calls + 12 * attempts
+    assert got_fun.calls == 2 and got_stages.calls == 3
+    assert want_fun.calls == 2 + 3 * (len(want.t) - 1) + 12 * attempts
 
 
 def test_package_solves_match_the_generic_oracle_bit_for_bit(params, background, consts,
@@ -502,6 +542,22 @@ def test_rtol_at_the_floor_is_rejected(params):
         _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], 1e-10, -1.0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (1.0, 1.0), (1.0, 0.0),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_an_interval_it_cannot_integrate_is_rejected(t0, t1):
+    # named before fun runs, not as a one-node solve (NaN), an underflowing
+    # starting step (t1 <= t0) or a spent step budget (t1 = inf)
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return [-v for v in y]
+
+    with pytest.raises(ValueError, match="finite ends t0 < t1"):
+        _dop853.solve(fun, t0, t1, [1.0], 1e-10, 1e-12)
+    assert calls == []
+
+
 def test_zero_atol_is_rejected(params):
     # every solve has a component that starts at 0 (the e-fold counter), so
     # atol = 0 would divide by a zero error scale in the starting-step rule
@@ -539,14 +595,27 @@ def test_brent_port_rejects_nan_and_a_bracket_without_sign_change():
         _brentq(lambda t: t + 1.0, 0.0, 1.0)
 
 
-def test_import_loads_numpy_and_no_scipy():
+def _fresh_python(code):
+    """What code prints in a new interpreter that imports the package from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_numpy_and_no_scipy():
     code = "import json, sys, inflatonlab; print(json.dumps(sorted(sys.modules)))"
-    modules = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
-                                        capture_output=True, text=True, check=True).stdout)
+    modules = json.loads(_fresh_python(code))
     assert "numpy" in modules
     assert not [m for m in modules if m.startswith("scipy")]
+
+
+def test_import_compiles_no_system():
+    # a system takes milliseconds to generate and compile, which the first
+    # solve pays; the import, whose time every CLI call pays, compiles none
+    code = ("import inflatonlab.cli; from inflatonlab import _dop853; "
+            "print(_dop853.system.cache_info().currsize)")
+    assert _fresh_python(code) == "0\n"
 
 
 def test_background_is_freed_by_reference_counting(params):
