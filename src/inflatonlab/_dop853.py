@@ -9,39 +9,36 @@ supported, which is all the package uses.
 
 A right-hand side is a system written once, as straight-line Python
 statements over named state components and named constants (see
-_system_source), and system() compiles three functions from that one text:
-the plain fun(t, y), on lists of floats; the step attempt, straight-line
-code written out per component with the statements inlined at every stage,
-as Hairer's dop853.f does its stage arithmetic; and the array form
-stages(t, Y), the statements over arrays of states.  Each stage sum of the
-attempt names the nonzero coefficients of its tableau row, left to right, as
-float literals.  Skipping the structural zeros drops only 0.0 * k terms,
-which are exact for finite k, so every sum rounds as the full row would; a
-stage input the statements never read is not formed.  A plain callable is the one-statement
-system that calls it, so every solve takes the same path.
+_system_source), and system() compiles three functions that run that one
+text as written: the plain fun(t, y), on lists of floats; the step attempt,
+straight-line code per component that runs the statements at every stage,
+as Hairer's dop853.f writes out its stage arithmetic; and the array form
+stages(t, Y), over arrays of states.  Each stage sum of the attempt names
+the nonzero coefficients of its tableau row, left to right, as float
+literals.  Skipping the structural zeros drops only 0.0 * k terms, which are
+exact for finite k, so every sum rounds as the full row would; a stage input
+the statements never read is not formed.
 
 The three extra dense-output stages serve accepted steps only, so they are
 left out of the step loop: after the last step, each one's input is formed
-for all steps at once, as one numpy expression in its stage line's order
-(elementwise, so it rounds as the float sums do), and the stage itself is
-one call of the array form.  That rounds each operation as fun does: +, -,
-*, /, unary minus, sqrt and abs are correctly rounded in numpy as on
-floats, and numpy makes no fused multiply-add across separate operations,
-while ** and exp call Python's pow and math.exp once per element, because
-numpy's own power and exp round differently from libm's.  So every stage
-has the bits fun would give it, and the dense-output blocks of all steps
-follow as arrays.
+for all steps at once, as one numpy sum over its tableau row in the order
+of the attempt's sums (elementwise, so it rounds as the float sums do), and
+the stage itself is one call of the array form.  That rounds each operation
+as fun does: +, -, *, /, unary minus, sqrt and abs are correctly rounded in
+numpy as on floats, and numpy makes no fused multiply-add across separate
+operations, while pow and exp call Python's pow and math.exp once per
+element, because numpy's own power and exp round differently from libm's.
+So every stage has the bits fun would give it, and the dense-output blocks
+of all steps follow as arrays.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
 import math
 import re
 import sys
 from array import array
-from collections import Counter
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -123,12 +120,6 @@ D = np.array([
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564),
 ])
-# the dense-output stages' coefficients by name, structural zeros as _; their
-# stage lines in _dense_stages skip those zeros
-c13, c14, c15 = C[13:]
-a130, _, _, _, _, _, a136, a137, a138, a139, a1310, a1311, a1312 = A[13]
-a140, _, _, _, _, a145, a146, a147, _, _, a1410, a1411, a1412, a1413 = A[14]
-a150, _, _, _, _, a155, a156, a157, a158, _, _, _, a1512, a1513, a1514 = A[15]
 
 
 class StepFailure(ArithmeticError):
@@ -178,29 +169,33 @@ def _initial_step(fun, t0: float, y0: list, f0: list, span: float,
 
 class Rhs(NamedTuple):
     """A right-hand side in the three forms solve uses: fun(t, y) returns the
-    derivatives at one state as a list of floats, attempt(t, y, f, h, rtol,
-    atol) makes one step with fun's statements written into it, and
-    stages(t, Y) returns the derivatives (n, m) at the m states of the
-    columns of Y (n, m) and the times t (m,), each bit as fun returns it
-    (see _system_source)."""
+    derivatives at one state as a list of floats, attempt(t_n, y_n, f_n, h,
+    rtol, atol) makes one step with fun's statements run at each of its
+    stages, and stages(t, Y) returns the derivatives (n, m) at the m states
+    of the columns of Y (n, m) and the times t (m,), each bit as fun returns
+    it (see _system_source)."""
 
     fun: Callable
     attempt: Callable
     stages: Callable
 
 
-# the names the generated code binds or calls: no constant may take them and
-# no statement may assign them
-_GENERATED = re.compile(r"t|y|f|h|rtol|atol|y_new|scale|e5|e3|error|make|rhs|attempt|stages|Rhs"
-                        r"|Y|out|quiet|each|sqrt|exp|abs|max|np_sqrt|np_abs|np_empty|libm_pow"
-                        r"|libm_exp|(y|u|x|r5|r3|k\d+)_\d+")
+# the names the generated code binds or reads: no component or constant may
+# take them and no statement may assign them
+_GENERATED = re.compile(r"t|y|h|rtol|atol|t_n|y_n|f_n|y_new|scale|e5|e3|error|make|rhs"
+                        r"|attempt|stages|Rhs|Y|out|quiet|sqrt|exp|abs|pow|max|np_sqrt|np_abs"
+                        r"|np_empty|libm_pow|libm_exp|(y|u|r5|r3|k\d+)_\d+")
+
+# the functions a statement may call: each is bound to a float function in
+# fun and the attempt and to an array function of the same bits in stages
+_FUNCTIONS = ("sqrt", "exp", "abs", "pow")
 
 # numpy's errstate for the array form and the dense-stage sums: an inf or NaN
 # passes silently, as through float arithmetic, to the finite check
 _quiet = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
 
 # numpy's power and exp round differently from libm's pow and exp, which
-# Python's ** and math.exp call, so the array form calls those per element
+# Python's pow and math.exp call, so the array form calls those per element
 _POW, _EXP = np.frompyfunc(pow, 2, 1), np.frompyfunc(math.exp, 1, 1)
 
 
@@ -212,87 +207,56 @@ def _libm_exp(a):
     return np.asarray(_EXP(a), dtype=float)
 
 
-def _each(fun, t, y):
-    """The values (n, m) of a plain callable fun at times t (m,) and
-    component rows y (n of (m,)), with fun called once per state on floats."""
-    states = np.transpose(y).tolist()
-    return np.array([fun(t_j, y_j) for t_j, y_j in zip(t.tolist(), states)], dtype=float).T
+def _parse(components: tuple, statements: str, constants: tuple) -> set:
+    """The names the statements read.
 
-
-def _assigned(node: ast.Assign):
-    """The names an assignment binds; a statement binds names only."""
-    for target in node.targets:
-        for name in target.elts if isinstance(target, ast.Tuple) else [target]:
-            if not isinstance(name, ast.Name):
-                raise ValueError(f"a statement may assign names only: {ast.unparse(node)!r}")
-            yield name.id
-
-
-def _parse(components: tuple, statements: str, constants: tuple):
-    """The statements' syntax trees and how often each name is read.
-
-    Raises ValueError unless every statement is an assignment, every name is
-    read after it is bound (as t, a component, a constant, sqrt, exp, abs or
-    by an earlier statement), no statement assigns t, a component, a
-    constant or a name of _GENERATED, and every derivative d_<component> is
+    Raises ValueError unless the components and constants are distinct and
+    none takes a name of _GENERATED, which the generated code binds or
+    reads (t among them); every statement assigns names; every name is read
+    after it is bound (as t, a component, a constant, one of _FUNCTIONS or
+    by an earlier statement); the statements call only _FUNCTIONS and write
+    no a ** b (pow(a, b) is the same float operation, which the array form
+    rebinds to libm's pow per element); no statement assigns a component, a
+    constant or a name of _GENERATED; and every derivative d_<component> is
     assigned.
     """
-    if len(set(components)) < len(components) or "t" in components:
-        raise ValueError(f"the components {components} must be distinct and not t")
-    for name in constants:
-        if name in components or _GENERATED.fullmatch(name):
-            raise ValueError(f"the constant {name!r} is a component or a name the generated "
-                             "code uses")
-    body = ast.parse(statements).body
-    bound = {"t", *components, *constants, "sqrt", "exp", "abs"}
-    reads = Counter()
-    for node in body:
+    if len(set(components + constants)) < len(components + constants):
+        raise ValueError(f"the components {components} and constants {constants} must be "
+                         "distinct")
+    for kind, names in (("component", components), ("constant", constants)):
+        for name in names:
+            if _GENERATED.fullmatch(name):
+                raise ValueError(f"the {kind} {name!r} is a name the generated code uses")
+    def malformed(message, node):
+        return ValueError(f"{message}: {ast.get_source_segment(statements, node)!r}")
+
+    bound = {"t", *components, *constants, *_FUNCTIONS}
+    reads = set()
+    for node in ast.parse(statements).body:
         if not isinstance(node, ast.Assign):
-            raise ValueError(f"a statement must be an assignment: {ast.unparse(node)!r}")
-        for name in ast.walk(node.value):
-            if isinstance(name, ast.Name):
-                if name.id not in bound:
-                    raise ValueError(f"the statements read {name.id!r} before assigning it")
-                reads[name.id] += 1
-        for name in _assigned(node):
-            if name == "t" or name in components or name in constants \
-                    or _GENERATED.fullmatch(name):
-                raise ValueError(f"the statements assign {name!r}, a name the generated "
-                                 "code uses")
-            bound.add(name)
+            raise malformed("a statement must be an assignment", node)
+        for part in ast.walk(node.value):
+            if isinstance(part, ast.BinOp) and isinstance(part.op, ast.Pow):
+                raise malformed("write a ** b as pow(a, b)", node)
+            if isinstance(part, ast.Call) and not (isinstance(part.func, ast.Name)
+                                                   and part.func.id in _FUNCTIONS):
+                raise malformed(f"a statement may call only {', '.join(_FUNCTIONS)}", node)
+            if isinstance(part, ast.Name):
+                if part.id not in bound:
+                    raise ValueError(f"the statements read {part.id!r} before assigning it")
+                reads.add(part.id)
+        for target in node.targets:
+            for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if not isinstance(name, ast.Name):
+                    raise malformed("a statement may assign names only", node)
+                if name.id in components or name.id in constants or _GENERATED.fullmatch(name.id):
+                    raise ValueError(f"the statements assign {name.id!r}, a name the "
+                                     "generated code uses")
+                bound.add(name.id)
     unassigned = [f"d_{c}" for c in components if f"d_{c}" not in bound]
     if unassigned:
         raise ValueError(f"the statements leave {', '.join(unassigned)} unassigned")
-    return body, reads
-
-
-class _ArrayForm(ast.NodeTransformer):
-    """Rewrites a statement to run over arrays of states, each operation
-    rounded as on floats: a ** b becomes libm_pow(a, b), sqrt, exp and abs
-    become np_sqrt, libm_exp and np_abs, and a call of a constant (a plain
-    callable's fun) becomes each(fun, ...), which calls it once per state.
-    The arithmetic operators stay: numpy's are IEEE correctly rounded, as
-    Python's are."""
-
-    _NAMES = {"sqrt": "np_sqrt", "exp": "libm_exp", "abs": "np_abs"}
-
-    def __init__(self, constants: tuple):
-        self.constants = constants
-
-    def visit_Name(self, node):
-        return ast.Name(self._NAMES.get(node.id, node.id), node.ctx)
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.Pow):
-            return ast.Call(ast.Name("libm_pow", ast.Load()), [node.left, node.right], [])
-        return node
-
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id in self.constants:
-            node.args.insert(0, node.func)
-            node.func = ast.Name("each", ast.Load())
-        return self.generic_visit(node)
+    return reads
 
 
 def _system_source(components: tuple, statements: str, constants: tuple) -> str:
@@ -300,68 +264,46 @@ def _system_source(components: tuple, statements: str, constants: tuple) -> str:
 
     The system is written once, as assignment statements over t, the
     components and the constants: each assigns a local or the derivative
-    d_<component> of a component.  make binds the constants (closure cells)
-    and returns the Rhs of three functions.  rhs(t, y) unpacks y into the
-    components, runs the statements and returns the derivatives in
-    component order.  attempt(t, y, f, h, rtol, atol) makes one step of size
-    h from y, with f = rhs(t, y), and returns y_new, the stages K and the
+    d_<component> of a component, and powers are written pow(a, b).  make
+    binds the constants (closure cells) and returns the Rhs of three
+    functions, each of which runs the statements as written, line for line.
+    rhs(t, y) unpacks y into the components, runs them and returns the
+    derivatives in component order.
+
+    attempt(t_n, y_n, f_n, h, rtol, atol) makes one step of size h from
+    y_n, with f_n = rhs(t_n, y_n), and returns y_new, the stages K and the
     step's error relative to the tolerances: DOP853's 5th-order estimate,
-    damped by its 3rd-order one.  K holds the stages k0 ... k12 of component
-    0, then those of component 1 and so on, as solve stores them; k0 is f
-    and k12 the derivative at (t + h, y_new).
+    damped by its 3rd-order one.  K holds the stages k0 ... k12 of
+    component 0, then those of component 1 and so on, as solve stores them;
+    k0 is f_n and k12 the derivative at (t_n + h, y_new).  The attempt is
+    straight-line code, one scalar per component and stage.  Each of stages
+    1-11 and k12 assigns each component the statements read its stage input
+    (y_i + (sum) * h, or u_i, the new state, at k12), assigns t the stage
+    time (t_n + C[s] * h) if the statements read t, runs the statements and
+    copies each d_<c> to k<s>_<i>.  Each stage, update and error sum names
+    the nonzero entries of its tableau row, left to right, as float
+    literals; the squares of the error norm are summed left to right, so
+    they round as a += loop from 0.0 does.
 
-    The attempt is straight-line code, one scalar per component and stage,
-    with the statements written out at stages 1-11 and at k12.  There they
-    are renamed at the positions of their names in the syntax tree, so
-    nothing else in them changes: d_<c> becomes k<s>_<i>, t the stage time
-    (t + C[s] * h) and a component its stage input (y_i + (sum) * h).  A
-    stage input is formed only for the components the statements read; one
-    read once is formed where it is read, one read more often is assigned to
-    x_i first, and the stage time is formed only where t is read.  Each
-    stage, update and error sum names the nonzero entries of its tableau
-    row, left to right, as float literals; the squares of the error norm
-    are summed left to right, so they round as a += loop from 0.0 does.
-
-    stages(t, Y) is the array form: it unpacks the rows of Y into the
-    components and runs the statements as _ArrayForm rewrites them, so every
-    value at each state has the bits rhs gives it.  It differs only where
-    rhs raises on floats: a zero divisor or the square root of a negative
-    number gives an inf or NaN instead, quietly.  Only the system and the
-    tableau enter the source.
+    stages(t, Y) is the array form: it binds sqrt, exp, abs and pow to
+    numpy's sqrt and abs and to libm's exp and pow per element, unpacks the
+    rows of Y into the components and runs the statements, so every value at
+    each state has the bits rhs gives it.  It differs only where rhs raises
+    on floats: a zero divisor or the square root of a negative number gives
+    an inf or NaN instead, quietly.  Only the system and the tableau enter
+    the source.
     """
-    body, reads = _parse(components, statements, constants)
+    reads = _parse(components, statements, constants)
     comps = range(len(components))
-    text = statements.encode()      # the tree's column offsets count bytes
-    line_starts = [0]
-    for line in text.splitlines(keepends=True):
-        line_starts.append(line_starts[-1] + len(line))
 
-    def offset(line, col):
-        return line_starts[line - 1] + col
-
-    # each statement's span in text and the spans of the names it holds
-    spans = [(offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset),
-              sorted((offset(name.lineno, name.col_offset),
-                      offset(name.end_lineno, name.end_col_offset), name.id)
-                     for name in ast.walk(node) if isinstance(name, ast.Name)))
-             for node in body]
-
-    def written(names):
-        """The statements' lines with each name of names replaced by its text."""
-        lines = []
-        for start, end, holes in spans:
-            parts, at = [], start
-            for hole_start, hole_end, name in holes:
-                parts += [text[at:hole_start].decode(), names.get(name, name)]
-                at = hole_end
-            parts.append(text[at:end].decode())
-            lines.append("        " + "".join(parts))
-        return lines
+    def written(indent):
+        return [indent + line for line in statements.splitlines()]
 
     def stage(s, inputs, time):
-        names = {f"d_{c}": f"k{s}_{i}" for i, c in enumerate(components)}
-        names.update(inputs, t=f"({time})")
-        return written(names)
+        return [*(f"        {c} = {inputs[i]}" for i, c in enumerate(components) if c in reads),
+                *([f"        t = {time}"] if "t" in reads else []),
+                *written("        "),
+                *(f"        k{s}_{i} = d_{c}" for i, c in enumerate(components))]
 
     def row_sum(row, i):
         return " + ".join(f"{a!r} * k{s}_{i}" for s, a in enumerate(row) if a)
@@ -375,22 +317,15 @@ def _system_source(components: tuple, statements: str, constants: tuple) -> str:
     lines = [f"def make({', '.join(constants)}):",
              "    def rhs(t, y):",
              f"        {targets(components)}= y",
-             *written({}),
+             *written("        "),
              f"        return [{', '.join(f'd_{c}' for c in components)}]",
              "",
-             "    def attempt(t, y, f, h, rtol, atol):",
-             f"        {targets(f'y_{i}' for i in comps)}= y",
-             f"        {targets(f'k0_{i}' for i in comps)}= f"]
+             "    def attempt(t_n, y_n, f_n, h, rtol, atol):",
+             f"        {targets(f'y_{i}' for i in comps)}= y_n",
+             f"        {targets(f'k0_{i}' for i in comps)}= f_n"]
     for s in range(1, 12):
-        inputs = {}
-        for i, c in enumerate(components):
-            stage_input = f"y_{i} + ({row_sum(A[s], i)}) * h"
-            if reads[c] == 1:
-                inputs[c] = f"({stage_input})"
-            elif reads[c] > 1:
-                lines.append(f"        x_{i} = {stage_input}")
-                inputs[c] = f"x_{i}"
-        lines += stage(s, inputs, f"t + {C[s]!r} * h")
+        lines += stage(s, [f"y_{i} + ({row_sum(A[s], i)}) * h" for i in comps],
+                       f"t_n + {C[s]!r} * h")
     lines += [f"        u_{i} = y_{i} + h * ({row_sum(B, i)})" for i in comps]
     lines.append(f"        y_new = [{targets(f'u_{i}' for i in comps)}]")
     for i in comps:
@@ -402,17 +337,17 @@ def _system_source(components: tuple, statements: str, constants: tuple) -> str:
               f"        e3 = {squares('r3')}",
               "        error = 0.0 if e5 == 0 and e3 == 0 else "
               f"h * e5 / sqrt((e5 + 0.01 * e3) * {len(components)})",
-              *stage(12, {c: f"u_{i}" for i, c in enumerate(components)}, "t + h"),
+              *stage(12, [f"u_{i}" for i in comps], "t_n + h"),
               f"        return y_new, ({K}), error",
               "",
               "    def stages(t, Y):",
+              "        sqrt, exp, abs, pow = np_sqrt, libm_exp, np_abs, libm_pow",
               "        out = np_empty(Y.shape)",
               "        with quiet():",
-              f"            {targets(components)}= Y"]
-    array_form = _ArrayForm(constants)
-    lines += [f"            {ast.unparse(array_form.visit(copy.deepcopy(node)))}" for node in body]
-    lines += [f"            out[{i}] = d_{c}" for i, c in enumerate(components)]
-    lines += ["        return out",
+              f"            {targets(components)}= Y",
+              *written("            "),
+              *(f"            out[{i}] = d_{c}" for i, c in enumerate(components)),
+              "        return out",
               "",
               "    return Rhs(rhs, attempt, stages)"]
     return "\n".join(lines) + "\n"
@@ -430,38 +365,31 @@ def system(components: tuple, statements: str, constants: tuple):
     """
     namespace = {"sqrt": math.sqrt, "exp": math.exp, "Rhs": Rhs, "quiet": _quiet,
                  "np_sqrt": np.sqrt, "np_abs": np.abs, "np_empty": np.empty,
-                 "libm_pow": _libm_pow, "libm_exp": _libm_exp, "each": _each}
+                 "libm_pow": _libm_pow, "libm_exp": _libm_exp}
     source = _system_source(components, statements, constants)
     exec(compile(source, f"<_dop853 system {', '.join(components)}>", "exec"), namespace)
     return namespace["make"]
-
-
-def _callable_system(n: int) -> tuple:
-    """The system of a plain callable fun(t, y) of n components: the one
-    statement d_y_0, ..., d_y_<n-1>, = fun(t, [y_0, ..., y_<n-1>]), with
-    fun its constant."""
-    components = tuple(f"y_{i}" for i in range(n))
-    derivatives = "".join(f"d_{c}, " for c in components)
-    return components, f"{derivatives}= fun(t, [{', '.join(components)}])", ("fun",)
 
 
 def _dense_stages(stages, t_nodes: np.ndarray, y_nodes: np.ndarray,
                   K13: np.ndarray) -> np.ndarray:
     """The 16 stages (m, n, 16) of m accepted steps from their stages k0 ... k12,
     K13 (m, n, 13): the dense-output stages k13 ... k15 are appended, each
-    one call of the array form stages (see Rhs) for all steps at once.
+    one call of the array form stages (see Rhs) for all steps at once.  Each
+    stage input sums the nonzero entries of its tableau row left to right,
+    as the attempt's stage sums do.
 
     Raises StepFailure at the start of the step whose stage overflows.
     """
     t, h = t_nodes[:-1], np.diff(t_nodes)
     y, h_col = y_nodes[:, :-1].T, h[:, None]
-    x0, _, _, _, _, x5, x6, x7, x8, x9, x10, x11, x12 = np.moveaxis(K13, 2, 0)
+    ks = list(np.moveaxis(K13, 2, 0))
 
     def stage(c, x):
         times = t + c * h
         try:
             return stages(times, x.T).T
-        except OverflowError:   # ** or exp raised it past the float range
+        except OverflowError:   # pow or exp raised it past the float range
             for j in range(len(t)):     # the failing step, found state by state
                 try:
                     stages(times[j:j + 1], x[j:j + 1].T)
@@ -472,16 +400,11 @@ def _dense_stages(stages, t_nodes: np.ndarray, y_nodes: np.ndarray,
     # an inf or NaN in a stage input passes silently, as in the float sums of
     # the step loop, and reaches the finite check on the dense output
     with _quiet():
-        x = y + (a130 * x0 + a136 * x6 + a137 * x7 + a138 * x8 + a139 * x9
-                 + a1310 * x10 + a1311 * x11 + a1312 * x12) * h_col
-        x13 = stage(c13, x)
-        x = y + (a140 * x0 + a145 * x5 + a146 * x6 + a147 * x7
-                 + a1410 * x10 + a1411 * x11 + a1412 * x12 + a1413 * x13) * h_col
-        x14 = stage(c14, x)
-        x = y + (a150 * x0 + a155 * x5 + a156 * x6 + a157 * x7 + a158 * x8
-                 + a1512 * x12 + a1513 * x13 + a1514 * x14) * h_col
-        x15 = stage(c15, x)
-    return np.dstack((K13, x13, x14, x15))
+        for s in range(13, 16):
+            # lazy, so one product at a time is live, as in a written-out sum
+            terms = (a * k for a, k in zip(A[s], ks) if a)
+            ks.append(stage(C[s], y + sum(terms, next(terms)) * h_col))
+    return np.dstack((K13, *ks[13:]))
 
 
 def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) -> np.ndarray:
@@ -500,42 +423,33 @@ def _dense_output(t_nodes: np.ndarray, y_nodes: np.ndarray, stages: np.ndarray) 
 def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     """Integrate y' = fun(t, y) from t0 to t1 > t0.
 
-    rhs is an Rhs, made by a system's factory (see system), or a plain
-    callable fun, which goes through the one-statement system of
-    _callable_system: its attempt calls fun once per stage, and its array
-    form once per state.  fun takes a time and a list of floats and returns
-    a list of floats.  The times, tolerances and y0 are read as floats, so
-    fun sees plain floats whatever numeric types the caller passes.  The
-    step loop keeps each accepted step's stages k0 ... k12; the three
-    dense-output stages of every step are evaluated after the last step
-    (_dense_stages), so a failure in one of them is raised only then, still
-    at the start of its step.  Raises ValueError unless t0 and t1 are
-    finite with t0 < t1, for a tolerance the error test cannot resolve, an
-    empty y0, or a first fun value whose length is not len(y0), all before
-    fun is called; and StepFailure when a stage is not finite, the
-    right-hand side overflows, the step size falls below ten float spacings
-    or the solve would take more than MAX_STEPS step attempts.
+    rhs is an Rhs, made by a system's factory (see system).  The times,
+    tolerances and y0 are read as floats, so the system sees plain floats
+    whatever numeric types the caller passes.  The step loop keeps each
+    accepted step's stages k0 ... k12; the three dense-output stages of
+    every step are evaluated after the last step (_dense_stages), so a
+    failure in one of them is raised only then, still at the start of its
+    step.  Raises ValueError unless t0 and t1 are finite with t0 < t1 or for
+    a tolerance the error test cannot resolve, before fun is called, and
+    for a y0 whose length is not the system's, when the first fun call
+    unpacks it; and StepFailure when a stage is not finite, the right-hand
+    side overflows, the step size falls below ten float spacings or the
+    solve would take more than MAX_STEPS step attempts.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
     if not atol > 0:
         raise ValueError(f"atol must be positive, got {atol!r}")
     n = len(y0)
-    if not n:
-        raise ValueError("y0 must have at least one component")
     t, t1, rtol, atol = float(t0), float(t1), float(rtol), float(atol)
     if not (math.isfinite(t) and math.isfinite(t1) and t < t1):
         raise ValueError(f"the interval must have finite ends t0 < t1, got {t!r} and {t1!r}")
     y = [float(v) for v in y0]
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
-    if not isinstance(rhs, Rhs):    # fun stays itself, so that its length is checked
-        rhs = system(*_callable_system(n))(rhs)._replace(fun=rhs)
     fun, attempt, stages = rhs
     budget = MAX_STEPS
     try:
         f = fun(t, y)
-        if len(f) != n:
-            raise ValueError(f"fun returns {len(f)} components for a state of {n}")
         h_abs = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
         while t < t1:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -564,7 +478,7 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
             ts.append(t_new)
             ys.extend(y_new)
             t, y, f = t_new, y_new, K[12::13]
-    except OverflowError:   # the right-hand side raised it, as float ** does past the float range
+    except OverflowError:   # the right-hand side raised it, as pow does past the float range
         raise StepFailure("a right-hand side value overflows", t) from None
 
     t_nodes, y_nodes = np.array(ts), np.array(ys).reshape(-1, n).T

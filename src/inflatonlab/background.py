@@ -24,9 +24,9 @@ g = df/dtau and N the e-fold count, the system is
     H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2),
     f' = g,   g' = -3 (100 H) g + k1 f - k2 f^3,   N' = 100 H,
 
-written once, as the statements EQUATIONS: the stepper inlines them into
-its step, and the mode systems of perturbations run them first, on the
-background each mode carries.  The factored potential keeps H^2
+written once, as the statements EQUATIONS: the stepper runs them as
+written at each stage of its step, and the mode systems of perturbations
+run them first, on the background each mode carries.  The factored potential keeps H^2
 nonnegative and cancellation-free.
 """
 
@@ -77,11 +77,13 @@ class BackgroundState:
 
 
 # the scaled background equations of the module docstring, one statement
-# each, as _dop853.system reads them, with the coefficients of _Coeffs
+# each, as _dop853.system reads them, with the coefficients of _Coeffs; f3
+# is shared with the scalar mode's V'
 EQUATIONS = """\
-H = sqrt(kin * g * g + v4 * (f * f - vbar2) ** 2)
+H = sqrt(kin * g * g + v4 * pow(f * f - vbar2, 2))
+f3 = pow(f, 3)
 d_f = g
-d_g = -3 * efold * H * g + k1 * f - k2 * f**3
+d_g = -3 * efold * H * g + k1 * f - k2 * f3
 d_N = efold * H
 """
 
@@ -109,7 +111,7 @@ class _Coeffs(NamedTuple):
 
     def hubble(self, f, g):
         """Scaled H at arrays of (f, g), by EQUATIONS's formula.  numpy
-        rounds the square as a product, where EQUATIONS's ** calls libm's
+        rounds the square as a product, where EQUATIONS's pow calls libm's
         pow, so at 2 of the 3,046 default nodes it differs from the
         stepper's H in the last bit."""
         return np.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)

@@ -28,10 +28,11 @@ background solve uses, so the coefficients a mode sees solve the background
 ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-N} needs no lookup.
 Each mode's right-hand side is a system of straight-line statements
 (_SCALAR, _TENSOR), written once after the background's own
-(background.EQUATIONS, which it reads through their derivatives), and goes
-through the same DOP853 stepper (_dop853) as the background: the stepper
-inlines the statements into its step and samples the stored trajectory from
-the mode's own dense output.  Modes solve at their background's tolerances
+(background.EQUATIONS, which it reads through their derivatives and
+f3 = f^3), and goes through the same DOP853 stepper (_dop853) as the
+background: the stepper runs the statements as written at each stage of
+its step and samples the stored trajectory from the mode's own dense
+output.  Modes solve at their background's tolerances
 (sol.rtol, sol.atol) over q/(aH) from X_START to X_END.
 
 The mode statements read Python floats only (q is read as a float, whatever
@@ -198,7 +199,7 @@ Qv = Qt0 * exp(-N)
 src = gpsi * g
 d_P_r = -d_N * P_r + src * c_r
 d_P_i = -d_N * P_i + src * c_i
-Vp_s = -k1 * f + k2 * f**3
+Vp_s = -k1 * f + k2 * f3
 damp = -3 * d_N
 mass = -k1 + 3 * k2 * f * f + Qv * Qv
 k_P = 2 * W * Vp_s

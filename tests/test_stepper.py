@@ -42,14 +42,29 @@ def test_tableau_is_scipys_bit_for_bit():
         assert np.array_equal(ours, theirs)
 
 
-def _smooth_rhs(n, seed):
-    """A nonlinear right-hand side of n components without cancellation in its
-    values, so two summation orders of the same stages agree to rounding."""
-    A = (np.random.default_rng(seed).normal(size=(n, n)) / n).tolist()
+def _smooth_system(n):
+    """A nonlinear system of n components c0 ... c<n-1> in t, exp and pow:
+    c_i' = exp(-(t + c_i)^2) + sum_j w<i>_<j> c_j, the w its constants."""
+    components = tuple(f"c{i}" for i in range(n))
+    constants = tuple(f"w{i}_{j}" for i in range(n) for j in range(n))
+    statements = "".join(f"d_c{i} = exp(-pow(t + c{i}, 2)) + "
+                         + " + ".join(f"w{i}_{j} * c{j}" for j in range(n)) + "\n"
+                         for i in range(n))
+    return components, statements, constants
 
-    def fun(t, y):
-        return [math.sin(t + y[i]) + sum(map(mul, row, y)) for i, row in enumerate(A)]
-    return fun
+
+def _smooth_rhs(n, seed):
+    """The Rhs of _smooth_system(n) with random weights of size 1/n, without
+    cancellation in its values, so two summation orders of the same stages
+    agree to rounding."""
+    w = np.random.default_rng(seed).normal(size=(n, n)) / n
+    return _dop853.system(*_smooth_system(n))(*w.ravel().tolist())
+
+
+def _decay(n):
+    """The Rhs of y' = -y over n components."""
+    components = tuple(f"c{i}" for i in range(n))
+    return _dop853.system(components, "".join(f"d_{c} = -{c}\n" for c in components), ())()
 
 
 @settings(max_examples=30)
@@ -59,16 +74,15 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
     # one step from the same (t, y, f, h) as scipy's DOP853 class: the new
     # state and the dense-output block agree to 1e-14 of the terms each
     # entry sums (entries of F are differences and may vanish)
-    fun = _smooth_rhs(n, seed)
+    rhs = _smooth_rhs(n, seed)
     y = np.random.default_rng(seed + 1).normal(size=n).tolist()
     h = (t + 10**log_h) - t
-    rhs = _dop853.system(*_dop853._callable_system(n))(fun)
-    y_new, K, _ = rhs.attempt(t, y, fun(t, y), h, 1e-2, 1e-2)
+    y_new, K, _ = rhs.attempt(t, y, rhs.fun(t, y), h, 1e-2, 1e-2)
     t_nodes, y_nodes = np.array([t, t + h]), np.array([y, y_new]).T
     stages = _dop853._dense_stages(rhs.stages, t_nodes, y_nodes, np.array(K).reshape(1, n, 13))
     F = _dop853._dense_output(t_nodes, y_nodes, stages)[..., 0]
 
-    ref = DOP853(fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
+    ref = DOP853(rhs.fun, t, y, t + 10 * h, rtol=1e-2, atol=1e-2, first_step=h)
     ref.step()
     assert ref.h_previous == h            # accepted at the first attempt
     K_ref = ref.K_extended
@@ -80,12 +94,12 @@ def test_one_step_matches_scipy(n, seed, t, log_h):
 
 
 def test_attempt_is_compiled_once_per_state_size():
-    # a plain callable's system per state size, and each package system once:
-    # a solve binds its constants to code compiled before it
+    # each system once, whatever its size: a solve binds its constants to
+    # code compiled before it
     for n in (1, 3, 9):
-        make = _dop853.system(*_dop853._callable_system(n))
-        assert _dop853.system(*_dop853._callable_system(n)) is make
-        names = ", ".join(f"y_{i}" for i in range(n))
+        make = _dop853.system(*_smooth_system(n))
+        assert _dop853.system(*_smooth_system(n)) is make
+        names = ", ".join(f"c{i}" for i in range(n))
         assert make.__code__.co_filename == f"<_dop853 system {names}>"
     kappa = il.PotentialParams().kappa
     slow, fast = (background._Coeffs.of(il.PotentialParams(kappa=c * kappa))
@@ -122,81 +136,68 @@ def _row(coefficients, i):
 
 
 def _stage_input(node, s):
-    """i if node is component i's stage input y_i + (sum) * h at stage s,
-    its sum naming the nonzero entries of row A[s] in order; else None."""
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-            and isinstance(node.left, ast.Name) and node.left.id.startswith("y_")):
-        return None
+    """The index i of component i's stage input at stage s: y_i + (sum) * h,
+    its sum naming the nonzero entries of row A[s] in order, or u_i at k12."""
+    if s == 12:
+        assert node.id.startswith("u_"), ast.unparse(node)
+        return int(node.id[2:])
+    assert isinstance(node.op, ast.Add) and node.left.id.startswith("y_"), ast.unparse(node)
     i = int(node.left.id[2:])
     assert isinstance(node.right.op, ast.Mult) and node.right.right.id == "h"
     assert _terms(node.right.left) == _row(_dop853.A[s], i)
     return i
 
 
-class _Unwritten(ast.NodeTransformer):
-    """Maps the statements as written at stage s of an attempt back to the
-    system's: k<s>_<i> to d_<c>, x_i and component i's stage input (u_i at
-    k12) to c, the stage time t + C[s] * h (t + h at k12) to t."""
-
-    def __init__(self, components, s):
-        self.components, self.s = components, s
-
-    def visit_Name(self, node):
-        name = re.fullmatch(r"k(\d+)_(\d+)|([xu])_(\d+)", node.id)
-        if name is None:
-            return node
-        if name[1]:
-            assert int(name[1]) == self.s, node.id
-            return ast.Name(f"d_{self.components[int(name[2])]}", node.ctx)
-        assert name[3] == ("u" if self.s == 12 else "x"), node.id
-        return ast.Name(self.components[int(name[4])], node.ctx)
-
-    def visit_BinOp(self, node):
-        if isinstance(node.left, ast.Name) and node.left.id == "t":
-            if self.s == 12:
-                assert node.right.id == "h"
-            else:
-                assert _terms(node.right) == [(_dop853.C[self.s], "h")]
-            return ast.Name("t", ast.Load())
-        i = None if self.s == 12 else _stage_input(node, self.s)
-        return self.generic_visit(node) if i is None else ast.Name(self.components[i], ast.Load())
-
-
-# plain callables by their state size, and the package's systems
-_SYSTEMS = {**{str(n): _dop853._callable_system(n) for n in (1, 3, 9)},
+# smooth systems by their state size, and the package's systems
+_SYSTEMS = {**{str(n): _smooth_system(n) for n in (1, 3, 9)},
             "background": background.SYSTEM, "scalar": perturbations._SCALAR,
             "tensor": perturbations._TENSOR}
 
 
 @pytest.mark.parametrize("system", _SYSTEMS)
 def test_generated_sums_name_the_nonzero_tableau_entries_in_order(system):
-    # the statements are written out at stages 1-11 and k12, each stage input
-    # is y_i + (sum) * h (assigned to x_i first, or where it is read), each
-    # update y_i + h * (sum), each error term (sum) / scale, and each error
-    # norm the squares in component order
+    # fun and the array form run the statements as written; at stages 1-11
+    # and k12 the attempt assigns each component the statements read its
+    # stage input, y_i + (sum) * h (u_i at k12), and t its stage time if t is
+    # read, runs the statements as written and copies each d_<c> to
+    # k<s>_<i>; each update is y_i + h * (sum), each error term
+    # (sum) / scale, and each error norm the squares in component order
     components, statements, constants = _SYSTEMS[system]
     n = len(components)
     written = [ast.dump(node) for node in ast.parse(statements).body]
     read = {node.id for node in ast.walk(ast.parse(statements))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    rhs, attempt = ast.parse(_dop853._system_source(*_SYSTEMS[system])).body[0].body[:2]
+    rhs, attempt, stages = ast.parse(_dop853._system_source(*_SYSTEMS[system])).body[0].body[:3]
     assert [ast.dump(node) for node in rhs.body[1:-1]] == written
-    nodes, at, values, formed = attempt.body[2:], 0, {}, set()
+    unpacked = stages.body[-2].body[1:]     # in the with block, after unpacking Y
+    assert [ast.dump(node) for node in unpacked[:len(written)]] == written
+    nodes, at, values = attempt.body[2:], 0, {}
     for s in range(1, 13):
         if s == 12:     # the update and the error norm come before k12
             for node in nodes[at:at + 4 * n + 4]:
                 target = node.targets[0]
                 values[target.id] = node.value
             at += 4 * n + 4
-        while isinstance(nodes[at].targets[0], ast.Name) and nodes[at].targets[0].id[:2] == "x_":
-            # a stage input, formed only for a component the statements read
+        formed = []     # stage inputs, formed only for the components the statements read
+        while getattr(nodes[at].targets[0], "id", None) in components:
             i = _stage_input(nodes[at].value, s)
-            assert nodes[at].targets[0].id == f"x_{i}" and components[i] in read
-            formed.add(components[i])
+            assert nodes[at].targets[0].id == components[i]
+            formed.append(components[i])
             at += 1
-        stage = nodes[at:at + len(written)]
+        assert formed == [c for c in components if c in read]
+        if "t" in read:
+            time = nodes[at]
+            assert time.targets[0].id == "t" and time.value.left.id == "t_n"
+            if s == 12:
+                assert time.value.right.id == "h"
+            else:
+                assert _terms(time.value.right) == [(_dop853.C[s], "h")]
+            at += 1
+        assert [ast.dump(node) for node in nodes[at:at + len(written)]] == written
         at += len(written)
-        assert [ast.dump(_Unwritten(components, s).visit(node)) for node in stage] == written
+        assert [(node.targets[0].id, node.value.id) for node in nodes[at:at + n]] \
+            == [(f"k{s}_{i}", f"d_{c}") for i, c in enumerate(components)]
+        at += n
     assert at == len(nodes) - 1 and isinstance(nodes[at], ast.Return)
     for i in range(n):
         update = values[f"u_{i}"]
@@ -207,12 +208,7 @@ def test_generated_sums_name_the_nonzero_tableau_entries_in_order(system):
     for e, r in (("e5", "r5"), ("e3", "r3")):
         assert _terms(values[e]) == [(f"{r}_{i}", f"{r}_{i}") for i in range(n)]
     calls = {node.func.id for node in ast.walk(attempt) if isinstance(node, ast.Call)}
-    if constants == ("fun",):
-        # a plain callable is called once per stage, with its stage inputs
-        # formed in the call
-        assert calls == {"fun", "sqrt", "abs", "max"} and not formed
-    else:   # the package's systems are inlined whole
-        assert calls <= {"sqrt", "exp", "abs", "max"}
+    assert calls <= {"sqrt", "exp", "abs", "pow", "max"}
     if system == "background":      # N is never read, so no N stage input is formed
         assert "N" not in read
 
@@ -226,10 +222,21 @@ def test_generated_sums_name_the_nonzero_tableau_entries_in_order(system):
     ("d_a = c\nd_b = a\nc = w", ("w",), "read 'c' before assigning it"),
     ("d_a = b\nd_b = a\nd_b += w", ("w",), "must be an assignment"),
     ("d_a = b\nd_b = h * a", ("h",), "the constant 'h'"),
+    ("d_a = b\nd_b = a ** 2", ("w",), r"write a \*\* b as pow\(a, b\): 'd_b = a \*\* 2'"),
+    ("d_a = b\nd_b = max(a, w)", ("w",), "call only sqrt, exp, abs, pow: 'd_b = max"),
+    ("d_a = b\nd_b = w(a)", ("w",), "call only sqrt, exp, abs, pow: 'd_b = w"),
 ])
 def test_malformed_systems_are_named(statements, constants, message):
     with pytest.raises(ValueError, match=message):
         _dop853.system(("a", "b"), statements, constants)
+
+
+@pytest.mark.parametrize("name", ["h", "y_0", "k3_0", "u_1", "t_n", "f_n", "scale", "pow", "out"])
+def test_a_component_the_generated_code_binds_is_named(name):
+    # components are assigned their stage inputs, so one may not take a name
+    # the attempt, fun or the array form binds or reads
+    with pytest.raises(ValueError, match=f"the component {name!r} is a name the generated"):
+        _dop853.system((name, "b"), f"d_{name} = b\nd_b = {name}", ())
 
 
 def _magnitudes(low, high):
@@ -338,10 +345,6 @@ def _counted(fun):
 
 
 def _assert_same_bits_as_the_oracle(rhs, t0, t1, y0, rtol, atol):
-    # rhs is a system's Rhs or a plain callable, which is replayed through
-    # the system that solve makes of it
-    if not isinstance(rhs, _dop853.Rhs):
-        rhs = _dop853.system(*_dop853._callable_system(len(y0)))(rhs)
     got_fun, got_attempt, got_stages = map(_counted, rhs)
     want_fun = _counted(rhs.fun)
     got = _dop853.solve(_dop853.Rhs(got_fun, got_attempt, got_stages), t0, t1, y0, rtol, atol)
@@ -404,21 +407,15 @@ def test_states_of_3_7_and_9_components_match_solve_ivp(params, background, cons
         assert np.all(err < 5e-12 * np.max(np.abs(want[:-3]), axis=1))
 
 
-def test_right_hand_side_of_the_wrong_length_is_named():
-    # the first call is checked, before any step; the package's own solves
-    # pass the check (test_package_solves_match_the_generic_oracle_bit_for_bit)
-    for m in (2, 4):
-        calls = []
-
-        def fun(t, y):
-            calls.append(t)
-            return [-v for v in y][:m] + [0.0] * (m - len(y))
-
-        with pytest.raises(ValueError, match=f"fun returns {m} components for a state of 3"):
-            _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0, 3.0], 1e-10, 1e-12)
-        assert calls == [0.0]
-    with pytest.raises(ValueError, match="at least one component"):
-        _dop853.solve(lambda t, y: y, 0.0, 1.0, [], 1e-10, 1e-12)
+def test_a_y0_of_the_wrong_length_is_rejected_before_any_step():
+    # the first fun call unpacks y0 into the system's components; the package's
+    # own solves pass (test_package_solves_match_the_generic_oracle_bit_for_bit)
+    rhs = _decay(3)
+    for y0 in ([], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        attempt = _counted(rhs.attempt)
+        with pytest.raises(ValueError, match="values to unpack"):
+            _dop853.solve(rhs._replace(attempt=attempt), 0.0, 1.0, y0, 1e-10, 1e-12)
+        assert attempt.calls == 0
 
 
 def _time_in(message):
@@ -447,32 +444,32 @@ def test_nan_right_hand_side_raises_with_its_time(params, monkeypatch):
 
 
 def test_nan_from_the_start_raises_without_looping():
-    calls = []
-
-    def fun(t, y):
-        calls.append(t)
-        if len(calls) > 100:
-            raise RuntimeError("the stepper keeps calling a NaN right-hand side")
-        return [math.nan] * len(y)
-
+    rhs = _dop853.system(("a", "b", "c"), "d_a = nan\nd_b = nan\nd_c = nan\n", ("nan",))(math.nan)
+    fun, attempt = _counted(rhs.fun), _counted(rhs.attempt)
     with pytest.raises(_dop853.StepFailure) as info:
-        _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0, 3.0], 1e-10, 1e-12)
+        _dop853.solve(rhs._replace(fun=fun, attempt=attempt), 0.0, 1.0, [1.0, 2.0, 3.0],
+                      1e-10, 1e-12)
     assert info.value.t == 0.0
+    assert fun.calls + attempt.calls <= 100
+
+
+# y' = -y up to t_star, where late is exactly 0.0; past it, late is
+# 2 (t - t_star) > 0 and pow(1e300 * late, 2) overflows
+_OVERFLOWING_PAST = (("a", "b"), """\
+late = t - t_star + abs(t - t_star)
+d_a = pow(1e300 * late, 2) - a
+d_b = pow(1e300 * late, 2) - b
+""", ("t_star",))
 
 
 def test_overflowing_right_hand_side_raises_with_its_time(params):
-    # float ** raises OverflowError past the float range: the first step that
+    # pow raises OverflowError past the float range: the first step that
     # samples the right-hand side beyond t_star fails, at its start
-    def decay(t, y):
-        return [-v for v in y]
-
-    clean = _dop853.solve(decay, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+    clean = _dop853.solve(_decay(2), 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+    make = _dop853.system(*_OVERFLOWING_PAST)
     for t_star in (0.0, 0.3, 0.5, 0.9):
-        def fun(t, y):
-            return decay(t, y) if t <= t_star else [(1e200 * v) ** 2 for v in y]
-
         with pytest.raises(_dop853.StepFailure, match="overflows") as info:
-            _dop853.solve(fun, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+            _dop853.solve(make(t_star), 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
         assert info.value.t == clean.t[np.searchsorted(clean.t, t_star, side="right") - 1]
     # at rtol 0.5 the background's first steps diverge until (f^2 - vbar^2)^2
     # in its right-hand side overflows
@@ -481,45 +478,47 @@ def test_overflowing_right_hand_side_raises_with_its_time(params):
 
 
 def test_a_failing_dense_stage_names_its_step():
-    # c14 = 0.2 is no other stage's node, so the right-hand side fails at
-    # step j's stage k14 alone; the stages of all steps are evaluated after
-    # the step loop, and the failure still names step j, not the first step
-    def decay(t, y):
-        return [-v for v in y]
-
+    # c14 = 0.2 is no other stage's node, so the array form, made to fail at
+    # t_fail, fails at step j's stage k14 alone; the stages of all steps are
+    # evaluated after the step loop, and the failure still names step j, not
+    # the first step
+    decay = _decay(2)
     clean = _dop853.solve(decay, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
     j = len(clean.t) // 2
     t_j = clean.t[j].item()
     t_fail = t_j + _dop853.C[14] * (clean.t[j + 1].item() - t_j)
 
-    def overflowing(t, y):
-        if t == t_fail:
-            raise OverflowError("(1e200 * v) ** 2")
-        return decay(t, y)
+    def overflowing(t, Y):
+        if np.any(t == t_fail):
+            raise OverflowError("pow(1e200 * v, 2)")
+        return decay.stages(t, Y)
 
     with pytest.raises(_dop853.StepFailure, match="overflows") as info:
-        _dop853.solve(overflowing, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+        _dop853.solve(decay._replace(stages=overflowing), 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
     assert info.value.t == t_j > 0.0
 
     # a NaN stage, or one whose stage sums overflow, travels through the sums
     # as through float sums, without a numpy warning, to the finite check
     for value in (math.nan, 1e308):
-        def bad_at(t, y):
-            return [value] * len(y) if t == t_fail else decay(t, y)
+        def bad_at(t, Y):
+            out = decay.stages(t, Y)
+            out[:, t == t_fail] = value
+            return out
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(_dop853.StepFailure, match="dense-output stage is not finite") \
                     as info:
-                _dop853.solve(bad_at, 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
+                _dop853.solve(decay._replace(stages=bad_at), 0.0, 1.0, [1.0, 2.0], 1e-10, 1e-12)
         assert info.value.t == t_j
 
 
 def test_starting_step_underflow_raises():
     # |f/scale| squares past the float range, so 0.01 d0/d1 is zero: a
     # named failure at t0, not a division by zero
+    rhs = _dop853.system(("a",), "d_a = 1e200 * a\n", ())()
     with pytest.raises(_dop853.StepFailure, match="starting step") as info:
-        _dop853.solve(lambda t, y: [1e200 * v for v in y], 0.0, 1.0, [1.0], 1e-10, 1e-12)
+        _dop853.solve(rhs, 0.0, 1.0, [1.0], 1e-10, 1e-12)
     assert info.value.t == 0.0
 
 
@@ -535,11 +534,11 @@ def test_nan_in_a_mode_raises_mode_error_with_its_time(background, consts, exit_
 def test_rtol_at_the_floor_is_rejected(params):
     for rtol in (_dop853.RTOL_FLOOR, 1e-16, 0.0, math.nan):
         with pytest.raises(ValueError, match="rtol"):
-            _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], rtol, 1e-12)
+            _dop853.solve(_decay(1), 0.0, 1.0, [1.0], rtol, 1e-12)
     with pytest.raises(ValueError, match="rtol"):
         il.integrate(params, rtol=_dop853.RTOL_FLOOR)
     with pytest.raises(ValueError, match="atol"):
-        _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0], 1e-10, -1.0)
+        _dop853.solve(_decay(1), 0.0, 1.0, [1.0], 1e-10, -1.0)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (1.0, 1.0), (1.0, 0.0),
@@ -547,22 +546,18 @@ def test_rtol_at_the_floor_is_rejected(params):
 def test_an_interval_it_cannot_integrate_is_rejected(t0, t1):
     # named before fun runs, not as a one-node solve (NaN), an underflowing
     # starting step (t1 <= t0) or a spent step budget (t1 = inf)
-    calls = []
-
-    def fun(t, y):
-        calls.append(t)
-        return [-v for v in y]
-
+    rhs = _decay(1)
+    fun = _counted(rhs.fun)
     with pytest.raises(ValueError, match="finite ends t0 < t1"):
-        _dop853.solve(fun, t0, t1, [1.0], 1e-10, 1e-12)
-    assert calls == []
+        _dop853.solve(rhs._replace(fun=fun), t0, t1, [1.0], 1e-10, 1e-12)
+    assert fun.calls == 0
 
 
 def test_zero_atol_is_rejected(params):
     # every solve has a component that starts at 0 (the e-fold counter), so
     # atol = 0 would divide by a zero error scale in the starting-step rule
     with pytest.raises(ValueError, match="atol must be positive"):
-        _dop853.solve(lambda t, y: [-v for v in y], 0.0, 1.0, [0.0, 1.0], 1e-10, 0.0)
+        _dop853.solve(_decay(2), 0.0, 1.0, [0.0, 1.0], 1e-10, 0.0)
     with pytest.raises(ValueError, match="atol must be positive"):
         il.integrate(params, atol=0.0)
 
