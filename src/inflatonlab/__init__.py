@@ -36,7 +36,6 @@ from .potential import (
     DerivedConstants,
     PotentialParams,
     derive_constants,
-    potential,
     potential_d1,
     potential_d2,
 )

@@ -76,12 +76,13 @@ class BackgroundState:
     H: float
 
 
-# the scaled background equations of the module docstring, one statement
-# each, as _dop853.system reads them, with the coefficients of _Coeffs; f3
-# is shared with the scalar mode's V'
+# the scaled background equations of the module docstring in +, -, *, /
+# and sqrt, as _dop853.system reads them, with the coefficients of _Coeffs;
+# f3 is shared with the scalar mode's V'
 EQUATIONS = """\
-H = sqrt(kin * g * g + v4 * pow(f * f - vbar2, 2))
-f3 = pow(f, 3)
+u2 = f * f - vbar2
+H = sqrt(kin * g * g + v4 * (u2 * u2))
+f3 = f * f * f
 d_f = g
 d_g = -3 * efold * H * g + k1 * f - k2 * f3
 d_N = efold * H
@@ -110,11 +111,10 @@ class _Coeffs(NamedTuple):
                    efold=EFOLD_RATE)
 
     def hubble(self, f, g):
-        """Scaled H at arrays of (f, g), by EQUATIONS's formula.  numpy
-        rounds the square as a product, where EQUATIONS's pow calls libm's
-        pow, so at 2 of the 3,046 default nodes it differs from the
-        stepper's H in the last bit."""
-        return np.sqrt(self.kin * g * g + self.v4 * (f * f - self.vbar2) ** 2)
+        """Scaled H at arrays of (f, g), by EQUATIONS's formula in its
+        operation order: at every state it has the bits of the stepper's H."""
+        u2 = f * f - self.vbar2
+        return np.sqrt(self.kin * g * g + self.v4 * (u2 * u2))
 
     def bind(self, system: tuple, *constants) -> _dop853.Rhs:
         """The right-hand side of a system of with_background, such as SYSTEM,

@@ -25,7 +25,9 @@ Each mode carries its own background: (phi, phidot) and the e-folds N since
 the window start t_a ride along in the mode's ODE state.  They are seeded
 once from the stored solution at t_a and advanced by the same equations the
 background solve uses, so the coefficients a mode sees solve the background
-ODE to the mode's own tolerance, and q/a = (q/a)(t_a) e^{-N} needs no lookup.
+ODE to the mode's own tolerance.  So does Qv = (q/a) times the time unit,
+seeded with its value at t_a and advanced by Qv' = -N' Qv, so q/a needs no
+lookup and no exponential.
 Each mode's right-hand side is a system of straight-line statements
 (_SCALAR, _TENSOR), written once after the background's own
 (background.EQUATIONS, which it reads through their derivatives and
@@ -84,7 +86,7 @@ class _Window(NamedTuple):
     t_b: float
     seed: list          # scaled (f, g, N = 0) at t_a
     rates: list         # scaled background rates (f', g', N') at t_a
-    Qt0: float          # (q/a) * time_unit at t_a
+    Qt0: float          # (q/a) * time_unit at t_a, the seed of Qv
     a0: float           # a(t_a), with a(t_I) = a_L
     wkb: complex        # c'/c = -(H + i q/a) at t_a, scaled; read by both modes
 
@@ -120,7 +122,7 @@ def _window(sol: BackgroundSolution, q: float, consts: CosmoConstants) -> _Windo
     f, g, _ = sol._state(t_a / TIME_UNIT)
     seed = [float(f), float(g), 0.0]
     # background derivatives (f', g', N') = (g, phi double-dot, 100 H), scaled
-    rates = sol._coeffs.bind(SYSTEM).fun(t_a / TIME_UNIT, seed)
+    rates = _dop853.derivatives(sol._coeffs.bind(SYSTEM).stages, t_a / TIME_UNIT, seed)
     Qt0 = q_over_a * TIME_UNIT
     return _Window(t_a, t_b, seed, rates, Qt0, q / q_over_a, -(rates[2] + 1j * Qt0))
 
@@ -130,6 +132,7 @@ class _Run(NamedTuple):
 
     taus: np.ndarray    # scaled sample times
     z: np.ndarray       # complex mode variables, one row each
+    Qv: np.ndarray      # carried (q/a) * time_unit
     bg: np.ndarray      # carried background rows (f, g, N)
     rates: np.ndarray   # background rate rows (f', g', N')
     x: np.ndarray       # q/(aH)
@@ -142,14 +145,14 @@ def _evolve(sol: BackgroundSolution, rhs: _dop853.Rhs, w: _Window, z0: list, wha
     the tolerances the background was solved with.
 
     The mode variables z0 start complex and travel as (real, imaginary)
-    float pairs ahead of the background (f, g, N); rhs, the mode's system
-    bound to its float constants, works on that state, so every number it
-    reads is a float.  The background rates at the N_OUTPUT samples are one
-    call of the background system's array form, with the bits its fun would
-    give each sample.
+    float pairs ahead of Qv and the background (f, g, N); rhs, the mode's
+    system bound to its float constants, works on that state, so every
+    number it reads is a float.  The background rates at the N_OUTPUT
+    samples are one call of the background system's array form, with the
+    bits its step attempt would give each sample.
     """
     tau_a, tau_b = w.t_a / TIME_UNIT, w.t_b / TIME_UNIT
-    y0 = [part for z in z0 for part in (z.real, z.imag)] + w.seed
+    y0 = [part for z in z0 for part in (z.real, z.imag)] + [w.Qt0] + w.seed
     try:
         steps = _dop853.solve(rhs, tau_a, tau_b, y0, sol.rtol, sol.atol)
     except _dop853.StepFailure as exc:
@@ -158,13 +161,13 @@ def _evolve(sol: BackgroundSolution, rhs: _dop853.Rhs, w: _Window, z0: list, wha
     m = 2 * len(z0)
 
     def split(Y):
-        return Y[0:m:2] + 1j * Y[1:m:2], Y[m:]
+        return Y[0:m:2] + 1j * Y[1:m:2], Y[m], Y[m + 1:]
 
     taus = np.linspace(tau_a, tau_b, N_OUTPUT)
-    z, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
-    z_nodes, bg_nodes = split(steps.y)
+    z, Qv, bg = split(_dop853.evaluate(steps.t, steps.y, steps.F, taus))
+    z_nodes, _, bg_nodes = split(steps.y)
     rates = sol._coeffs.bind(SYSTEM).stages(taus, bg)
-    return _Run(taus, z, bg, rates, w.Qt0 * np.exp(-bg[2]) / rates[2], z_nodes, bg_nodes[2])
+    return _Run(taus, z, Qv, bg, rates, Qv / rates[2], z_nodes, bg_nodes[2])
 
 
 def _wkb_scale(num: float, den: float, q: float) -> float:
@@ -191,11 +194,11 @@ def _check_frozen(amplitude: np.ndarray, run: _Run, limit: float, what: str) -> 
 
 # --- scalar mode ----------------------------------------------------------------
 
-# (c, c', P) as real pairs ahead of the background, with Qt0 = (q/a)(t_a)
-# times the time unit; the complex form is
+# (c, c', P) as real pairs, then Qv = (q/a) times the time unit, ahead of
+# the background; the complex form is
 # P' = -N' P + gpsi g c,  c'' = -3 N' c' - m c - 2 W V' P + 4 W g P'
-_SCALAR = with_background(("c_r", "c_i", "cp_r", "cp_i", "P_r", "P_i"), """\
-Qv = Qt0 * exp(-N)
+_SCALAR = with_background(("c_r", "c_i", "cp_r", "cp_i", "P_r", "P_i", "Qv"), """\
+d_Qv = -d_N * Qv
 src = gpsi * g
 d_P_r = -d_N * P_r + src * c_r
 d_P_i = -d_N * P_i + src * c_i
@@ -208,7 +211,7 @@ d_c_r = cp_r
 d_c_i = cp_i
 d_cp_r = damp * cp_r - mass * c_r - k_P * P_r + k_Pp * d_P_r
 d_cp_i = damp * cp_i - mass * c_i - k_P * P_i + k_Pp * d_P_i
-""", ("Qt0", "W", "gpsi"))
+""", ("W", "gpsi"))
 
 
 @dataclass
@@ -254,7 +257,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
 
     # normalized initial data: c = 1, c' = WKB start, P from the constraint
     P0 = gpsi * (w.rates[1] - g_a * w.wkb) / (-FOURPIG_F2 * g_a**2 + Qt0 * Qt0)
-    run = _evolve(sol, sol._coeffs.bind(_SCALAR, Qt0, W, gpsi), w, [1.0 + 0j, w.wkb, P0],
+    run = _evolve(sol, sol._coeffs.bind(_SCALAR, W, gpsi), w, [1.0 + 0j, w.wkb, P0],
                   "scalar")
     c, cp, P = run.z
     g_t = run.bg[1]
@@ -273,7 +276,7 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
     # both terms vanish identically under classical gravity
     res_max = 0.0
     if quantum:
-        term_psi = (-FOURPIG_F2 * g_t**2 + (Qt0 * np.exp(-run.bg[2]))**2) * P
+        term_psi = (-FOURPIG_F2 * g_t**2 + run.Qv**2) * P
         term_field = -gpsi * (gp_t * c - g_t * cp)
         res = np.abs(term_psi + term_field) / np.maximum(np.abs(term_psi), np.abs(term_field))
         res_max = float(res.max())
@@ -297,16 +300,17 @@ def integrate_scalar(sol: BackgroundSolution, q: float,
 
 # --- tensor mode -----------------------------------------------------------------
 
-# (d, d') as real pairs of d'' = -3 N' d' - Qv^2 d, ahead of the background
-_TENSOR = with_background(("d_r", "d_i", "dp_r", "dp_i"), """\
-Qv = Qt0 * exp(-N)
+# (d, d') as real pairs of d'' = -3 N' d' - Qv^2 d, then Qv, ahead of the
+# background
+_TENSOR = with_background(("d_r", "d_i", "dp_r", "dp_i", "Qv"), """\
+d_Qv = -d_N * Qv
 damp = -3 * d_N
 mass = Qv * Qv
 d_d_r = dp_r
 d_d_i = dp_i
 d_dp_r = damp * dp_r - mass * d_r
 d_dp_i = damp * dp_i - mass * d_i
-""", ("Qt0",))
+""", ())
 
 
 @dataclass
@@ -343,7 +347,7 @@ def integrate_tensor(sol: BackgroundSolution, q: float,
                           D_plateau=0j, wronskian_drift=0.0,
                           t_start=w.t_a, t_end=w.t_b)
 
-    run = _evolve(sol, sol._coeffs.bind(_TENSOR, w.Qt0), w, [1.0 + 0j, w.wkb], "tensor")
+    run = _evolve(sol, sol._coeffs.bind(_TENSOR), w, [1.0 + 0j, w.wkb], "tensor")
     d, dp = run.z
 
     # conserved bilinear in normalized variables: (a/a0)^3 Im(conj(d) d'),

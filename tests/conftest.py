@@ -134,8 +134,8 @@ def tensor_mode(background, consts):
 
 
 # one recorded _dop853.solve: its arguments and the Steps it returned; the
-# package passes each system bound to its constants as an _dop853.Rhs, whose
-# fun is the plain right-hand side
+# package passes each system bound to its constants as an _dop853.Rhs of its
+# step attempt and its array form
 Solve = namedtuple("Solve", "rhs t0 t1 y0 rtol atol steps")
 
 

@@ -22,6 +22,7 @@ import pytest
 
 import inflatonlab as il
 from inflatonlab import toy_battery
+from inflatonlab.potential import potential
 from inflatonlab.variance import mu_bound, preset_air_mip, sigma2_per_mu4
 from test_observables import paper_anchor_exit
 from test_variance import quad_overlap
@@ -188,7 +189,7 @@ def test_criterion_7_numerical_hygiene(background, params):
     c = Checker("criterion 7 (numerical hygiene)")
     t = background.grid_times
     H = background.hubble(t)
-    rho = 0.5 * background.phidot(t) ** 2 + il.potential(params, background.phi(t))
+    rho = 0.5 * background.phidot(t) ** 2 + potential(params, background.phi(t))
     resid = float(np.max(np.abs(H**2 - 8 * np.pi * params.G / 3 * rho) / H**2))
     c.check("Friedmann-constraint residual < 1e-8 at every node",
             resid < 1e-8, f"max {resid:.2e}")

@@ -10,11 +10,12 @@ from scipy.integrate import solve_ivp
 
 import inflatonlab as il
 from inflatonlab import _dop853
-from inflatonlab.background import (MAX_MIDPOINT_RESIDUAL, EndOfInflationNotFound,
+from inflatonlab.background import (MAX_MIDPOINT_RESIDUAL, SYSTEM, EndOfInflationNotFound,
                                     IntegrationError, classify_bigbang)
 from inflatonlab.cache import load_background, save_background
 from inflatonlab.config import ScanConfig
 from inflatonlab.constants import FIELD_UNIT, G_NEWTON, TIME_UNIT
+from inflatonlab.potential import potential
 
 
 def test_initial_state_matches_asymptotic_form(params, derived):
@@ -73,7 +74,7 @@ def test_friedmann_constraint_residual(background, params):
     # recomputation through the public accessors at every node
     t = background.grid_times
     H = background.hubble(t)
-    rho = 0.5 * background.phidot(t) ** 2 + il.potential(params, background.phi(t))
+    rho = 0.5 * background.phidot(t) ** 2 + potential(params, background.phi(t))
     resid = np.abs(H**2 - 8 * np.pi * params.G / 3 * rho) / H**2
     assert resid.max() < 1e-8
 
@@ -281,6 +282,19 @@ def test_stored_dense_output_matches_solver(background):
         assert np.max(np.abs(N - N_ref)) < 2e-10
 
 
+def test_hubble_is_the_steppers_bit_for_bit(background):
+    # _Coeffs.hubble writes EQUATIONS's H in its operation order, so at every
+    # node of the default background and of the four corners of the scan box
+    # efold * H is the background system's d_N, bit for bit
+    corners = [il.integrate(il.PotentialParams(kappa=kappa, lam=lam))
+               for kappa in (_BOX.kappa_min, _BOX.kappa_max)
+               for lam in (_BOX.lambda_min, _BOX.lambda_max)]
+    for sol in (background, *corners):
+        coeffs = sol._coeffs
+        d_N = coeffs.bind(SYSTEM).stages(sol.tau, sol.y)[2]
+        assert (coeffs.efold * coeffs.hubble(sol.y[0], sol.y[1])).tobytes() == d_N.tobytes()
+
+
 def test_dense_output_accuracy_before_end(background, params):
     # an independent solve in its own variables at rtol 1e-13: phi in units
     # of 1e19 GeV, time in 1e-12 GeV^-1, H = sqrt(8 pi G rho / 3)
@@ -289,7 +303,7 @@ def test_dense_output_accuracy_before_end(background, params):
     def rhs(s, y):
         phi, phidot = F0 * y[0], F0 * y[1] / T0
         H = math.sqrt(8 * math.pi * params.G / 3
-                      * (0.5 * phidot**2 + il.potential(params, phi)))
+                      * (0.5 * phidot**2 + potential(params, phi)))
         phiddot = -3 * H * phidot - il.potential_d1(params, phi)
         return [y[1], phiddot * T0**2 / F0, H * T0]
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from inflatonlab.observables import (
     SlowRollDomainError,
     compare_targets,
 )
+from inflatonlab.potential import potential
 
 # the published table's exit row (field value and rate); it is not this
 # model's pivot crossing -- the slow-roll e-folds from this field value to the
@@ -42,6 +44,13 @@ def test_shape_functions_domain_error(params, derived):
         il.slow_roll_functions(params, derived.v)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_shape_functions_name_a_non_finite_field(params, phi):
+    # not (nan, nan), and not "V(phi) vanishes" at phi = +-inf, where V is infinite
+    with pytest.raises(ValueError, match=f"phi must be finite, got {phi!r}"):
+        il.slow_roll_functions(params, phi)
+
+
 def test_shape_functions_match_finite_difference_oracle(params, derived):
     # independent evaluation of the shape functions by finite-differencing
     # the potential; the second difference uses a wide step with its exact
@@ -51,10 +60,10 @@ def test_shape_functions_match_finite_difference_oracle(params, derived):
         phi = u * derived.v
         h1 = 1e-6 * derived.v
         h2 = 0.02 * derived.v
-        V = il.potential(params, phi)
-        Vp = (il.potential(params, phi + h1) - il.potential(params, phi - h1)) / (2 * h1)
-        Vpp = (il.potential(params, phi + h2) - 2 * V
-               + il.potential(params, phi - h2)) / h2**2 - params.lam * h2**2 / 2
+        V = potential(params, phi)
+        Vp = (potential(params, phi + h1) - potential(params, phi - h1)) / (2 * h1)
+        Vpp = (potential(params, phi + h2) - 2 * V
+               + potential(params, phi - h2)) / h2**2 - params.lam * h2**2 / 2
         pref = 1 / (16 * np.pi * params.G)
         eps_fd = pref * (Vp / V) ** 2
         delta_fd = pref * ((Vp / V) ** 2 - 2 * Vpp / V)

@@ -87,14 +87,7 @@ def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_
     modes = (il.integrate_scalar(sol, f64(consts.q_R), consts64),
              il.integrate_tensor(sol, f64(consts.q_R), consts64))
     monkeypatch.undo()
-    assert [len(c.y0) for c in solve_calls] == [3, 9, 7]
-
-    def floats_only(fun):
-        def checked(t, y):
-            out = fun(t, y)
-            assert all(type(v) is float for v in (t, *y, *out))
-            return out
-        return checked
+    assert [len(c.y0) for c in solve_calls] == [3, 10, 8]
 
     def floats_in_and_out(attempt):
         def checked(t, y, f, h, rtol, atol):
@@ -111,11 +104,11 @@ def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_
         return checked
 
     # the attempt writes the right-hand side into its stages, all of which it
-    # returns in K; the dense-output stages go through the array form
+    # returns in K; the starting derivatives and the dense-output stages go
+    # through the array form
     for rhs, t0, t1, y0, rtol, atol, _ in solve_calls:
-        assert all(type(v) is float for v in rhs.fun(t0, y0))
-        _dop853.solve(_dop853.Rhs(floats_only(rhs.fun), floats_in_and_out(rhs.attempt),
-                                  float_arrays(rhs.stages)),
+        assert all(type(v) is float for v in _dop853.derivatives(rhs.stages, t0, y0))
+        _dop853.solve(_dop853.Rhs(floats_in_and_out(rhs.attempt), float_arrays(rhs.stages)),
                       t0, t1, y0, rtol, atol)
     for got, want in zip(modes, (scalar_mode, tensor_mode)):
         for a, b in zip(astuple(got), astuple(want)):
@@ -123,40 +116,41 @@ def test_numpy_scalar_inputs_reach_the_stepper_as_floats(params, consts, scalar_
 
 
 def _background_rates(kin, v4, vbar2, k1, k2, efold, f, g):
-    """The scaled background equations (f', g', N'), written as in the
-    background module's docstring: H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2)."""
-    H = math.sqrt(kin * g * g + v4 * (f * f - vbar2) ** 2)
-    return [g, -3 * efold * H * g + k1 * f - k2 * f**3, efold * H]
+    """The scaled background equations (f', g', N') of the background
+    module's docstring, H = sqrt(kin g^2 + v4 (f^2 - vbar2)^2), with the
+    square and the cube written as products."""
+    u2 = f * f - vbar2
+    H = math.sqrt(kin * g * g + v4 * (u2 * u2))
+    return [g, -3 * efold * H * g + k1 * f - k2 * (f * f * f), efold * H]
 
 
-def _complex_scalar_rhs(kin, v4, vbar2, k1, k2, efold, Qt0, W, gpsi):
+def _complex_scalar_rhs(kin, v4, vbar2, k1, k2, efold, W, gpsi):
     """The scalar right-hand side in complex form: the oracle for the real pairs."""
     def rhs(tau, y):
         c = y[0] + 1j * y[1]
         cp = y[2] + 1j * y[3]
         P = y[4] + 1j * y[5]
-        f, g = y[6], y[7]
+        Qv, f, g = y[6], y[7], y[8]
         bg = _background_rates(kin, v4, vbar2, k1, k2, efold, f, g)
         Np = bg[2]
-        Qv = Qt0 * math.exp(-y[8])
         Pp = -Np * P + gpsi * g * c
-        Vp_s = -k1 * f + k2 * f**3
+        Vp_s = -k1 * f + k2 * (f * f * f)
         cpp = (-3 * Np * cp
                - (-k1 + 3 * k2 * f * f + Qv * Qv) * c
                - 2 * W * Vp_s * P + 4 * W * g * Pp)
-        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, *bg]
+        return [cp.real, cp.imag, cpp.real, cpp.imag, Pp.real, Pp.imag, -Np * Qv, *bg]
     return rhs
 
 
-def _complex_tensor_rhs(kin, v4, vbar2, k1, k2, efold, Qt0):
+def _complex_tensor_rhs(kin, v4, vbar2, k1, k2, efold):
     """The tensor right-hand side in complex form: the oracle for the real pairs."""
     def rhs(tau, y):
         d = y[0] + 1j * y[1]
         dp = y[2] + 1j * y[3]
-        bg = _background_rates(kin, v4, vbar2, k1, k2, efold, y[4], y[5])
-        Qv = Qt0 * math.exp(-y[6])
+        Qv = y[4]
+        bg = _background_rates(kin, v4, vbar2, k1, k2, efold, y[5], y[6])
         dpp = -3 * bg[2] * dp - Qv * Qv * d
-        return [dp.real, dp.imag, dpp.real, dpp.imag, *bg]
+        return [dp.real, dp.imag, dpp.real, dpp.imag, -bg[2] * Qv, *bg]
     return rhs
 
 
@@ -169,13 +163,13 @@ def _closure(fun):
 def test_real_pair_rhs_match_the_complex_form(background, consts, solve_calls, monkeypatch):
     # the pivot's quantum scalar, classical scalar and tensor right-hand sides
     # against the complex form on the coefficients each closes over, at finite
-    # states spanning those of the window (mode parts to 1e4, f to 30, g to 5,
-    # n to 12): every output compares equal
+    # states spanning those of the window (mode parts to 1e4, Qv to 1e4, f to
+    # 30, g to 5, n to 12): every output compares equal
     il.integrate_scalar(background, consts.q_R, consts)
     il.integrate_scalar(background, consts.q_R, consts, gravity=il.GravityMode.CLASSICAL)
     il.integrate_tensor(background, consts.q_R, consts)
     monkeypatch.undo()
-    quantum, classical, tensor = (c.rhs.fun for c in solve_calls)
+    quantum, classical, tensor = (c.rhs.stages for c in solve_calls)
     assert _closure(quantum)["W"] != 0 and _closure(quantum)["gpsi"] != 0
     assert _closure(classical)["W"] == _closure(classical)["gpsi"] == 0.0
     cases = [(quantum, _complex_scalar_rhs(**_closure(quantum)), 6),
@@ -184,11 +178,11 @@ def test_real_pair_rhs_match_the_complex_form(background, consts, solve_calls, m
 
     @settings(max_examples=200)
     @given(tau=st.floats(-1e3, 1e3), parts=st.lists(st.floats(-1e4, 1e4), min_size=6, max_size=6),
-           f=st.floats(0, 30), g=st.floats(-5, 5), n=st.floats(0, 12))
-    def check(tau, parts, f, g, n):
-        for fun, oracle, m in cases:
-            y = [*parts[:m], f, g, n]
-            assert fun(tau, y) == oracle(tau, y)
+           Qv=st.floats(0, 1e4), f=st.floats(0, 30), g=st.floats(-5, 5), n=st.floats(0, 12))
+    def check(tau, parts, Qv, f, g, n):
+        for stages, oracle, m in cases:
+            y = [*parts[:m], Qv, f, g, n]
+            assert _dop853.derivatives(stages, tau, y) == oracle(tau, y)
 
     check()
 

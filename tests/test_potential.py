@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,26 +6,27 @@ import pytest
 
 import inflatonlab as il
 from inflatonlab.constants import EFOLD_RATE, HUBBLE_UNIT, TIME_UNIT
+from inflatonlab.potential import potential
 
 
 def test_potential_at_origin_is_vacuum_energy(params):
     # constant term kappa^4 / (4 lambda); order 1e66 GeV^4 at defaults
-    v0 = il.potential(params, 0.0)
+    v0 = potential(params, 0.0)
     assert v0 == params.kappa**4 / (4 * params.lam)
     assert v0 == pytest.approx(1.1741588e66, rel=1e-6)
 
 
 def test_potential_vanishes_at_minimum(params, derived):
     # machine precision relative to the cancelling 1e66-scale terms
-    vac = il.potential(params, 0.0)
-    assert il.potential(params, derived.v) == pytest.approx(0.0, abs=4e-16 * vac)
+    vac = potential(params, 0.0)
+    assert potential(params, derived.v) == pytest.approx(0.0, abs=4e-16 * vac)
     d1_scale = params.kappa**2 * derived.v
     assert il.potential_d1(params, derived.v) == pytest.approx(0.0, abs=4e-16 * d1_scale)
     # exact closed-form zeros for other couplings too
     for kappa, lam in ((1.0, 0.25), (3.7e5, 2e-3)):
         p = il.PotentialParams(kappa=kappa, lam=lam)
         v = kappa / math.sqrt(lam)
-        assert il.potential(p, v) == pytest.approx(0.0, abs=1e-9 * il.potential(p, 0.0))
+        assert potential(p, v) == pytest.approx(0.0, abs=1e-9 * potential(p, 0.0))
         assert il.potential_d1(p, v) == pytest.approx(0.0, abs=1e-9 * kappa**3)
 
 
@@ -46,12 +48,12 @@ def test_derivatives_match_finite_differences(params, derived):
     rng = np.random.default_rng(42)
     for phi in rng.uniform(0.0, 2 * derived.v, size=12):
         h1 = 1e-7 * derived.v
-        fd1 = (il.potential(params, phi + h1) - il.potential(params, phi - h1)) / (2 * h1)
+        fd1 = (potential(params, phi + h1) - potential(params, phi - h1)) / (2 * h1)
         scale1 = max(abs(fd1), params.kappa**2 * derived.v * 1e-3)
         assert abs(il.potential_d1(params, phi) - fd1) / scale1 < 1e-6
         h2 = 0.02 * derived.v
-        fd2 = (il.potential(params, phi + h2) - 2 * il.potential(params, phi)
-               + il.potential(params, phi - h2)) / h2**2
+        fd2 = (potential(params, phi + h2) - 2 * potential(params, phi)
+               + potential(params, phi - h2)) / h2**2
         # quartic V: the central second difference equals V'' + lambda h^2/2
         # exactly, so subtracting the known truncation leaves pure roundoff
         assert abs(il.potential_d2(params, phi) - (fd2 - params.lam * h2**2 / 2))\
@@ -120,3 +122,13 @@ def test_params_validation():
 
 def test_unit_scales_round_trip():
     assert EFOLD_RATE == TIME_UNIT * HUBBLE_UNIT == 100.0
+
+
+def test_the_potential_submodule_is_not_shadowed():
+    # the package re-exports no name of a submodule, so both spellings of
+    # the import bind the module, which holds the function
+    import inflatonlab.potential as P
+    module = importlib.import_module("inflatonlab.potential")
+    assert P is module and P.__name__ == "inflatonlab.potential"
+    assert P.potential is potential and callable(P.potential)
+    assert P.PotentialParams is il.PotentialParams
