@@ -426,10 +426,10 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
     a tolerance the error test cannot resolve, before the system is
     evaluated, and for a y0 whose length is not the system's, when the array
     form first unpacks it; and StepFailure when a stage is not finite (a
-    value past the float range is an inf), the step size falls below ten
-    float spacings or the solve would take more than MAX_STEPS step
-    attempts.  A zero divisor or the square root of a negative number in a
-    step attempt raises as float arithmetic does.
+    value past the float range is an inf) or float arithmetic cannot form it
+    (a zero divisor or the square root of a negative number, where the array
+    form gives an inf or NaN), the step size falls below ten float spacings
+    or the solve would take more than MAX_STEPS step attempts.
     """
     if not rtol > RTOL_FLOOR:
         raise ValueError(f"rtol must exceed {RTOL_FLOOR:g}, got {rtol!r}")
@@ -459,7 +459,10 @@ def solve(rhs, t0: float, t1: float, y0, rtol: float, atol: float) -> Steps:
                                   "is spent", t)
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            y_new, K, error = attempt(t, y, f, h, rtol, atol)
+            try:
+                y_new, K, error = attempt(t, y, f, h, rtol, atol)
+            except (ValueError, ZeroDivisionError) as exc:     # an inf or NaN in the array form
+                raise StepFailure(f"a right-hand side value is not finite ({exc})", t) from exc
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
                                                            SAFETY * error ** ERROR_EXPONENT)

@@ -36,7 +36,7 @@ from .perturbations import GravityMode, integrate_scalar, integrate_tensor
 from .svg import line_chart
 from .toy_battery import run_battery
 from .toymodel import characteristic_fn, auto_k_grid, invert_to_density
-from .variance import mu_bound, preset_air_mip, sigma2_per_mu4
+from .variance import mu_bound, sigma2_per_mu4
 
 # Published reference rows (t/1e-12, phi/1e19, H/1e14, efolds-to-end, ln(H a_I/q_R));
 # None marks blanks in the source layout.  Used only for the appended
@@ -258,7 +258,7 @@ def cmd_modes(cfg: RunConfig, w: Writer) -> int:
 
 
 def cmd_mubound(cfg: RunConfig, w: Writer) -> int:
-    exp = replace(preset_air_mip(), dEdx=cfg.experiment.dEdx_gev2)
+    exp = cfg.decay_experiment()
     per_mu4_composed, per_mu4_literal = sigma2_per_mu4(exp)
     composed, literal = mu_bound(exp, cfg.experiment.sigma2_max)
     composed_alt, literal_alt = mu_bound(exp, cfg.experiment.sigma2_max_alt)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from .horizon import DEFAULT_QR_MPC_INV, DEFAULT_Z_L, CosmoConstants
 from .perturbations import GravityMode
 from .potential import PotentialParams
 from .toymodel import InsufficientDecay, ToyModel, auto_k_grid, two_level_model
+from .variance import DecayExperiment, mu_bound, preset_air_mip
 
 
 class ConfigError(ValueError):
@@ -38,9 +39,9 @@ class ToyConfig:
     seeds: int = 50
     # row-major real symmetric matrices, dimension from their length; None
     # selects the built-in benchmark
-    hamiltonian: list | None = None
-    observable: list | None = None
-    weight_op: list | None = None
+    hamiltonian: list[float] | None = None
+    observable: list[float] | None = None
+    weight_op: list[float] | None = None
     schedule: list[tuple[float, float]] | None = None    # [[duration, weight], ...]
 
 
@@ -76,24 +77,15 @@ class RunConfig:
     def cosmo_constants(self) -> CosmoConstants:
         return CosmoConstants.from_physical(q_R_mpc_inv=self.q_R_mpc_inv, z_L=self.z_L)
 
+    def decay_experiment(self) -> DecayExperiment:
+        return replace(preset_air_mip(), dEdx=self.experiment.dEdx_gev2)
+
     def validate(self) -> "RunConfig":
-        modes = [m.value for m in GravityMode]
-        if self.gravity not in modes:
-            raise ConfigError(f"gravity must be {' or '.join(modes)}, got {self.gravity!r}")
-        # z_L > -1 keeps a_L = 1/(1 + z_L) positive
-        for name, floor in (("kappa_gev", 0.0), ("lam", 0.0),
-                            ("q_R_mpc_inv", 0.0), ("z_L", -1.0)):
-            if not getattr(self, name) > floor:
-                raise ConfigError(f"{name} must exceed {floor:g}, got {getattr(self, name)!r}")
-        try:
-            self.cosmo_constants()
-        except ValueError as e:
-            raise ConfigError(f"cosmology: {e}") from e
+        _built("gravity", lambda: GravityMode(self.gravity))
+        params = _built("kappa_gev, lambda", self.params)
+        _built("q_R_mpc_inv, z_L: cosmology", self.cosmo_constants)
         # the asymptotic start phi = v e^{alpha t_start} must lie deep in the past
-        try:
-            initial_state(self.params(), DEFAULT_T_START)
-        except (ValueError, ArithmeticError) as e:
-            raise ConfigError(f"background start: {e}") from e
+        _built("kappa_gev, lambda: background start", lambda: initial_state(params, DEFAULT_T_START))
         sc = self.scan
         if min(sc.kappa_min, sc.kappa_max, sc.lambda_min, sc.lambda_max) <= 0:
             raise ConfigError("scan bounds must be positive")
@@ -101,26 +93,14 @@ class RunConfig:
             raise ConfigError("scan needs at least one point per axis")
         if self.toy.seeds < 1:
             raise ConfigError("toy.seeds must be >= 1")
-        if self.toy.schedule is not None:
-            if any(dt <= 0 for dt, _ in self.toy.schedule):
-                raise ConfigError("toy.schedule durations must be positive")
-            if not any(w for _, w in self.toy.schedule):
-                raise ConfigError("toy.schedule needs a nonzero weight")
-        ex = self.experiment
-        # sigma^2 divides by dE/dx squared, which must stay a normal float
-        if not (min(ex.dEdx_gev2, ex.sigma2_max, ex.sigma2_max_alt) > 0
-                and sys.float_info.min < ex.dEdx_gev2 * ex.dEdx_gev2 < math.inf):
-            raise ConfigError("experiment values must be positive, dEdx_gev2^2 a normal float")
+        decay = _built("experiment.dEdx_gev2", self.decay_experiment)
+        _built("experiment.sigma2_max", lambda: mu_bound(decay, self.experiment.sigma2_max))
+        _built("experiment.sigma2_max_alt", lambda: mu_bound(decay, self.experiment.sigma2_max_alt))
         # the model's own contract (self-adjoint, PSD, mu in range), then the
         # k-grid the toy command inverts on: a mu or schedule too weak to damp
         # Phi within its point budget fails here, before any battery work, and
         # so does a weight or duration whose grid design overflows
-        try:
-            auto_k_grid(self.toy_model(), self.toy_template())
-        except ConfigError:
-            raise
-        except (ValueError, ArithmeticError, InsufficientDecay) as e:
-            raise ConfigError(f"toy: {e}") from e
+        _built("toy", lambda: auto_k_grid(self.toy_model(), self.toy_template()))
         return self
 
     def toy_model(self):
@@ -131,16 +111,10 @@ class RunConfig:
         def mat(rowmajor, name):
             if rowmajor is None:
                 raise ConfigError(f"toy.{name} required when any toy matrix is given")
-            try:
-                arr = np.asarray(rowmajor, dtype=float).ravel()
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError("an entry is not finite")
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"toy.{name}: entries must be finite numbers ({e})") from e
-            dim = math.isqrt(arr.size)
-            if dim == 0 or dim * dim != arr.size:
-                raise ConfigError(f"toy.{name}: {arr.size} entries do not form a square matrix")
-            return arr.reshape(dim, dim)
+            dim = math.isqrt(len(rowmajor))
+            if dim == 0 or dim * dim != len(rowmajor):
+                raise ConfigError(f"toy.{name}: {len(rowmajor)} entries do not form a square matrix")
+            return np.reshape(rowmajor, (dim, dim))
 
         H = mat(t.hamiltonian, "hamiltonian")
         return ToyModel(
@@ -158,6 +132,17 @@ class RunConfig:
 
 
 _GROUPS = {"scan": ScanConfig, "toy": ToyConfig, "experiment": ExperimentConfig}
+
+
+def _built(keys: str, build):
+    """build() of an object that checks its own inputs, with its ValueError,
+    ArithmeticError or InsufficientDecay raised as a ConfigError led by `keys`."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError, InsufficientDecay) as e:
+        raise ConfigError(f"{keys}: {e}") from e
 
 
 def _typed(value, ftype: str, where: str):
@@ -187,7 +172,7 @@ def _typed(value, ftype: str, where: str):
         if isinstance(value, list) and len(value) == len(parts):
             return tuple(_typed(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, parts)))
         raise ConfigError(f"{where}: expected a list of {len(parts)} entries, got {value!r}")
-    if isinstance(value, {"bool": bool, "str": str, "list": list}.get(base, ())):
+    if isinstance(value, {"bool": bool, "str": str}.get(base, ())):
         return value
     raise ConfigError(f"{where}: expected {ftype}, got {value!r}")
 

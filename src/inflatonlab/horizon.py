@@ -58,6 +58,8 @@ class CosmoConstants:
     @classmethod
     def from_physical(cls, q_R_mpc_inv: float = DEFAULT_QR_MPC_INV,
                       z_L: float = DEFAULT_Z_L) -> "CosmoConstants":
+        if not z_L > -1:
+            raise ValueError(f"z_L must exceed -1, where a_L = 1/(1 + z_L) > 0, got {z_L!r}")
         return cls(q_R=q_R_mpc_inv / MPC_IN_INV_GEV, a_L=1.0 / (z_L + 1.0))
 
 

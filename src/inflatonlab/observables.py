@@ -13,7 +13,6 @@ exactly by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,9 @@ def slow_roll_functions(params: PotentialParams, phi: float) -> tuple[float, flo
 
     The quartic is a perfect square, so "outside the domain" means at (or
     numerically indistinguishable from) the minimum, where V'/V diverges.
-    Raises ValueError for a phi that is not finite and SlowRollDomainError
-    outside the domain.
+    Raises ValueError for a phi that is not finite (as the potential does)
+    and SlowRollDomainError outside the domain.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
     V = potential(params, phi)
     floor = 1e-13 * 0.25 * params.lam * (phi * phi + params.kappa**2 / params.lam) ** 2
     if V <= floor:

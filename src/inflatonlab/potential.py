@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import G_NEWTON, KAPPA_DEFAULT, LAMBDA_DEFAULT
 
 
@@ -56,24 +58,35 @@ class DerivedConstants:
     vacuum_energy: float
 
 
+def _finite_field(phi):
+    """phi, a float or an array, once each of its values is finite."""
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ValueError(f"phi must be finite, got {np.ravel(phi)[np.argmin(finite)].item()!r}")
+    return phi
+
+
 def potential(params: PotentialParams, phi):
-    """V(phi) in GeV^4.  Total function of any finite phi.
+    """V(phi) in GeV^4.  Total function of any finite phi; ValueError for any other.
 
     Evaluated in the factored form lambda (phi^2 - v^2)^2 / 4, algebraically
     identical to the three-term sum but free of its 1e66-scale cancellation
     near the minimum (where the sum loses all significant digits).
     """
+    phi = _finite_field(phi)
     v2 = params.kappa**2 / params.lam
     return 0.25 * params.lam * (phi * phi - v2) ** 2
 
 
 def potential_d1(params: PotentialParams, phi):
     """V'(phi) in GeV^3."""
+    phi = _finite_field(phi)
     return -params.kappa**2 * phi + params.lam * phi**3
 
 
 def potential_d2(params: PotentialParams, phi):
     """V''(phi) in GeV^2."""
+    phi = _finite_field(phi)
     return -params.kappa**2 + 3 * params.lam * phi**2
 
 

@@ -231,8 +231,6 @@ def pointer_random_model(seed: int) -> ToyModel:
 def _coupling_operator(model: ToyModel, xi) -> np.ndarray:
     """Y = i sum xi_j A_j - (mu^4/2) sum xi_j^2 C_j, for xi of shape (..., n_obs)."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1:] != (model.n_obs,):
-        raise ValueError(f"expected {model.n_obs} couplings, got shape {xi.shape}")
     Y = np.zeros(xi.shape[:-1] + (model.dim, model.dim), dtype=complex)
     for j, (A, C) in enumerate(zip(model.observables, model.weight_ops)):
         x = xi[..., j, None, None]
@@ -312,8 +310,6 @@ def _slice_factors(model: ToyModel, xi, dt: float):
     on both factors costs less than two, and a matrix's result does not
     depend on the stack it sits in.
     """
-    if dt <= 0:
-        raise ValueError("slice durations must be positive")
     H = model.hamiltonian
     Y = _coupling_operator(model, xi)
     return _expm(dt * np.stack((-1j * H + 0.5 * Y, 1j * H + 0.5 * Y)))
@@ -328,9 +324,10 @@ def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) ->
     broadcasts against the k-points.  This is the only construction of the
     slice-ordered map: Phi, the moments and the reduced state all read it.
     """
+    template = _template_for(model, template)
     kvecs = np.asarray(kvecs, dtype=float)
-    if kvecs.shape[-1:] != (model.n_obs,) or any(len(w) != model.n_obs for _, w in template):
-        raise ValueError(f"expected {model.n_obs} couplings per k-point and per slice")
+    if kvecs.shape[-1:] != (model.n_obs,):
+        raise ValueError(f"expected {model.n_obs} couplings per k-point, got shape {kvecs.shape}")
     W = np.asarray(W, dtype=complex)
     for dt, wrow in template:
         El, Er = _slice_factors(model, kvecs * np.asarray(wrow, dtype=float), dt)
@@ -343,9 +340,15 @@ def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) ->
 # --- characteristic function and density -----------------------------------------
 
 def _template_for(model: ToyModel, template: Template | None) -> Template:
-    if template is not None:
-        return template
-    return ((1.0, (1.0,) * model.n_obs),)
+    """The template, once each slice has a positive duration and one weight
+    per observable; None gives one unit slice of unit weights."""
+    if template is None:
+        return ((1.0, (1.0,) * model.n_obs),)
+    for s, (dt, wrow) in enumerate(template):
+        if not (dt > 0 and len(wrow) == model.n_obs):
+            raise ValueError(f"slice {s} is ({dt!r}, {wrow!r}): it needs a positive duration "
+                             f"and {model.n_obs} weight(s), one per observable")
+    return template
 
 
 def _spacing(grid: np.ndarray, ax: int) -> float:
@@ -468,17 +471,15 @@ def auto_k_grid(model: ToyModel, template: Template | None = None,
     observable plus Gaussian tails (conjugate sampling relation).
     """
     template = _template_for(model, template)
-    if model.mu4 <= 0:
-        raise InsufficientDecay("mu = 0 gives no k-space damping; "
-                                "choose a positive mu for grid-based inversion")
     grids = []
     for j, (A, (wsum, lam)) in enumerate(zip(model.observables, _smearing(model, template))):
         wsum = _finite(j, "the weight sum dt w^2", wsum)
         wabs = sum(dt * abs(wrow[j]) for dt, wrow in template)
         lam_min, lam_max = float(lam[0]), float(lam[-1])
         damping = model.mu4 * wsum * lam_min
-        if not damping > 0:
-            raise InsufficientDecay(f"observable {j} has no Gaussian damping")
+        if not damping > 0:     # mu = 0, a zero weight sum or a singular C_j
+            raise InsufficientDecay(f"observable {j} has no k-space damping; grid-based "
+                                    "inversion needs mu^4 sum_s dt w^2 lam_min(C) > 0")
         # design for a tenth of the target tail: the power-of-two grid rounding
         # leaves the positive edge one dk short of the nominal extent
         k_max = _finite(j, "k_max", math.sqrt(2 * math.log(10.0 / K_TAIL) / damping))

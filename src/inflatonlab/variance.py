@@ -154,6 +154,8 @@ class DecayExperiment:
         for name in ("gamma_q", "t_bar", "rho_0", "dEdx", "b"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not sys.float_info.min < self.dEdx * self.dEdx < math.inf:   # sigma^2 divides by it
+            raise ValueError(f"dEdx^2 must be a normal float, got dEdx = {self.dEdx!r}")
 
     @property
     def delta_rho(self) -> float:

@@ -54,6 +54,14 @@ def test_malformed_json_rejected(tmp_path):
         load_config(p)
 
 
+def _keys(data: dict, path: str = ""):
+    """The keys of a config object, each nested one also as group.key."""
+    for key, value in data.items():
+        yield path + key
+        if isinstance(value, dict):
+            yield from _keys(value, f"{path}{key}.")
+
+
 def test_invalid_values_rejected(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"gravity": "semiclassical"}))
@@ -62,12 +70,14 @@ def test_invalid_values_rejected(tmp_path, capsys):
     # couplings that put phi near v at the fixed start, a kappa whose vacuum
     # energy overflows, the removed output-format, worker, span, tolerance,
     # mode-window, mode-tolerance and Newton-constant keys, the field name
-    # behind the "lambda" key, values of the wrong type, a non-positive slice
-    # duration, scan bound, coupling or experiment value, an empty scan axis,
-    # a toy model that breaks its own contract, a toy sweep over no seeds, a
-    # toy mu or schedule whose k-grid cannot damp Phi within its point budget
-    # or overflows the float range, a cosmology whose constants are not
-    # positive and finite: rejected at load, before any solve
+    # behind the "lambda" key, values of the wrong type (a toy matrix as
+    # nested rows among them), a non-positive slice duration, scan bound,
+    # coupling or experiment value, an empty scan axis, a toy model that
+    # breaks its own contract, a toy sweep over no seeds, a toy mu or
+    # schedule whose k-grid cannot damp Phi within its point budget or
+    # overflows the float range, a cosmology whose constants are not positive
+    # and finite: rejected at load, before any solve, with a message that
+    # names the key or group of the bad input
     for bad, where in (({"lambda": 1e-30}, "background start: .* start earlier"),
                        ({"kappa_gev": 1e200}, r"background start: kappa\^4/\(4 lambda\)"),
                        ({"format": "xml"}, "unknown config key 'format'"),
@@ -99,15 +109,19 @@ def test_invalid_values_rejected(tmp_path, capsys):
                        ({"q_R_mpc_inv": -0.05}, "q_R_mpc_inv"),
                        ({"q_R_mpc_inv": 0}, "q_R_mpc_inv"),
                        ({"q_R_mpc_inv": 1e-300}, "cosmology"),
-                       ({"toy": {"schedule": [[0.0, 1.0]]}}, "toy.schedule"),
-                       ({"toy": {"schedule": [[1.0, 0.0]]}}, "toy.schedule"),
+                       ({"toy": {"schedule": [[0.0, 1.0]]}},
+                        r"toy: slice 0 is \(0\.0, \(1\.0,\)\): it needs a positive duration"),
+                       ({"toy": {"schedule": [[1.0, 0.0]]}},
+                        "toy: observable 0 has no k-space damping"),
                        ({"scan": {"kappa_min": -1.0}}, "scan bounds"),
                        ({"scan": {"lambda_points": 0}}, "scan needs"),
                        ({"kappa_gev": -1}, "kappa_gev"),
                        ({"lambda": 0}, "lam"),
                        ({"experiment": {"dEdx_gev2": 0}}, "experiment"),
                        ({"experiment": {"sigma2_max": -1e-3}}, "experiment"),
-                       ({"experiment": {"dEdx_gev2": 1e200}}, "dEdx_gev2"),
+                       ({"experiment": {"dEdx_gev2": 1e200}},
+                        r"experiment.dEdx_gev2: dEdx\^2 must be a normal float"),
+                       ({"experiment": {"sigma2_max_alt": 0}}, "experiment.sigma2_max_alt"),
                        ({"toy": {"mu": -0.5}}, "mu must be nonnegative"),
                        ({"toy": {"hamiltonian": [0, 1, 0, 0], "observable": [1, 0, 0, -1],
                                  "weight_op": [1, 0, 0, 1]}}, "hamiltonian is not self-adjoint"),
@@ -115,10 +129,13 @@ def test_invalid_values_rejected(tmp_path, capsys):
                                  "weight_op": [1, 0, 0, -1]}}, "not positive semidefinite"),
                        ({"toy": {"hamiltonian": [0, None, None, 0], "observable": [1, 0, 0, -1],
                                  "weight_op": [1, 0, 0, 1]}}, "toy.hamiltonian"),
+                       ({"toy": {"hamiltonian": [[0, 0], [0, 0]], "observable": [1, 0, 0, -1],
+                                 "weight_op": [1, 0, 0, 1]}}, r"toy.hamiltonian\[0\]"),
                        ({"toy": {"weight_op": [1, 0, 0, 1]}}, "toy.hamiltonian required")):
         p.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError, match=where):
+        with pytest.raises(ConfigError, match=where) as info:
             load_config(p)
+        assert any(key in str(info.value) for key in _keys(bad)), info.value
         assert main(["modes", "--config", str(p), "--out", str(tmp_path)]) == 2
     # a mu so small that the grid would need 2^469 k-points: the count is
     # printed as a power of two, not as a 142-digit integer
@@ -294,14 +311,24 @@ _JSON = st.recursive(
                                                                 max_size=3),
     max_leaves=8)
 
-# values of each field annotation's own type; toy matrices have 1, 4 or 9 entries
-_OF_TYPE = {
+_SCALARS = {
     "float": st.floats(), "int": st.integers(), "bool": st.booleans(),
     "str": st.sampled_from(["csv", "json", "quantum", "classical"]) | st.text(max_size=8),
-    "list": st.lists(st.floats(), max_size=9),
-    "list[tuple[float, float]]": st.lists(st.lists(st.floats(), min_size=2, max_size=2),
-                                          max_size=3),
 }
+
+
+def _of_type(ftype: str):
+    """JSON values of a field annotation's own type, read in the grammar
+    config._typed reads: a scalar of _SCALARS, list[...], tuple[...] and
+    "| None"; a toy matrix has up to 9 entries, a schedule up to 3 slices."""
+    base, _, rest = ftype.partition(" | ")
+    if rest == "None":
+        return st.none() | _of_type(base)
+    if base.startswith("list["):
+        return st.lists(_of_type(base[5:-1]), max_size=9 if base == "list[float]" else 3)
+    if base.startswith("tuple["):
+        return st.tuples(*map(_of_type, base[6:-1].split(", "))).map(list)
+    return _SCALARS[base]
 
 
 def _config_object(cls):
@@ -314,7 +341,7 @@ def _config_object(cls):
         if key in _GROUPS:
             value = _config_object(_GROUPS[key])
         else:
-            value = _OF_TYPE[types[key].partition(" | ")[0]]
+            value = _of_type(types[key])
         return st.tuples(st.just(key), value | _JSON)
 
     known = st.sampled_from(sorted(types)).flatmap(entry)

@@ -500,6 +500,30 @@ def test_overflowing_right_hand_side_raises_with_its_time(params):
         il.integrate(params, rtol=0.5)
 
 
+# two systems that agree with a clean one, bit for bit, up to tau = 0.5 and
+# past it ask float arithmetic for the square root of a negative number or a
+# division by zero, where the array form gives NaN
+_UNDEFINED_PAST = (("d_a = sqrt(tau - t)\n", "d_a = sqrt(abs(tau - t))\n"),
+                   ("x = tau - t + abs(tau - t)\nd_a = -a + 0 * (1 / x)\n", "d_a = -a\n"))
+
+
+@pytest.mark.parametrize("statements, clean", _UNDEFINED_PAST)
+def test_a_step_attempt_float_arithmetic_cannot_finish_raises_with_its_time(statements, clean):
+    # not a bare ValueError or ZeroDivisionError from the step attempt: a
+    # StepFailure at the start of the first step that samples t > tau, which
+    # the clean solve reaches too (a rejected attempt may cross tau first)
+    tau = 0.5
+    rhs = _dop853.system(("a",), statements, ("tau",))(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(rhs.stages(np.array([0.75]), np.array([[1.0]]))[0, 0])
+    with pytest.raises(_dop853.StepFailure, match="not finite") as info:
+        _dop853.solve(rhs, 0.0, 1.0, [1.0], 1e-10, 1e-12)
+    nodes = _dop853.solve(_dop853.system(("a",), clean, ("tau",))(tau), 0.0, 1.0, [1.0],
+                          1e-10, 1e-12).t
+    assert info.value.t in nodes[nodes < tau][-2:]
+
+
 def test_a_failing_dense_stage_names_its_step():
     # c14 = 0.2 is no other stage's node, so the array form, made to fail at
     # t_fail, fails at step j's stage k14 alone; the stages of all steps are

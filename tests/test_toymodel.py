@@ -126,9 +126,10 @@ def test_apply_kernel_adjoint_symmetry():
 
 
 def test_apply_kernel_dimension_mismatch():
+    # the coupling count is checked where the k-points enter, in evolve_density
     model = tm.two_level_model()
     with pytest.raises(ValueError, match="couplings"):
-        _kernel_matrix(model, [0.1, 0.2])
+        tm.evolve_density(model, ((1.0, (1.0,)),), [0.1, 0.2], model.initial_state)
 
 
 def _slice_map(model, template, k):
