@@ -370,8 +370,9 @@ def integrate(params: PotentialParams,
     The accepted steps and their dense output are stored as they are; t_I
     is None when phi never reaches v in range.
     """
-    if not t_start < t_end:         # also false when either end is NaN
-        raise ValueError("t_end must exceed t_start")
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start < t_end):
+        raise ValueError(f"t_end must exceed t_start, both finite: got t_start = {t_start:g} "
+                         f"and t_end = {t_end:g} GeV^-1")
     ini = initial_state(params, t_start)
     rhs = _Coeffs.of(params).bind(SYSTEM)
     y0 = [ini.phi / FIELD_UNIT, ini.phidot * TIME_UNIT / FIELD_UNIT, 0.0]

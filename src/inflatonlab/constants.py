@@ -3,12 +3,13 @@
 All public APIs of the package take and return quantities in plain GeV
 powers.  Internally the solvers rescale time, field and expansion rate so
 that the state stays O(1)-O(1e3); the scalings live here so every module
-agrees on them.
+agrees on them, as does the range check on the smearing mass mu.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 # --- gravity ---------------------------------------------------------------
 
@@ -22,6 +23,18 @@ G_NEWTON = 1.0 / PLANCK_MASS_GEV**2  # 6.70883e-39 GeV^-2
 
 KAPPA_DEFAULT = 8.38e12       # GeV
 LAMBDA_DEFAULT = 1.05e-15     # dimensionless
+
+# --- the smearing mass -------------------------------------------------------
+
+
+def checked_mu(mu: float) -> float:
+    """mu, once it is nonnegative with mu^4 a finite float: the one contract on
+    the smearing mass, which the field theory (in GeV) and the toy model
+    (dimensionless) both read only through mu^4."""
+    if not 0 <= mu <= sys.float_info.max ** 0.25:
+        raise ValueError("mu must be nonnegative, with mu^4 a finite float")
+    return mu
+
 
 # --- length / time conversions ----------------------------------------------
 

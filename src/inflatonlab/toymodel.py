@@ -23,8 +23,23 @@ eigenvalue, the mean equals Tr(A W), and marginalization integrates to one;
 the source equations carry one sign slip among these three and are
 reconciled here.
 
-Every slice map is a two-sided matrix exponential.  A whole k-grid of them
-is taken at once by scaling and squaring with the [13/13] Pade approximant
+Every slice map is a two-sided matrix exponential, W -> E_l W E_r, and one
+exponential serves two of them.  The left and right generators of a slice
+at coupling xi are dt(-iH + Y(xi)/2) and dt(iH + Y(xi)/2); with H, A_j and
+C_j self-adjoint, Y(xi)^dagger = Y(-xi), so
+
+    E_r(xi) = E_l(-xi)^dagger.
+
+_slice_factors therefore exponentiates only the left generators, at the
+distinct couplings of the stack and its mirror xi -> -xi, and reads every
+right factor as the adjoint of a left one.  The identity needs H, A_j and
+C_j exactly self-adjoint: the adjoint flips the sign of any anti-Hermitian
+part, which the operators may carry up to HERMITICITY_TOL, so a ToyModel
+stores the Hermitian part of each operator it is given.  The k-grids the
+package evaluates are nearly closed under k -> -k, and a zero template
+weight repeats a coupling across a whole mesh axis, so on those grids the
+pairing takes about half the exponentials or fewer.  A stack of them is
+taken at once by scaling and squaring with the [13/13] Pade approximant
 (Higham, SIAM J. Matrix Anal. Appl. 26(4):1179, 2005), batched over the
 stack in blocks of EXPM_BLOCK matrices.  The scaling is Higham's 1-norm
 rule; the refinement of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl.
@@ -57,11 +72,12 @@ theory but enters the toy only through mu^4.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .constants import checked_mu
 
 HERMITICITY_TOL = 1e-12
 K_TAIL = 1e-10          # |Phi| bound at the k-grid edges: grid design and inversion check
@@ -77,17 +93,25 @@ class InsufficientDecay(RuntimeError):
 
 
 def _checked_operator(M, name: str, dim: int, psd: bool = False) -> np.ndarray:
-    """M as a complex array, checked dim x dim, finite, self-adjoint and, with psd, PSD."""
+    """The Hermitian part (M + M^dagger)/2 of M, as a complex array, once M is
+    checked dim x dim, finite, self-adjoint and, with psd, PSD.
+
+    An M within HERMITICITY_TOL of self-adjoint loses its anti-Hermitian
+    part, which the adjoint pairing of _slice_factors would otherwise carry
+    into Phi; an exactly self-adjoint M comes back unchanged.  Halving
+    before adding keeps the largest finite entries finite.
+    """
     M = np.asarray(M, dtype=complex)
     if M.shape != (dim, dim):
         raise ValueError(f"{name} has shape {M.shape}, which differs from the model's {dim} x {dim}")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} has a non-finite entry")
-    if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
+    adjoint = M.conj().T
+    if np.max(np.abs(M - adjoint)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
         raise ValueError(f"{name} is not self-adjoint within {HERMITICITY_TOL:g}")
     if psd and np.linalg.eigvalsh(M).min() < -1e-10:
         raise ValueError(f"{name} is not positive semidefinite")
-    return M
+    return M / 2 + adjoint / 2
 
 
 @dataclass(frozen=True)
@@ -117,8 +141,7 @@ class ToyModel:
         W = _checked_operator(self.initial_state, "initial state", dim, psd=True)
         if abs(np.trace(W).real - 1.0) > 1e-12 or abs(np.trace(W).imag) > 1e-12:
             raise ValueError("initial state must have unit trace")
-        if not 0 <= self.mu <= sys.float_info.max ** 0.25:
-            raise ValueError("mu must be nonnegative, with mu^4 a finite float")
+        checked_mu(self.mu)
         for name, value in (("hamiltonian", H), ("observables", obs),
                             ("weight_ops", wops), ("initial_state", W)):
             object.__setattr__(self, name, value)
@@ -296,23 +319,39 @@ def _expm_block(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def _slice_factors(model: ToyModel, xi, dt: float):
-    """(E_left, E_right), stacked on a leading axis of two, with
-    W -> E_left W E_right for one constant slice.
+def _slice_factors(model: ToyModel, xi, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E_left, E_right) with W -> E_left W E_right for one constant slice.
 
     The generator splits into commuting left- and right-multiplication parts,
     so the slice map is exactly a two-sided matrix exponential; no Trotter
     error is incurred within a constant-coupling slice.  A stack of couplings
-    xi, shape (..., n_obs), gives stacks of factors, shape (..., N, N).  Both
-    generators go through one call of _expm, the Pade-13 scaling-and-squaring
-    exponential, which takes the stack EXPM_BLOCK matrices at a time: for
-    small matrices each of its products costs mostly per call, so one call
-    on both factors costs less than two, and a matrix's result does not
-    depend on the stack it sits in.
+    xi, shape (..., n_obs), gives stacks of factors, shape (..., N, N).
+
+    Only left factors are exponentiated: E_right(xi) = E_left(-xi)^dagger
+    (module docstring), exact because the model's operators are stored
+    Hermitian.  The rows of xi and -xi are sorted and each distinct row,
+    -0.0 folded into +0.0, goes once through one call of _expm, whose
+    result for a matrix does not depend on the stack it sits in.  The right
+    factors are returned as a transposed view of their conjugates, which is
+    the layout _matmul reads a right factor in.
     """
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.reshape(-1, xi.shape[-1])
+    rows = np.concatenate((flat, -flat)) + 0.0      # + 0.0 turns -0.0 into +0.0
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    distinct = np.empty(len(rows), dtype=bool)
+    distinct[:1] = True
+    (rows[1:] != rows[:-1]).any(axis=1, out=distinct[1:])
+    index = np.empty(len(rows), dtype=int)
+    index[order] = distinct.cumsum() - 1
     H = model.hamiltonian
-    Y = _coupling_operator(model, xi)
-    return _expm(dt * np.stack((-1j * H + 0.5 * Y, 1j * H + 0.5 * Y)))
+    E = _expm(dt * (-1j * H + 0.5 * _coupling_operator(model, rows[distinct])))
+    shape = xi.shape[:-1] + H.shape
+    El = E[index[:len(flat)]]
+    Er = E[index[len(flat):]]
+    np.conjugate(Er, out=Er)
+    return El.reshape(shape), np.swapaxes(Er, -1, -2).reshape(shape)
 
 
 def evolve_density(model: ToyModel, template: Template, kvecs, W: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import GRAM_PER_CM3_IN_GEV4
+from .constants import GRAM_PER_CM3_IN_GEV4, checked_mu
 
 _E = math.e
 PREFACTOR_LITERAL = _E**2 / (8 * (_E - 2))       # as printed in the closed form
@@ -82,15 +82,9 @@ def weight_overlap(w1: WeightFunction, w2: WeightFunction) -> float:
     return out
 
 
-def _checked_mu(mu: float) -> float:
-    if not 0 <= mu <= sys.float_info.max ** 0.25:
-        raise ValueError("mu must be nonnegative, with mu^4 a finite float")
-    return mu
-
-
 def classical_variance_00(mu: float, w: WeightFunction) -> float:
     """Classical variance of the 00-weighted density: mu^4 Lt Ls^3 / (8 pi^2)."""
-    return 0.5 * _checked_mu(mu)**4 * weight_overlap(w, w)
+    return 0.5 * checked_mu(mu)**4 * weight_overlap(w, w)
 
 
 _METRIC_SIGN = (-1.0, 1.0, 1.0, 1.0)
@@ -111,7 +105,7 @@ def covariance_matrix(mu: float, weights: Sequence[WeightFunction]) -> np.ndarra
     Uses the flat convention a(t) = 1, so every entry is a closed-form overlap.
     A weight set whose matrix falls below the floor raises PSDViolation.
     """
-    _checked_mu(mu)
+    checked_mu(mu)
     if len(weights) == 0:
         raise ValueError("need at least one weight function")
     n = len(weights)

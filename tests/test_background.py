@@ -45,6 +45,12 @@ def test_integrate_rejects_bad_span(params):
     for span in ({"t_end": math.nan}, {"t_start": math.nan}):
         with pytest.raises(ValueError, match="t_end must exceed t_start"):
             il.integrate(il.PotentialParams(), **span)
+    # an infinite end is named in GeV^-1 by the span check, not in the
+    # solver's scaled time
+    for span in ({"t_end": math.inf}, {"t_start": -math.inf}, {"t_end": -math.inf},
+                 {"t_start": math.inf}):
+        with pytest.raises(ValueError, match="t_end must exceed t_start, both finite: .*GeV"):
+            il.integrate(il.PotentialParams(), **span)
 
 
 def test_golden_midrange_row(background):

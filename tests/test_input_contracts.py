@@ -19,6 +19,7 @@ NO_WEIGHTS = ((1.0, ()),)
 ZERO_DURATION_NAMED = r"slice 1 is \(0\.0, \(1\.0,\)\): it needs a positive duration"
 NO_WEIGHTS_NAMED = r"slice 0 is \(1\.0, \(\)\): it needs a positive duration and 1 weight"
 GRID = [np.arange(-32, 32) * 0.25]
+MU_NAMED = r"mu must be nonnegative, with mu\^4 a finite float"
 
 
 def _air(dEdx):
@@ -35,6 +36,12 @@ CASES = {
         (lambda: il.mu_bound(_air(1e-200), 1e-3), r"dEdx\^2 must be a normal float"),
     "mu bound at dEdx^2 past the float range":
         (lambda: il.mu_bound(_air(1e200), 1e-3), r"dEdx\^2 must be a normal float"),
+    "toy model with a negative mu": (lambda: replace(ONE, mu=-0.5), MU_NAMED),
+    "toy model with mu^4 past the float range": (lambda: replace(ONE, mu=1e80), MU_NAMED),
+    "classical variance with a negative mu":
+        (lambda: il.classical_variance_00(-0.5, il.WeightFunction()), MU_NAMED),
+    "covariance with mu^4 past the float range":
+        (lambda: il.covariance_matrix(1e80, [il.WeightFunction()]), MU_NAMED),
     "k-grid with a zero-duration slice":
         (lambda: tm.auto_k_grid(ONE, ZERO_DURATION), ZERO_DURATION_NAMED),
     "k-grid with a slice of no weights":

@@ -168,12 +168,17 @@ def _toy_generators(model, xi, dt, h_scale=1.0):
     return dt * np.stack([-iH + 0.5 * Y, iH + 0.5 * Y])
 
 
-def _expm_error(A):
-    """Largest 1-norm relative error of the stacked exponential against scipy's."""
+def _scipy_error(got, A):
+    """Largest 1-norm relative error of a stack of exponentials against scipy's
+    exponential of each generator of A."""
     from scipy.linalg import expm
     ref = np.stack([expm(a) for a in A.reshape((-1,) + A.shape[-2:])])
-    got = tm._expm(A).reshape(ref.shape)
-    return float(np.max(_norm1(got - ref) / _norm1(ref)))
+    return float(np.max(_norm1(np.reshape(got, ref.shape) - ref) / _norm1(ref)))
+
+
+def _expm_error(A):
+    """Largest 1-norm relative error of the stacked exponential against scipy's."""
+    return _scipy_error(tm._expm(A), A)
 
 
 @settings(max_examples=60)
@@ -243,6 +248,85 @@ def test_expm_rejects_non_finite_generators(dim, where, bad):
     A.reshape(-1)[where % A.size] = bad
     with pytest.raises(FloatingPointError):
         tm._expm(A)
+
+
+def _pairing_stacks(model, h, dk):
+    """Coupling stacks, shape (..., n_obs), that _slice_factors pairs with
+    their mirrors in different ways, each with a label."""
+    n = model.n_obs
+    even = (np.arange(8) - 4) * dk
+    zero_row = np.stack([even, np.zeros_like(even)], axis=-1)[:, :n]
+    mesh = tm._k_mesh([even] * n)
+    yield "centered even grid", mesh
+    yield "odd stencil", tm._k_mesh([np.array([-h, 0.0, h])] * n)
+    yield "single k", np.full(n, h)
+    yield "{0} axis", zero_row if n == 2 else np.zeros((1, 1))
+    weights = np.zeros(n)
+    weights[0] = 1.0
+    yield "zero template weight", mesh * weights
+    signed = np.zeros((3, n))
+    signed[0, 0], signed[2, -1] = -0.0, h
+    yield "-0.0 and +0.0", signed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 4), n_obs=st.integers(1, 2),
+       h=st.floats(0.01, 4.0), dk=st.floats(0.05, 1.5), dt=st.floats(0.05, 1.5))
+def test_paired_right_factor_matches_its_own_exponential(seed, dim, n_obs, h, dk, dt):
+    # E_r(xi), read as the adjoint of E_l(-xi), equals the exponential of the
+    # right generator dt (iH + Y/2), and E_l that of dt (-iH + Y/2)
+    model = tm.random_model(seed=seed, dim=dim, n_obs=n_obs)
+    iH = 1j * model.hamiltonian
+    for label, xi in _pairing_stacks(model, h, dk):
+        El, Er = tm._slice_factors(model, xi, dt)
+        half_Y = 0.5 * tm._coupling_operator(model, xi)
+        assert El.shape == Er.shape == np.shape(xi)[:-1] + (dim, dim), label
+        assert _scipy_error(El, dt * (-iH + half_Y)) <= 1e-13, label
+        assert _scipy_error(Er, dt * (iH + half_Y)) <= 1e-13, label
+
+
+def test_a_centered_grid_takes_one_exponential_per_mirror_pair(monkeypatch):
+    # M points, none skipped by the decay bound: the couplings and their
+    # mirrors are M + 1 distinct values, -M/2 dk .. M/2 dk
+    model = tm.random_model(seed=3, dim=3)
+    M = 64
+    grid = (np.arange(M) - M // 2) * 0.05
+    assert np.all(tm._decay_bound(model, ((1.0, (1.0,)),), grid[:, None]) >= tm.SKIP_TOL)
+    counted = []
+    expm = tm._expm
+
+    def counting(A):
+        counted.append(len(A))
+        return expm(A)
+
+    monkeypatch.setattr(tm, "_expm", counting)
+    tm.characteristic_fn(model, None, [grid])
+    assert counted == [M + 1]
+
+
+def test_model_stores_the_hermitian_part_of_each_operator():
+    # an operator within HERMITICITY_TOL of self-adjoint is accepted and
+    # stored as (M + M^dagger)/2, exactly self-adjoint
+    model = tm.random_model(seed=11, dim=3)
+    skew = 1e-14 * np.array([[1j, 1, 0], [-1, 0, 2j], [0, 2j, -1j]])
+    given = {"hamiltonian": model.hamiltonian + skew,
+             "observables": (model.observables[0] + skew,),
+             "weight_ops": (model.weight_ops[0] + skew,),
+             "initial_state": model.initial_state + skew}
+    stored = tm.ToyModel(mu=model.mu, **given)
+    for name, M in given.items():
+        M = M[0] if isinstance(M, tuple) else M
+        kept = getattr(stored, name)
+        kept = kept[0] if isinstance(kept, tuple) else kept
+        assert np.array_equal(kept, (M + M.conj().T) / 2), name
+        assert np.array_equal(kept, kept.conj().T), name
+    # an exactly self-adjoint operator is stored bit for bit, and one with
+    # entries near the float range stays finite
+    for H in (model.hamiltonian, np.full((3, 3), 1.5e308)):
+        kept = tm.ToyModel(hamiltonian=H, observables=model.observables,
+                           weight_ops=model.weight_ops, mu=model.mu,
+                           initial_state=model.initial_state).hamiltonian
+        assert np.array_equal(kept, H)
 
 
 def test_trace_preservation_at_zero_coupling():
@@ -519,13 +603,41 @@ def test_random_model_cf_normalized_and_hermitian(seed, dim, n_obs):
         grids = tm.auto_k_grid(model, max_points=64 if n_obs == 2 else 4096)
     except tm.InsufficientDecay:
         assume(False)
+    from scipy.linalg import expm
     phi = tm.characteristic_fn(model, None, grids).samples
     center = tuple(len(g) // 2 for g in grids)
     assert abs(phi[center] - 1.0) < 1e-10
-    # centered even grids: entries 1..M-1 of each axis mirror onto themselves
-    inner = phi[(slice(1, None),) * n_obs]
-    mirrored = inner[(slice(None, None, -1),) * n_obs]
-    assert np.max(np.abs(inner - np.conj(mirrored))) < 1e-10
+    # at the battery's mirror pairs of each axis, Phi(k) from scipy's
+    # exponential of each of the two generators matches the sample at k, and
+    # its conjugate the sample at -k
+    idx = np.ix_(*(toy_battery._mirror_indices(len(g)) for g in grids))
+    mirror = tuple(len(g) - i for g, i in zip(grids, idx))
+    kvecs = tm._k_mesh(grids)[idx].reshape(-1, n_obs)
+    iH = 1j * model.hamiltonian
+    oracle = []
+    for Y in tm._coupling_operator(model, kvecs):
+        El, Er = expm(-iH + 0.5 * Y), expm(iH + 0.5 * Y)
+        oracle.append(np.trace(El @ model.initial_state @ Er))
+    oracle = np.reshape(oracle, phi[idx].shape)
+    assert np.max(np.abs(oracle - phi[idx])) < 1e-12
+    assert np.max(np.abs(np.conj(oracle) - phi[mirror])) < 1e-10
+
+
+def test_hermitian_symmetry_fails_on_an_unmirrored_right_factor(monkeypatch):
+    # the right factor read as the adjoint of the left one at +xi, not -xi
+    exact = tm._slice_factors
+
+    def unmirrored(model, xi, dt):
+        El, _ = exact(model, xi, dt)
+        return El, np.conj(np.swapaxes(El, -1, -2))
+
+    monkeypatch.setattr(tm, "_slice_factors", unmirrored)
+    toy_battery._sweep_stats.cache_clear()
+    try:
+        res = toy_battery.check_hermitian_symmetry(n_seeds=3)
+    finally:
+        toy_battery._sweep_stats.cache_clear()
+    assert not res.passed and res.worst > 1e-2, res.line()
 
 
 def _full_phi(model, template, grids):
